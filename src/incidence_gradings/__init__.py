@@ -30,8 +30,6 @@ from .bimodules import (
 )
 from .characters import (
     Character,
-    char_inv,
-    char_mul,
     dual_group,
     extension_fiber,
     is_trivial,
@@ -73,7 +71,6 @@ from .incidence import (
     IncidenceElement,
     identity_element,
     incidence_dimension,
-    incidence_mul,
     matrix_unit,
 )
 from .oracle import (

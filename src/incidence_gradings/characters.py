@@ -136,13 +136,5 @@ def extension_fiber(chi, h):
     return [eta for eta in dual_group(h) if restrict(eta, chi.domain) == chi]
 
 
-def char_mul(a, b):
-    return a * b
-
-
-def char_inv(a):
-    return a.inverse()
-
-
 def is_trivial(a):
     return a.is_trivial()

@@ -13,9 +13,9 @@ import json
 import sys
 
 from . import jsonio
-from .bimodules import bimodule_iso, bimodule_product
+from .bimodules import BimoduleClass, bimodule_iso, bimodule_product
 from .characters import dual_group
-from .datum import derive_full_bimodules, grading_iso, realize, validate_datum
+from .datum import grading_iso, realize, validate_datum
 from .errors import IncidenceGradingsError, MalformedInput, NotValid
 from .oracle import (
     check_link_equation,
@@ -68,20 +68,20 @@ def cmd_realize(args):
 
 def cmd_verify(args):
     datum = jsonio.decode_datum(_read_json(args.datum))
-    report = validate_datum(datum)
-    if not report.valid:
+    try:
+        realized = realize(datum)
+    except NotValid as exc:
         _emit({"valid": False,
-               "validation": jsonio.encode_validation_report(report)})
+               "validation": jsonio.encode_validation_report(exc.report)})
         return EXIT_INVALID
-    realized = realize(datum)
     grading_report = verify_grading(realized)
     link_report = check_link_equation(realized)
-    full = derive_full_bimodules(datum)
     product_checks = []
     products_ok = True
-    for (i, j), cls in full.items():
+    for (i, j), state in realized.full_raw.items():
         if not datum.skeleton.strictly_between(i, j):
             continue
+        cls = BimoduleClass(datum.blocks[i], datum.blocks[j], state)
         oracle_cls = radical_square_component(realized, i, j)
         agree = bimodule_iso(cls, oracle_cls)[0]
         products_ok = products_ok and agree

@@ -253,9 +253,6 @@ class CycloNumber:
     def is_zero(self):
         return not any(self.nums)
 
-    def is_rational(self):
-        return not any(self.nums[1:])
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycloNumber.from_rational(other)

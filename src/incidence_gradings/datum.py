@@ -13,6 +13,16 @@ modulo H_i + H_j at the endpoints, and reducing at intermediate vertices
 would leak middle-block coset parts into later steps.  The raw per-pair
 degree representatives are exactly the degrees the realized incidence
 algebra carries, so realize() reuses them.
+
+Chains are never listed.  From each source i the derivation walks the
+interval above i once, keeping per vertex the distinct raw states (ordered
+(character, degree) lists) its chains arrive with.  A chain's next step
+depends only on its state and the next cover, so each distinct state meets
+each upper cover once and every result, conflict and disagreement of the
+chains is still found.  The chains themselves are compared, not only the
+triples i < k < j: raw composition ignores the coset reduction, so data can
+pass every triple check while two chains disagree and the realization is
+not graded (the B_3 datum over Z/3 in the tests).
 """
 
 from __future__ import annotations
@@ -81,26 +91,22 @@ class GradingDatum:
 # chain derivation
 
 
-def _saturated_chains(skeleton, i, j):
-    """All saturated chains i = v0 <. v1 <. ... <. vr = j."""
-    cover_up = {}
-    for x, y in skeleton.covers():
-        cover_up.setdefault(x, []).append(y)
-    chains = []
+def _compose(left, right, h_mid, h_out):
+    """Two-step composition of (character, raw degree) data.
 
-    def walk(path):
-        last = path[-1]
-        if last == j:
-            chains.append(tuple(path))
-            return
-        for y in cover_up.get(last, ()):
-            if skeleton.leq(y, j):
-                path.append(y)
-                walk(path)
-                path.pop()
-
-    walk([i])
-    return chains
+    Each pair of entries restricts both characters to h_mid, multiplies
+    them, and contributes every extension of the product to h_out, with
+    the sum of the two degrees.
+    """
+    out = []
+    for chi_a, deg_a in left:
+        r_a = restrict(chi_a, h_mid)
+        for chi_b, deg_b in right:
+            target = r_a * restrict(chi_b, h_mid)
+            deg = deg_a + deg_b
+            for ext in extension_fiber(target, h_out):
+                out.append((ext, deg))
+    return out
 
 
 def _merge_state(entries, reducer):
@@ -111,74 +117,92 @@ def _merge_state(entries, reducer):
     """
     merged = {}
     for chi, deg in entries:
-        key = (chi, reducer.least_coset_coords(deg).coords)
-        if key not in merged:
-            for (other, _), kept in list(merged.items()):
-                if other == chi:
-                    raise DegreeConflict(
-                        f"character {chi!r} forced into two distinct degree cosets")
-            merged[key] = (chi, deg)
-    return list(merged.values())
+        coset = reducer.least_coset_coords(deg).coords
+        if merged.setdefault(chi, (coset, deg))[0] != coset:
+            raise DegreeConflict(
+                f"character {chi!r} forced into two distinct degree cosets")
+    return [(chi, deg) for chi, (_, deg) in merged.items()]
 
 
-def _chain_pairs(d, chain):
-    """(character, raw degree) data composed along one saturated chain."""
-    i = chain[0]
+def _walk_chains(d, i, cover_up, above):
+    """Derive along the saturated chains from i, each distinct state once.
+
+    Chains run in depth-first order over covers in label order.  Returns
+    (results, conflicts): results[j] lists the distinct states at j in the
+    order chains first reach them; conflicts[j] is the message of the first
+    chain to j that forces a degree conflict.
+    """
     h_i = d.blocks[i]
-    cover = d.cover_bimodules[(chain[0], chain[1])]
-    state = [(chi, g) for chi, g in cover.pairs]
-    cur = chain[1]
-    for nxt in chain[2:]:
-        cover = d.cover_bimodules[(cur, nxt)]
-        h_i_nxt = intersect(h_i, d.blocks[nxt])
-        h_mid = intersect(h_i_nxt, d.blocks[cur])
-        new_state = []
-        for chi_acc, deg_acc in state:
-            r_acc = restrict(chi_acc, h_mid)
-            for chi_cov, g_cov in cover.pairs:
-                target = r_acc * restrict(chi_cov, h_mid)
-                deg = deg_acc + g_cov
-                for ext in extension_fiber(target, h_i_nxt):
-                    new_state.append((ext, deg))
-        state = _merge_state(new_state, subgroup_sum(h_i, d.blocks[nxt]))
-        cur = nxt
-    return state
+    results = {}
+    conflicts = {}
+    seen = set()
+
+    def visit(v, state):
+        for nxt in cover_up.get(v, ()):
+            h_out = intersect(h_i, d.blocks[nxt])
+            try:
+                new = _merge_state(
+                    _compose(state, d.cover_bimodules[(v, nxt)].pairs,
+                             intersect(h_out, d.blocks[v]), h_out),
+                    subgroup_sum(h_i, d.blocks[nxt]))
+            except DegreeConflict as exc:
+                # every chain through this prefix fails the same way
+                for j in above:
+                    if d.skeleton.leq(nxt, j):
+                        conflicts.setdefault(j, str(exc))
+                continue
+            key = (nxt, tuple((chi.values, deg.coords) for chi, deg in new))
+            if key not in seen:
+                seen.add(key)
+                results.setdefault(nxt, []).append(new)
+                visit(nxt, new)
+
+    for v in cover_up.get(i, ()):
+        # a cover is the only chain to its top; later steps compose its
+        # pairs as given, so only the result at v is merged
+        pairs = d.cover_bimodules[(i, v)].pairs
+        try:
+            results[v] = [_merge_state(pairs, subgroup_sum(h_i, d.blocks[v]))]
+        except DegreeConflict as exc:
+            conflicts[v] = str(exc)
+        visit(v, pairs)
+    return results, conflicts
 
 
 def _derive(d, collect_issues=None):
     """Raw derived data for every comparable pair.
 
-    Returns {pair: [(character, raw degree)]}.  With collect_issues given,
-    conflicts are appended there (as (pair, message)) instead of raised,
-    and the offending pair is left out of the result.
+    Returns {pair: [(character, raw degree)]}, each pair holding the data
+    of its first chain.  With collect_issues given, conflicts are appended
+    there (as (pair, message)) instead of raised, and the offending pair
+    is left out of the result.
     """
-    raw = {}
+    cover_up = {}
+    for x, y in d.skeleton.covers():
+        cover_up.setdefault(x, []).append(y)
+    above = {}
     for i, j in d.comparable_block_pairs():
-        chains = _saturated_chains(d.skeleton, i, j)
-        reducer = subgroup_sum(d.blocks[i], d.blocks[j])
-        results = []
-        failed = False
-        for chain in chains:
-            try:
-                results.append(_merge_state(_chain_pairs(d, chain), reducer))
-            except DegreeConflict as exc:
-                if collect_issues is None:
-                    raise
-                collect_issues.append(((i, j), str(exc)))
-                failed = True
-                break
-        if failed:
-            continue
-        canonical = [sorted((chi.values, reducer.least_coset_coords(deg).coords)
-                            for chi, deg in res) for res in results]
-        if any(c != canonical[0] for c in canonical[1:]):
-            message = (f"saturated chains between {i!r} and {j!r} derive "
-                       f"non-isomorphic bimodules")
+        above.setdefault(i, []).append(j)
+    raw = {}
+    for i, targets in above.items():
+        # the memo lives for one source only, which bounds its memory
+        results, conflicts = _walk_chains(d, i, cover_up, targets)
+        for j in targets:
+            if j in conflicts:
+                error = DegreeConflict(conflicts[j])
+            else:
+                reducer = subgroup_sum(d.blocks[i], d.blocks[j])
+                canonical = [sorted((chi.values, reducer.least_coset_coords(deg).coords)
+                                    for chi, deg in res) for res in results[j]]
+                if all(c == canonical[0] for c in canonical[1:]):
+                    raw[(i, j)] = results[j][0]
+                    continue
+                error = ChainInconsistency(
+                    f"saturated chains between {i!r} and {j!r} derive "
+                    f"non-isomorphic bimodules")
             if collect_issues is None:
-                raise ChainInconsistency(message)
-            collect_issues.append(((i, j), message))
-            continue
-        raw[(i, j)] = results[0]
+                raise error
+            collect_issues.append(((i, j), str(error)))
     return raw
 
 
@@ -217,12 +241,16 @@ class ValidationReport:
     conductor: the lcm of block exponents; over the built-in cyclotomic
     field condition (1) (characteristic and roots of unity) always holds
     and is reported for information only.
+
+    derived: the raw data {pair: [(character, raw degree)]} of every pair
+    without a conflict, which realize() reuses; it is never encoded.
     """
 
     conductor: int = 1
     issues: list = field(default_factory=list)
     checked_covers: int = 0
     checked_triples: int = 0
+    derived: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def valid(self):
@@ -245,7 +273,7 @@ def validate_datum(d):
 
     # condition (3): derived data must be chain-independent ...
     conflicts = []
-    raw = _derive(d, collect_issues=conflicts)
+    raw = report.derived = _derive(d, collect_issues=conflicts)
     for pair, message in conflicts:
         report.issues.append(ValidationIssue(
             "3", f"pair ({pair[0]!r}, {pair[1]!r})", message))
@@ -270,15 +298,9 @@ def validate_datum(d):
 def _triple_issue(d, i, k, j, left, right, whole):
     """Check [M_ij] == [M_ik] * [M_kj] with degree congruence mod H_i+H_j."""
     h_ij = intersect(d.blocks[i], d.blocks[j])
-    h_ikj = intersect(h_ij, d.blocks[k])
     reducer = subgroup_sum(d.blocks[i], d.blocks[j])
-    produced = {}
-    for chi_a, deg_a in left:
-        r_a = restrict(chi_a, h_ikj)
-        for chi_b, deg_b in right:
-            target = r_a * restrict(chi_b, h_ikj)
-            for ext in extension_fiber(target, h_ij):
-                produced[ext] = deg_a + deg_b
+    # a character produced twice keeps the degree of its last production
+    produced = dict(_compose(left, right, intersect(h_ij, d.blocks[k]), h_ij))
     have = {chi: deg for chi, deg in whole}
     if set(produced) != set(have):
         return "character sets of the two-step product and the derived class differ"
@@ -325,14 +347,6 @@ class RealizedGrading:
     @property
     def ambient(self):
         return self.datum.ambient
-
-    @property
-    def homogeneous_basis(self):
-        return [b.element for b in self.basis]
-
-    @property
-    def degree_map(self):
-        return {idx: b.degree for idx, b in enumerate(self.basis)}
 
     def components(self):
         """Basis indices grouped by degree."""
@@ -386,7 +400,7 @@ def realize(d):
     report = validate_datum(d)
     if not report.valid:
         raise NotValid(report)
-    raw = _derive(d)
+    raw = report.derived
 
     skel = d.skeleton
     verts = []

@@ -113,10 +113,6 @@ class IncidenceElement:
         return f"IncidenceElement({len(self.coeffs)} terms)"
 
 
-def incidence_mul(f, g):
-    return f * g
-
-
 def matrix_unit(poset, x, y):
     """The basis element e_xy (requires x <= y)."""
     return IncidenceElement(poset, {(x, y): cyclo_one()})

@@ -57,10 +57,6 @@ class Poset:
     def lt(self, x, y):
         return x != y and self.leq(x, y)
 
-    def up_set(self, x):
-        """All y with x <= y."""
-        return [self.elements[j] for j in sorted(self._up[self._index[x]])]
-
     def comparable_pairs(self):
         """All ordered pairs (x, y) with x <= y, in element order."""
         out = []
@@ -83,9 +79,6 @@ class Poset:
                         result.append((self.elements[i], self.elements[j]))
             object.__setattr__(self, "_covers", tuple(result))
         return list(self._covers)
-
-    def is_cover(self, x, y):
-        return (x, y) in set(self.covers())
 
     def strictly_between(self, x, y):
         """Elements z with x < z < y."""

@@ -25,6 +25,7 @@ from incidence_gradings.errors import (
     NotValid,
 )
 from incidence_gradings.incidence import incidence_dimension
+from incidence_gradings.oracle import verify_grading
 from incidence_gradings.posets import antichain_poset, chain_poset, poset_from_relation
 
 from helpers import chain_datum, diamond_datum, two_block_datum
@@ -233,6 +234,26 @@ def test_realize_cross_degrees():
     # degrees h + 1 + k over orbit representatives: whole coset 1 + Z/4
     assert len(cross_degrees) == 4
     assert {c for c in cross_degrees} <= {(0,), (1,), (2,), (3,)}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="realize gives the two paths of the diamond degree "
+                          "representatives whose products escape their "
+                          "component; the datum still validates")
+def test_realize_diamond_over_z2_is_graded():
+    # block 1 is Z/2, the others trivial, every character trivial; the
+    # paths 1-2-4 and 1-3-4 carry degrees 1 and 0, equal modulo H_1 + H_4
+    whole = full_subgroup(Z2)
+    t = trivial_subgroup(Z2)
+    d = diamond_datum(Z2, [whole, t, t, t], [
+        trivial_class(whole, t, Z2.zero()),
+        trivial_class(whole, t, Z2.zero()),
+        trivial_class(t, t, Z2.element([1])),
+        trivial_class(t, t, Z2.zero()),
+    ])
+    assert validate_datum(d).valid
+    report = verify_grading(realize(d))
+    assert report.ok, sorted({v.kind for v in report.violations})
 
 
 # -- grading_iso ------------------------------------------------------------

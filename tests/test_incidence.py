@@ -9,7 +9,6 @@ from incidence_gradings.incidence import (
     IncidenceElement,
     identity_element,
     incidence_dimension,
-    incidence_mul,
     matrix_unit,
 )
 from incidence_gradings.posets import chain_poset, poset_from_relation
@@ -70,7 +69,7 @@ def test_poset_mismatch():
     f = identity_element(chain_poset([1, 2]))
     g = identity_element(chain_poset([1, 3]))
     with pytest.raises(PosetMismatch):
-        incidence_mul(f, g)
+        f * g
 
 
 def test_chain_dimension_and_ut_tables():
