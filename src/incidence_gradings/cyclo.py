@@ -199,10 +199,10 @@ class CycloNumber:
         return self.lift(n), other.lift(n), n
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloNumber.from_rational(other)
         if not isinstance(other, CycloNumber):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CycloNumber.from_rational(other)
         a, b, n = self._aligned(other)
         den = a.den * b.den
         nums = [x * b.den + y * a.den for x, y in zip(a.nums, b.nums)]
@@ -222,13 +222,15 @@ class CycloNumber:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # CycloNumber is tested first: the Fraction test is an ABC instance
+        # check, slow in the oracle's loops where both operands are numbers
+        if not isinstance(other, CycloNumber):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             q = Fraction(other)
             return CycloNumber._raw(self.conductor,
                                     tuple(q.numerator * x for x in self.nums),
                                     self.den * q.denominator)
-        if not isinstance(other, CycloNumber):
-            return NotImplemented
         a, b, n = self._aligned(other)
         table = _power_table(n)
         phi = len(a.nums)
@@ -254,10 +256,10 @@ class CycloNumber:
         return not any(self.nums)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycloNumber.from_rational(other)
         if not isinstance(other, CycloNumber):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = CycloNumber.from_rational(other)
         a, b, _ = self._aligned(other)
         return a.nums == b.nums and a.den == b.den
 

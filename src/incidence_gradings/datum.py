@@ -348,18 +348,8 @@ class RealizedGrading:
     def ambient(self):
         return self.datum.ambient
 
-    def components(self):
-        """Basis indices grouped by degree."""
-        grouped = {}
-        for idx, b in enumerate(self.basis):
-            grouped.setdefault(b.degree, []).append(idx)
-        return grouped
-
     def block_of_vertex(self, v):
         return self.vertex_data[v][0]
-
-    def character_of_vertex(self, v):
-        return self.vertex_data[v][1]
 
     def __repr__(self):
         return (f"RealizedGrading({len(self.poset.elements)} vertices, "
@@ -396,11 +386,24 @@ def realize(d):
     consists of the block Fourier images (degree h) and, per derived
     character chi of degree g, the images of h*m_chi*k over twist-orbit
     representatives (h, k), with degree h + g + k.
+
+    Every coefficient is a root of unity written in one field,
+    Q(zeta_N) with N = report.conductor, the lcm of the block exponents,
+    so products inside the realized algebra never align conductors.
     """
     report = validate_datum(d)
     if not report.valid:
         raise NotValid(report)
     raw = report.derived
+    conductor = report.conductor
+    roots = {}
+
+    def root(q):
+        # one lifted number per distinct character value, shared by the basis
+        c = roots.get(q)
+        if c is None:
+            c = roots[q] = root_of_unity(q).lift(conductor)
+        return c
 
     skel = d.skeleton
     verts = []
@@ -449,7 +452,7 @@ def realize(d):
             coeffs = {}
             for eta in duals[block]:
                 lab = vertex_label(block, eta)
-                coeffs[(lab, lab)] = root_of_unity(eta(h))
+                coeffs[(lab, lab)] = root(eta(h))
             basis.append(BasisVector(
                 IncidenceElement(poset, coeffs), h, ("diag", block, h.coords)))
     for (i, j), state in sorted(raw.items(),
@@ -464,7 +467,7 @@ def realize(d):
                 for vi, vj in related:
                     eta_i = vertex_data[vi][1]
                     eta_j = vertex_data[vj][1]
-                    coeffs[(vi, vj)] = root_of_unity((eta_i(h) + eta_j(k)) % 1)
+                    coeffs[(vi, vj)] = root((eta_i(h) + eta_j(k)) % 1)
                 basis.append(BasisVector(
                     IncidenceElement(poset, coeffs), h + deg + k,
                     ("cross", i, j, chi.values, h.coords, k.coords)))

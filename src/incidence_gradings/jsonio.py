@@ -37,13 +37,20 @@ def _expect(data, typ, path):
     return data
 
 
+def _expect_int(data, path):
+    # bool is a subclass of int, but true/false is not a JSON integer
+    if isinstance(data, bool) or not isinstance(data, int):
+        _fail(path, f"expected int, got {type(data).__name__}")
+    return data
+
+
 def encode_rational(q):
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
 
 
 def decode_rational(data, path="rational"):
-    if isinstance(data, int):
+    if isinstance(data, int) and not isinstance(data, bool):
         return Fraction(data)
     text = _expect(data, str, path)
     try:
@@ -60,10 +67,12 @@ def encode_group(group):
 
 def decode_group(data, path="group"):
     _expect(data, dict, path)
+    free_rank = _expect_int(data.get("free_rank", 0), f"{path}.free_rank")
+    torsion = [_expect_int(d, f"{path}.torsion[{n}]") for n, d in
+               enumerate(_expect(data.get("torsion", []), list, path))]
     try:
-        return AbelianGroup(_expect(data.get("free_rank", 0), int, path),
-                            _expect(data.get("torsion", []), list, path))
-    except (ValueError, TypeError) as exc:
+        return AbelianGroup(free_rank, torsion)
+    except ValueError as exc:
         _fail(path, str(exc))
 
 
@@ -72,10 +81,11 @@ def encode_element(g):
 
 
 def decode_element(data, ambient, path="element"):
-    _expect(data, list, path)
+    for n, c in enumerate(_expect(data, list, path)):
+        _expect_int(c, f"{path}[{n}]")
     try:
         return ambient.element(data)
-    except (IncidenceGradingsError, TypeError) as exc:
+    except IncidenceGradingsError as exc:
         _fail(path, str(exc))
 
 
@@ -118,7 +128,7 @@ def encode_cyclo(c):
 
 def decode_cyclo(data, path="cyclo"):
     _expect(data, dict, path)
-    conductor = _expect(data.get("conductor", 1), int, path)
+    conductor = _expect_int(data.get("conductor", 1), f"{path}.conductor")
     coeffs = [decode_rational(v, f"{path}.coeffs[{n}]")
               for n, v in enumerate(_expect(data.get("coeffs", []), list, path))]
     try:
@@ -167,11 +177,17 @@ def decode_poset(data, path="poset"):
     _expect(data, dict, path)
     elements = _expect(data.get("elements", []), list, path)
     covers = _expect(data.get("covers", []), list, path)
+    # labels are hashed below, so their type is checked first
+    for label in elements:
+        if not isinstance(label, str):
+            _fail(path, "skeleton labels must be strings")
     pairs = []
     for n, pair in enumerate(covers):
         _expect(pair, list, f"{path}.covers[{n}]")
         if len(pair) != 2:
             _fail(f"{path}.covers[{n}]", "cover must be a pair")
+        if not all(isinstance(label, str) for label in pair):
+            _fail(f"{path}.covers[{n}]", "cover labels must be strings")
         pairs.append((pair[0], pair[1]))
     try:
         return poset_from_relation(elements, pairs)
@@ -239,9 +255,6 @@ def decode_datum(data, path="datum"):
     _expect(data, dict, path)
     ambient = decode_group(data.get("ambient", {}), f"{path}.ambient")
     skeleton = decode_poset(data.get("skeleton", {}), f"{path}.skeleton")
-    for label in skeleton.elements:
-        if not isinstance(label, str):
-            _fail(f"{path}.skeleton", "skeleton labels must be strings")
     blocks_data = _expect(data.get("blocks", {}), dict, path)
     blocks = {label: decode_subgroup(sub, ambient, f"{path}.blocks[{label}]")
               for label, sub in blocks_data.items()}

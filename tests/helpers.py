@@ -23,6 +23,19 @@ SWEEP_GROUPS = [
     AbelianGroup(0, [2, 4]),
 ]
 
+# the skeleton shapes of the acceptance sweep: (name, labels, covers)
+ACCEPTANCE_SHAPES = [
+    ("chain2", ["1", "2"], [("1", "2")]),
+    ("chain3", ["1", "2", "3"], [("1", "2"), ("2", "3")]),
+    ("chain4", ["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4")]),
+    ("vee", ["1", "2", "3"], [("1", "2"), ("1", "3")]),
+    ("wedge", ["1", "2", "3"], [("1", "3"), ("2", "3")]),
+    ("diamond", ["1", "2", "3", "4"],
+     [("1", "2"), ("1", "3"), ("2", "4"), ("3", "4")]),
+    ("chain2_point", ["1", "2", "3"], [("1", "2")]),
+    ("chain3_point", ["1", "2", "3", "4"], [("1", "2"), ("2", "3")]),
+]
+
 
 def two_block_datum(ambient, h1, h2, chi, degree):
     skeleton = chain_poset(["1", "2"])

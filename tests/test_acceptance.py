@@ -40,7 +40,7 @@ from incidence_gradings.oracle import (
 )
 from incidence_gradings.posets import poset_automorphisms, poset_from_relation
 
-from helpers import SWEEP_GROUPS, chain_datum, two_block_datum
+from helpers import ACCEPTANCE_SHAPES, SWEEP_GROUPS, chain_datum, two_block_datum
 
 
 def report_line(number, ok, detail):
@@ -187,23 +187,10 @@ def test_criterion_5_restriction_law(product_sweep):
 # criterion 6: isomorphism round-trips against the exhaustive oracle
 
 
-SKELETON_SHAPES = [
-    ("chain2", ["1", "2"], [("1", "2")]),
-    ("chain3", ["1", "2", "3"], [("1", "2"), ("2", "3")]),
-    ("chain4", ["1", "2", "3", "4"], [("1", "2"), ("2", "3"), ("3", "4")]),
-    ("vee", ["1", "2", "3"], [("1", "2"), ("1", "3")]),
-    ("wedge", ["1", "2", "3"], [("1", "3"), ("2", "3")]),
-    ("diamond", ["1", "2", "3", "4"],
-     [("1", "2"), ("1", "3"), ("2", "4"), ("3", "4")]),
-    ("chain2_point", ["1", "2", "3"], [("1", "2")]),
-    ("chain3_point", ["1", "2", "3", "4"], [("1", "2"), ("2", "3")]),
-]
-
-
 def _random_datum(rng):
     ambient = rng.choice(SWEEP_GROUPS)
     subs = all_subgroups(ambient)
-    _, labels, cover_pairs = rng.choice(SKELETON_SHAPES)
+    _, labels, cover_pairs = rng.choice(ACCEPTANCE_SHAPES)
     skeleton = poset_from_relation(labels, cover_pairs)
     # Twists act through the cover intersections, so a good share of the
     # data should keep those intersections big: pick a core subgroup and

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from incidence_gradings import jsonio
 from incidence_gradings.abelian import (
@@ -16,6 +19,7 @@ from helpers import chain_datum, two_block_datum
 
 Z2 = AbelianGroup(0, [2])
 Z4 = AbelianGroup(0, [4])
+DATA = Path(__file__).parent / "data"
 
 
 def write_json(tmp_path, name, doc):
@@ -98,6 +102,15 @@ def test_verify_clean(tmp_path, capsys):
     assert doc["grading"]["ok"] is True
     assert doc["links"]["ok"] is True
     assert doc["radical_products"] == [{"pair": ["1", "3"], "agree": True}]
+
+
+@pytest.mark.parametrize("name", ["z12-chain2", "z24-wedge", "z16-chain3"])
+def test_verify_matches_golden_output(capsys, name):
+    # NAME.verify.json is the stdout of `verify NAME.json`, byte for byte
+    code, out, err = run(capsys, "verify", str(DATA / f"{name}.json"))
+    assert code == 0
+    assert err == ""
+    assert out == (DATA / f"{name}.verify.json").read_text(encoding="utf-8")
 
 
 def test_verify_corrupted_exits_1(tmp_path, capsys):
@@ -184,6 +197,55 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     path2 = write_json(tmp_path, "schema.json", {"ambient": []})
     code, out, err = run(capsys, "validate", path2)
     assert code == 2
+
+
+def _assert_malformed(tmp_path, capsys, doc):
+    path = write_json(tmp_path, "hostile.json", doc)
+    code, out, err = run(capsys, "validate", path)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "MalformedInput"
+    return json.loads(err)["error"]["message"]
+
+
+def test_float_torsion_is_rejected(tmp_path, capsys):
+    doc = jsonio.encode_datum(_two_block())
+    doc["ambient"]["torsion"] = [4.7]
+    message = _assert_malformed(tmp_path, capsys, doc)
+    assert "datum.ambient.torsion[0]" in message
+
+
+def test_bool_free_rank_is_rejected(tmp_path, capsys):
+    # over Z with trivial blocks the datum is valid when free_rank is 1
+    z = AbelianGroup(1, [])
+    t = trivial_subgroup(z)
+    doc = jsonio.encode_datum(
+        two_block_datum(z, t, t, trivial_character(t), z.element([3])))
+    assert doc["ambient"]["free_rank"] == 1
+    doc["ambient"]["free_rank"] = True
+    message = _assert_malformed(tmp_path, capsys, doc)
+    assert "datum.ambient.free_rank" in message
+
+
+@pytest.mark.parametrize("coords", [[0, 1.9], [0, True]], ids=["float", "bool"])
+def test_non_integer_coordinates_are_rejected(tmp_path, capsys, coords):
+    z2z4 = AbelianGroup(0, [2, 4])
+    t = trivial_subgroup(z2z4)
+    doc = jsonio.encode_datum(
+        two_block_datum(z2z4, t, t, trivial_character(t), z2z4.element([0, 1])))
+    doc["bimodules"]["1,2"]["pairs"][0]["deg"] = coords
+    message = _assert_malformed(tmp_path, capsys, doc)
+    assert "pairs[0].deg[1]" in message
+
+
+@pytest.mark.parametrize("where", ["elements", "covers"])
+def test_unhashable_label_exits_2(tmp_path, capsys, where):
+    doc = jsonio.encode_datum(_two_block())
+    if where == "elements":
+        doc["skeleton"]["elements"] = [["x"]]
+    else:
+        doc["skeleton"]["covers"] = [[["x"], "2"]]
+    _assert_malformed(tmp_path, capsys, doc)
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from incidence_gradings.abelian import (
     AbelianGroup,
+    all_subgroups,
     canonicalize,
     full_subgroup,
     intersect,
@@ -12,6 +14,7 @@ from incidence_gradings.abelian import (
 )
 from incidence_gradings.bimodules import BimoduleClass, bimodule_iso, twist
 from incidence_gradings.characters import dual_group, trivial_character
+from incidence_gradings.cyclo import root_of_unity
 from incidence_gradings.datum import (
     GradingDatum,
     derive_full_bimodules,
@@ -28,10 +31,17 @@ from incidence_gradings.incidence import incidence_dimension
 from incidence_gradings.oracle import verify_grading
 from incidence_gradings.posets import antichain_poset, chain_poset, poset_from_relation
 
-from helpers import chain_datum, diamond_datum, two_block_datum
+from helpers import (
+    ACCEPTANCE_SHAPES,
+    SWEEP_GROUPS,
+    chain_datum,
+    diamond_datum,
+    two_block_datum,
+)
 
 Z2 = AbelianGroup(0, [2])
 Z4 = AbelianGroup(0, [4])
+Z8 = AbelianGroup(0, [8])
 
 
 def sub(group, *gens):
@@ -254,6 +264,74 @@ def test_realize_diamond_over_z2_is_graded():
     assert validate_datum(d).valid
     report = verify_grading(realize(d))
     assert report.ok, sorted({v.kind for v in report.violations})
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="realize gives the chain degree representatives "
+                          "whose products escape their component; the "
+                          "datum still validates")
+def test_realize_chain_over_z8_is_graded():
+    # blocks Z/8, <2>, <2>; covers (1, 2) = {1/4 @ 0, 1/2 @ 0} and
+    # (2, 3) = {3/4 @ 0, 1/2 @ 1}
+    whole = full_subgroup(Z8)
+    two = sub(Z8, [2])
+    by_value = {chi.values[0]: chi for chi in dual_group(two)}
+    d = chain_datum(Z8, [whole, two, two], [
+        BimoduleClass(whole, two, [(by_value[Fraction(1, 4)], Z8.zero()),
+                                   (by_value[Fraction(1, 2)], Z8.zero())]),
+        BimoduleClass(two, two, [(by_value[Fraction(3, 4)], Z8.zero()),
+                                 (by_value[Fraction(1, 2)], Z8.element([1]))]),
+    ])
+    assert validate_datum(d).valid
+    report = verify_grading(realize(d))
+    assert report.ok, sorted({v.kind for v in report.violations})
+
+
+def _expected_root(r, b, pair):
+    """The root of unity realize writes at pair of basis vector b, read
+    off the tag: eta(h) on a block, eta_i(h) + eta_j(k) across it."""
+    ambient = r.datum.ambient
+    if b.tag[0] == "diag":
+        return root_of_unity(r.vertex_data[pair[0]][1](ambient.element(b.tag[2])))
+    h, k = ambient.element(b.tag[4]), ambient.element(b.tag[5])
+    eta_i, eta_j = r.vertex_data[pair[0]][1], r.vertex_data[pair[1]][1]
+    return root_of_unity((eta_i(h) + eta_j(k)) % 1)
+
+
+@pytest.mark.parametrize("shape", ACCEPTANCE_SHAPES, ids=lambda s: s[0])
+def test_realize_coefficients_live_in_one_field(shape):
+    # every coefficient is written in Q(zeta_N), N = report.conductor, and
+    # is the root of unity the tag names, with its own smallest conductor
+    _, labels, relation = shape
+    skeleton = poset_from_relation(labels, relation)
+    rng = random.Random(f"one-field-{shape[0]}")
+    realized = conductors = 0
+    for _ in range(60):
+        ambient = rng.choice(SWEEP_GROUPS)
+        subs = [h for h in all_subgroups(ambient) if h.order > 1]
+        blocks = {v: rng.choice(subs) for v in labels}
+        elems = list(ambient.elements())
+        covers = {}
+        for u, w in skeleton.covers():
+            chars = dual_group(intersect(blocks[u], blocks[w]))
+            covers[(u, w)] = BimoduleClass(
+                blocks[u], blocks[w],
+                [(chi, rng.choice(elems))
+                 for chi in rng.sample(chars, min(2, len(chars)))])
+        d = GradingDatum(ambient, skeleton, blocks, covers)
+        report = validate_datum(d)
+        if not report.valid:
+            continue
+        r = realize(d)
+        realized += 1
+        for b in r.basis:
+            for pair, c in b.element.coeffs.items():
+                assert c.conductor == report.conductor
+                old = _expected_root(r, b, pair)
+                assert c == old
+                conductors += old.conductor != report.conductor
+    assert realized >= 10
+    assert conductors > 0
 
 
 # -- grading_iso ------------------------------------------------------------

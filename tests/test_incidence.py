@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from incidence_gradings.cyclo import root_of_unity
+from incidence_gradings.cyclo import cyclo_zero, root_of_unity
 from incidence_gradings.errors import PosetMismatch
 from incidence_gradings.incidence import (
     IncidenceElement,
@@ -86,3 +87,77 @@ def test_chain_dimension_and_ut_tables():
                     assert prod == units[(i, l)]
                 else:
                     assert prod.is_zero()
+
+
+# -- diagonal factors against the plain convolution --------------------------
+
+DIFF_POSETS = [
+    chain_poset([1, 2, 3]),
+    poset_from_relation("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]),
+    poset_from_relation("abcde", [("a", "c"), ("b", "c"), ("c", "d"), ("c", "e")]),
+]
+
+
+def reference_product(f, g):
+    """sum over z of f(x, z) g(z, y), summed pair by pair."""
+    out = {}
+    for (x, z), a in f.coeffs.items():
+        for (w, y), b in g.coeffs.items():
+            if z == w:
+                out[(x, y)] = out.get((x, y), cyclo_zero()) + a * b
+    return IncidenceElement(f.poset, out)
+
+
+@st.composite
+def coefficient(draw):
+    """A scalar over a conductor dividing 24; zero one time in five."""
+    if draw(st.integers(0, 4)) == 0:
+        return cyclo_zero(draw(st.sampled_from([1, 3, 4])))
+    q = Fraction(draw(st.integers(0, 23)), 24)
+    return root_of_unity(q) * Fraction(draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1])),
+                                       draw(st.integers(1, 2)))
+
+
+@st.composite
+def factor(draw, poset, diagonal):
+    """An element whose nonzero support is diagonal when asked; explicit
+    zeros may sit anywhere, and the constructor drops them."""
+    coeffs = {}
+    for x, y in poset.comparable_pairs():
+        if draw(st.booleans()):
+            c = draw(coefficient())
+            if diagonal and x != y:
+                c = cyclo_zero(draw(st.sampled_from([1, 2, 8])))
+            coeffs[(x, y)] = c
+    return IncidenceElement(poset, coeffs)
+
+
+@st.composite
+def factor_pairs(draw):
+    poset = draw(st.sampled_from(DIFF_POSETS))
+    left_diag, right_diag = draw(st.sampled_from(
+        [(True, False), (False, True), (True, True), (False, False)]))
+    return (draw(factor(poset, left_diag)), draw(factor(poset, right_diag)),
+            left_diag, right_diag)
+
+
+# two paths a < b < d and a < c < d whose products cancel
+CANCELLING = (IncidenceElement(DIFF_POSETS[1], {("a", "b"): 1, ("a", "c"): 1}),
+              IncidenceElement(DIFF_POSETS[1], {("b", "d"): 1, ("c", "d"): -1}),
+              False, False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(factor_pairs())
+@example(CANCELLING)
+def test_diagonal_scaling_matches_convolution(case):
+    f, g, left_diag, right_diag = case
+    if left_diag:
+        assert f._is_diagonal()
+    if right_diag:
+        assert g._is_diagonal()
+    prod = f * g
+    assert prod == reference_product(f, g)
+    # the product constructor skips the checks the public one makes
+    assert all(f.poset.leq(x, y) for x, y in prod.coeffs)
+    assert not any(c.is_zero() for c in prod.coeffs.values())

@@ -125,6 +125,20 @@ def test_realized_export_shape():
     assert report["valid"] is True
 
 
+def test_decoders_reject_bool_and_float_integers():
+    for bad in ({"free_rank": True}, {"torsion": [4.0]}, {"torsion": [True, 4]},
+                {"torsion": ["4"]}):
+        with pytest.raises(MalformedInput):
+            jsonio.decode_group(bad)
+    with pytest.raises(MalformedInput):
+        jsonio.decode_element([2.0], Z4)
+    with pytest.raises(MalformedInput):
+        jsonio.decode_rational(True)
+    with pytest.raises(MalformedInput):
+        jsonio.decode_cyclo({"conductor": True, "coeffs": ["1/1"]})
+    assert jsonio.decode_element([5], Z4) == Z4.element([1])
+
+
 def test_decode_rejects_garbage():
     with pytest.raises(MalformedInput):
         jsonio.decode_group([1, 2])
