@@ -3,15 +3,8 @@
 Elements are sparse maps from comparable pairs (x, y) to CycloNumber
 coefficients; the product is the usual convolution
 (f*g)(x, y) = sum over z of f(x, z) g(z, y).
-
-A factor whose support lies on the diagonal (only pairs (x, x)) makes the
-convolution a scaling: (d*g)(x, y) = d(x, x) g(x, y) scales the rows of g
-and (f*d)(x, y) = f(x, y) d(y, y) its columns.  The product applies it as
-such, forming the same scalar products as the convolution.  The test
-reads the support only, never where an element came from.  A product of
-nonzero scalars is nonzero (the coefficients lie in a field), so a
-scaling needs no zero filter.  Products skip the comparability check of
-the constructor: x <= z <= y gives x <= y.
+Products skip the comparability check of the constructor: x <= z <= y
+gives x <= y.
 """
 
 from __future__ import annotations
@@ -25,7 +18,7 @@ from .errors import PosetMismatch
 class IncidenceElement:
     """A sparse element of I(X); support pairs always satisfy x <= y."""
 
-    __slots__ = ("poset", "coeffs", "_by_first", "_diagonal")
+    __slots__ = ("poset", "coeffs", "_by_first")
 
     def __init__(self, poset, coeffs):
         clean = {}
@@ -39,7 +32,6 @@ class IncidenceElement:
         object.__setattr__(self, "poset", poset)
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "_by_first", None)
-        object.__setattr__(self, "_diagonal", None)
 
     @classmethod
     def _product(cls, poset, coeffs):
@@ -49,7 +41,6 @@ class IncidenceElement:
         object.__setattr__(self, "poset", poset)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "_by_first", None)
-        object.__setattr__(self, "_diagonal", None)
         return self
 
     def __setattr__(self, name, value):
@@ -63,12 +54,6 @@ class IncidenceElement:
                 by_first.setdefault(x, []).append((y, c))
             object.__setattr__(self, "_by_first", by_first)
         return self._by_first
-
-    def _is_diagonal(self):
-        if self._diagonal is None:
-            object.__setattr__(self, "_diagonal",
-                               all(x == y for x, y in self.coeffs))
-        return self._diagonal
 
     def is_zero(self):
         return not self.coeffs
@@ -109,24 +94,6 @@ class IncidenceElement:
         if isinstance(other, (int, Fraction, CycloNumber)):
             return self.scale(other)
         self._check(other)
-        if self._is_diagonal():
-            # row scaling of the right factor
-            left = self.coeffs
-            out = {}
-            for (x, y), b in other.coeffs.items():
-                a = left.get((x, x))
-                if a is not None:
-                    out[(x, y)] = a * b
-            return IncidenceElement._product(self.poset, out)
-        if other._is_diagonal():
-            # column scaling of the left factor
-            right = other.coeffs
-            out = {}
-            for (x, y), a in self.coeffs.items():
-                b = right.get((y, y))
-                if b is not None:
-                    out[(x, y)] = a * b
-            return IncidenceElement._product(self.poset, out)
         by_first = other._indexed()
         out = {}
         for (x, z), a in self.coeffs.items():

@@ -31,16 +31,14 @@ def _fail(path, message):
     raise MalformedInput(f"{path}: {message}")
 
 
-def _expect(data, typ, path):
-    if not isinstance(data, typ):
-        _fail(path, f"expected {typ.__name__}, got {type(data).__name__}")
-    return data
-
-
-def _expect_int(data, path):
+def _has_type(data, typ):
     # bool is a subclass of int, but true/false is not a JSON integer
-    if isinstance(data, bool) or not isinstance(data, int):
-        _fail(path, f"expected int, got {type(data).__name__}")
+    return isinstance(data, typ) and not (typ is int and isinstance(data, bool))
+
+
+def _expect(data, typ, path):
+    if not _has_type(data, typ):
+        _fail(path, f"expected {typ.__name__}, got {type(data).__name__}")
     return data
 
 
@@ -50,7 +48,7 @@ def encode_rational(q):
 
 
 def decode_rational(data, path="rational"):
-    if isinstance(data, int) and not isinstance(data, bool):
+    if _has_type(data, int):
         return Fraction(data)
     text = _expect(data, str, path)
     try:
@@ -67,8 +65,8 @@ def encode_group(group):
 
 def decode_group(data, path="group"):
     _expect(data, dict, path)
-    free_rank = _expect_int(data.get("free_rank", 0), f"{path}.free_rank")
-    torsion = [_expect_int(d, f"{path}.torsion[{n}]") for n, d in
+    free_rank = _expect(data.get("free_rank", 0), int, f"{path}.free_rank")
+    torsion = [_expect(d, int, f"{path}.torsion[{n}]") for n, d in
                enumerate(_expect(data.get("torsion", []), list, path))]
     try:
         return AbelianGroup(free_rank, torsion)
@@ -82,7 +80,7 @@ def encode_element(g):
 
 def decode_element(data, ambient, path="element"):
     for n, c in enumerate(_expect(data, list, path)):
-        _expect_int(c, f"{path}[{n}]")
+        _expect(c, int, f"{path}[{n}]")
     try:
         return ambient.element(data)
     except IncidenceGradingsError as exc:
@@ -128,7 +126,7 @@ def encode_cyclo(c):
 
 def decode_cyclo(data, path="cyclo"):
     _expect(data, dict, path)
-    conductor = _expect_int(data.get("conductor", 1), f"{path}.conductor")
+    conductor = _expect(data.get("conductor", 1), int, f"{path}.conductor")
     coeffs = [decode_rational(v, f"{path}.coeffs[{n}]")
               for n, v in enumerate(_expect(data.get("coeffs", []), list, path))]
     try:
