@@ -32,7 +32,6 @@ from .characters import (
     Character,
     dual_group,
     extension_fiber,
-    is_trivial,
     restrict,
     trivial_character,
 )

@@ -258,9 +258,6 @@ class Subgroup:
     def __contains__(self, g):
         return self._lattice_coords(g) is not None
 
-    def member(self, g):
-        return self._lattice_coords(g) is not None
-
     def generator_coords(self, g):
         """Coefficients of g on the invariant-factor generator rows.
 

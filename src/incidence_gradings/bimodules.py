@@ -9,7 +9,9 @@ that coset, which turns class equality into plain tuple comparison.
 The two-step product: a character chi of H1 /\\ H3 belongs to the product
 class exactly when its restriction to H1 /\\ H2 /\\ H3 factors as the
 product of restrictions of one character from each factor, and then its
-degree is forced to be the sum of the factor degrees.
+degree is forced to be the sum of the factor degrees.  This module holds
+the one implementation of that rule, `_compose` then `_merge_state`; the
+chain derivation in `datum` runs it on raw degrees.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class BimoduleClass:
     bimodule.
     """
 
-    __slots__ = ("left", "right", "pairs", "middle", "degree_coset")
+    __slots__ = ("left", "right", "pairs", "middle")
 
     def __init__(self, left, right, pairs):
         if left.ambient != right.ambient:
@@ -54,7 +56,6 @@ class BimoduleClass:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "middle", middle)
-        object.__setattr__(self, "degree_coset", coset)
         object.__setattr__(self, "pairs", tuple(canonical))
 
     def __setattr__(self, name, value):
@@ -126,6 +127,40 @@ def twist(m, mu_left, mu_right):
                          [(factor * chi, g) for chi, g in m.pairs])
 
 
+def _compose(left, right, h_mid, h_out):
+    """Two-step composition of (character, degree) data.
+
+    Each pair of entries restricts both characters to h_mid, multiplies
+    them, and contributes every extension of the product to h_out, with
+    the sum of the two degrees (not coset-reduced).
+    """
+    out = []
+    for chi_a, deg_a in left:
+        r_a = restrict(chi_a, h_mid)
+        for chi_b, deg_b in right:
+            target = r_a * restrict(chi_b, h_mid)
+            deg = deg_a + deg_b
+            for ext in extension_fiber(target, h_out):
+                out.append((ext, deg))
+    return out
+
+
+def _merge_state(entries, reducer):
+    """Keep each character once, with its first degree.
+
+    Degrees are compared modulo the subgroup `reducer`.  Same character
+    in two different cosets means the data cannot come from a grading:
+    the character's component would need two degrees.
+    """
+    merged = {}
+    for chi, deg in entries:
+        coset = reducer.least_coset_coords(deg).coords
+        if merged.setdefault(chi, (coset, deg))[0] != coset:
+            raise DegreeConflict(
+                f"character {chi!r} forced into two distinct degree cosets")
+    return [(chi, deg) for chi, (_, deg) in merged.items()]
+
+
 def bimodule_product(m12, m23):
     """Product class over (H1, H3) of classes over (H1, H2) and (H2, H3).
 
@@ -139,19 +174,8 @@ def bimodule_product(m12, m23):
         raise ChainMismatch("middle blocks differ")
     h1, h3 = m12.left, m23.right
     h13 = intersect(h1, h3)
-    h123 = intersect(h13, m12.right)
-    out = {}
-    for chi12, g12 in m12.pairs:
-        r12 = restrict(chi12, h123)
-        for chi23, g23 in m23.pairs:
-            target = r12 * restrict(chi23, h123)
-            degree = g12 + g23
-            for chi in extension_fiber(target, h13):
-                known = out.get(chi)
-                if known is None:
-                    out[chi] = degree
-                elif (known - degree) not in subgroup_sum(h1, h3):
-                    raise DegreeConflict(
-                        f"character {chi!r} forced into two distinct degree cosets")
-    pairs = sorted(out.items(), key=lambda p: (p[0].values, p[1].coords))
+    pairs = _merge_state(
+        _compose(m12.pairs, m23.pairs, intersect(h13, m12.right), h13),
+        subgroup_sum(h1, h3))
+    pairs.sort(key=lambda p: p[0].values)
     return BimoduleClass(h1, h3, pairs)

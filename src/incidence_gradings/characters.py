@@ -135,6 +135,3 @@ def extension_fiber(chi, h):
     _check_contained(chi.domain, h)
     return [eta for eta in dual_group(h) if restrict(eta, chi.domain) == chi]
 
-
-def is_trivial(a):
-    return a.is_trivial()

@@ -28,13 +28,20 @@ EXIT_INVALID = 1
 EXIT_MALFORMED = 2
 
 
+def _unique_keys(pairs):
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        raise MalformedInput("duplicate key in a JSON object")
+    return doc
+
+
 def _read_json(path):
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, object_pairs_hook=_unique_keys)
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, json.JSONDecodeError, MalformedInput) as exc:
         raise MalformedInput(f"{path}: {exc}") from exc
 
 

@@ -12,7 +12,9 @@ reduction): the canonical degree of a derived class is only defined
 modulo H_i + H_j at the endpoints, and reducing at intermediate vertices
 would leak middle-block coset parts into later steps.  The raw per-pair
 degree representatives are exactly the degrees the realized incidence
-algebra carries, so realize() reuses them.
+algebra carries, so realize() reuses them.  Each step applies the two-step
+product rule that `bimodules` owns (its `_compose` and `_merge_state`,
+which `bimodule_product` also runs) to the raw degrees.
 
 Chains are never listed.  From each source i the derivation walks the
 interval above i once, keeping per vertex the distinct raw states (ordered
@@ -32,7 +34,8 @@ from math import lcm
 
 from .abelian import intersect, subgroup_sum
 from .bimodules import BimoduleClass, bimodule_iso, realizable, twist
-from .characters import dual_group, extension_fiber, restrict
+from .bimodules import _compose, _merge_state
+from .characters import dual_group, restrict
 from .cyclo import root_of_unity
 from .errors import (
     AmbientMismatch,
@@ -89,39 +92,6 @@ class GradingDatum:
 
 # ---------------------------------------------------------------------------
 # chain derivation
-
-
-def _compose(left, right, h_mid, h_out):
-    """Two-step composition of (character, raw degree) data.
-
-    Each pair of entries restricts both characters to h_mid, multiplies
-    them, and contributes every extension of the product to h_out, with
-    the sum of the two degrees.
-    """
-    out = []
-    for chi_a, deg_a in left:
-        r_a = restrict(chi_a, h_mid)
-        for chi_b, deg_b in right:
-            target = r_a * restrict(chi_b, h_mid)
-            deg = deg_a + deg_b
-            for ext in extension_fiber(target, h_out):
-                out.append((ext, deg))
-    return out
-
-
-def _merge_state(entries, reducer):
-    """Deduplicate (character, raw degree) pairs modulo the reducer coset.
-
-    Same character in two different cosets means the data cannot come
-    from a grading: the character's component would need two degrees.
-    """
-    merged = {}
-    for chi, deg in entries:
-        coset = reducer.least_coset_coords(deg).coords
-        if merged.setdefault(chi, (coset, deg))[0] != coset:
-            raise DegreeConflict(
-                f"character {chi!r} forced into two distinct degree cosets")
-    return [(chi, deg) for chi, (_, deg) in merged.items()]
 
 
 def _walk_chains(d, i, cover_up, above):

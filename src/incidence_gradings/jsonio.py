@@ -18,7 +18,7 @@ from .bimodules import BimoduleClass
 from .characters import Character
 from .cyclo import CycloNumber
 from .datum import GradingDatum, ValidationReport
-from .errors import IncidenceGradingsError, MalformedInput
+from .errors import IncidenceGradingsError, InvalidDatum, MalformedInput
 from .incidence import IncidenceElement
 from .posets import poset_from_relation
 
@@ -234,8 +234,15 @@ def decode_bimodule_standalone(data, path="bimodule"):
 
 # -- grading data ----------------------------------------------------------------
 
-def _cover_key(i, j):
-    return f"{i},{j}"
+def _cover_keys(skeleton):
+    """{"i,j": (i, j)} over the covers; labels holding "," may collide."""
+    keys = {}
+    for i, j in skeleton.covers():
+        key = f"{i},{j}"
+        if keys.setdefault(key, (i, j)) != (i, j):
+            raise InvalidDatum(
+                f"covers {keys[key]!r} and {(i, j)!r} share the key {key!r}")
+    return keys
 
 
 def encode_datum(d):
@@ -244,8 +251,8 @@ def encode_datum(d):
         "skeleton": encode_poset(d.skeleton),
         "blocks": {label: encode_subgroup(sub)
                    for label, sub in d.blocks.items()},
-        "bimodules": {_cover_key(i, j): encode_bimodule(cls)
-                      for (i, j), cls in d.cover_bimodules.items()},
+        "bimodules": {key: encode_bimodule(d.cover_bimodules[cover])
+                      for key, cover in _cover_keys(d.skeleton).items()},
     }
 
 
@@ -258,7 +265,10 @@ def decode_datum(data, path="datum"):
               for label, sub in blocks_data.items()}
     bimodules_data = _expect(data.get("bimodules", {}), dict, path)
     covers = {}
-    expected = {_cover_key(i, j): (i, j) for i, j in skeleton.covers()}
+    try:
+        expected = _cover_keys(skeleton)
+    except InvalidDatum as exc:
+        _fail(f"{path}.bimodules", str(exc))
     for key, entry in bimodules_data.items():
         if key not in expected:
             _fail(f"{path}.bimodules", f"{key!r} is not a cover of the skeleton")

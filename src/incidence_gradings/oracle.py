@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 from .abelian import intersect, subgroup_sum
@@ -37,29 +38,26 @@ def _conductor_of(elements):
     return n
 
 
-def _flatten_with_scale(elem, pair_index, conductor):
-    """Integer vector of `scale` times the element, one block of phi(N)
-    columns per comparable pair; `scale` clears every denominator."""
+def _flatten(elems, pair_index, conductor):
+    """Integer vectors of the elements, one block of phi(N) columns per
+    comparable pair, all multiplied by one common scale that clears every
+    denominator.  Ranks and membership are scale-invariant, and the common
+    scale keeps integer combinations of the vectors proportional to the
+    same combinations of the elements."""
     phi = euler_phi(conductor)
-    blocks = []
-    scale = 1
-    for pair, c in elem.coeffs.items():
-        c = c.lift(conductor)
-        blocks.append((pair_index[pair] * phi, c.nums, c.den))
-        scale = lcm(scale, c.den)
-    out = {}
-    for base, nums, den in blocks:
-        factor = scale // den
-        for p, x in enumerate(nums):
-            if x:
-                out[base + p] = x * factor
-    return out, scale
-
-
-def _flatten(elem, pair_index, conductor):
-    """Integer vector proportional to the element (rank and membership
-    questions are scale-invariant)."""
-    return _flatten_with_scale(elem, pair_index, conductor)[0]
+    lifted = [[(pair_index[pair] * phi, c.lift(conductor))
+               for pair, c in elem.coeffs.items()] for elem in elems]
+    scale = reduce(lcm, (c.den for blocks in lifted for _, c in blocks), 1)
+    out = []
+    for blocks in lifted:
+        flat = {}
+        for base, c in blocks:
+            factor = scale // c.den
+            for p, x in enumerate(c.nums):
+                if x:
+                    flat[base + p] = x * factor
+        out.append(flat)
+    return out
 
 
 def _zeta_shift(flat, conductor, power):
@@ -139,7 +137,7 @@ def verify_grading(r):
 
     conductor = _conductor_of([b.element for b in r.basis])
     phi = euler_phi(conductor)
-    flats = [_flatten(b.element, pair_index, conductor) for b in r.basis]
+    flats = _flatten([b.element for b in r.basis], pair_index, conductor)
 
     if len(r.basis) != dim:
         report.flag("basis-size", "basis",
@@ -180,12 +178,12 @@ def verify_grading(r):
                             f"{target.coords}")
                 continue
             if not span_of_degree(target).contains(
-                    _flatten(w, pair_index, conductor)):
+                    _flatten([w], pair_index, conductor)[0]):
                 report.flag("product-escape", f"basis[{iu}] * basis[{iv}]",
                             "product escapes the component of the summed degree")
 
     zero = r.ambient.zero()
-    one_flat = _flatten(identity_element(poset), pair_index, conductor)
+    one_flat = _flatten([identity_element(poset)], pair_index, conductor)[0]
     if zero not in by_degree or not span_of_degree(zero).contains(one_flat):
         report.flag("identity-degree", "identity",
                     "identity element is not homogeneous of degree 0")
@@ -223,34 +221,38 @@ def apply_twist_projector(r, i, k, chi, elem):
     return total.scale(Fraction(1, h_ik.order))
 
 
-def _projected_flats(r, i, k, products, conductor, pair_index):
-    """Flattened pi_chi images of every product, computed once.
+def _isotypic_flats(r, i, k):
+    """The nonzero two-step products M_ij * M_jk between i and k, the
+    layout they are flattened in, and their flattened pi_chi images.
 
     The conjugates psi_i(h) w psi_k(-h) are shared by all characters, so
     they are formed a single time per (product, h) and flattened; each
     projector is then an integer combination of zeta-shifted conjugates
     (the 1/|H_ik| scale is dropped: ranks and zero-ness are unaffected).
-    Returns {chi: [(flat, degree)]} with zero projections omitted.
+    Returns (products, pair_index, conductor, {chi: [(flat, degree)]}),
+    each chi's list in product order with zero projections omitted.
     """
+    mids = r.datum.skeleton.strictly_between(i, k)
+    if not mids:
+        raise NoIntermediateBlock(f"no block strictly between {i!r} and {k!r}")
+    products = []
+    for j in mids:
+        for u in _cross_basis(r, i, j):
+            for v in _cross_basis(r, j, k):
+                w = u.element * v.element
+                if not w.is_zero():
+                    products.append((w, u.degree + v.degree))
     diag = _diagonal_images(r)
     h_ik = intersect(r.datum.blocks[i], r.datum.blocks[k])
+    pair_index = {p: n for n, p in enumerate(r.poset.comparable_pairs())}
+    conductor = lcm(_conductor_of([w for w, _ in products]), h_ik.exponent())
     elements = list(h_ik.elements())
     conjugates = []
     for w, deg in products:
-        per_h = []
-        common = 1
-        for h in elements:
-            term = (diag[(i, h.coords)] * w) * diag[(k, (-h).coords)]
-            flat, scale = _flatten_with_scale(term, pair_index, conductor)
-            per_h.append((flat, scale))
-            common = lcm(common, scale)
-        rescaled = []
-        for flat, scale in per_h:
-            factor = common // scale
-            rescaled.append({c: x * factor for c, x in flat.items()}
-                            if factor != 1 else flat)
-        conjugates.append((rescaled, deg))
-    out = {}
+        terms = [(diag[(i, h.coords)] * w) * diag[(k, (-h).coords)]
+                 for h in elements]
+        conjugates.append((_flatten(terms, pair_index, conductor), deg))
+    projected = {}
     for chi in dual_group(h_ik):
         shifts = [int(((-chi(h)) % 1) * conductor) for h in elements]
         flats = []
@@ -265,23 +267,8 @@ def _projected_flats(r, i, k, products, conductor, pair_index):
                         del acc[col]
             if acc:
                 flats.append((acc, deg))
-        out[chi] = flats
-    return out
-
-
-def _radical_products(r, i, k):
-    skel = r.datum.skeleton
-    mids = skel.strictly_between(i, k)
-    if not mids:
-        raise NoIntermediateBlock(f"no block strictly between {i!r} and {k!r}")
-    products = []
-    for j in mids:
-        for u in _cross_basis(r, i, j):
-            for v in _cross_basis(r, j, k):
-                w = u.element * v.element
-                if not w.is_zero():
-                    products.append((w, u.degree + v.degree))
-    return products
+        projected[chi] = flats
+    return products, pair_index, conductor, projected
 
 
 def radical_square_component(r, i, k):
@@ -295,24 +282,13 @@ def radical_square_component(r, i, k):
     skel = r.datum.skeleton
     if not skel.lt(i, k):
         raise NoIntermediateBlock(f"blocks {i!r} and {k!r} are not comparable")
-    products = _radical_products(r, i, k)
-
     h_i = r.datum.blocks[i]
     h_k = r.datum.blocks[k]
-    h_ik = intersect(h_i, h_k)
     coset = subgroup_sum(h_i, h_k)
-
-    pair_index = {p: n for n, p in enumerate(r.poset.comparable_pairs())}
-    conductor = lcm(_conductor_of([w for w, _ in products] or
-                                  [identity_element(r.poset)]),
-                    h_ik.exponent())
-    projected = _projected_flats(r, i, k, products, conductor, pair_index)
     pairs = []
+    _, _, _, projected = _isotypic_flats(r, i, k)
     for chi, flats in projected.items():
         if not flats:
-            continue
-        space = _zeta_closed_space([f for f, _ in flats], conductor)
-        if space.rank == 0:
             continue
         reps = {coset.least_coset_coords(deg).coords for _, deg in flats}
         assert len(reps) == 1, "isotypic piece spread over several degree cosets"
@@ -325,21 +301,15 @@ def radical_square_component(r, i, k):
 def isotypic_rank_table(r, i, k):
     """Rank of each character's isotypic piece plus the total span rank,
     over the cyclotomic field (projector completeness checks)."""
-    products = _radical_products(r, i, k)
-    h_ik = intersect(r.datum.blocks[i], r.datum.blocks[k])
-    pair_index = {p: n for n, p in enumerate(r.poset.comparable_pairs())}
-    conductor = lcm(_conductor_of([w for w, _ in products] or
-                                  [identity_element(r.poset)]),
-                    h_ik.exponent())
+    products, pair_index, conductor, projected = _isotypic_flats(r, i, k)
     phi = euler_phi(conductor)
-    projected = _projected_flats(r, i, k, products, conductor, pair_index)
     ranks = {}
     for chi, flats in projected.items():
         q_rank = _zeta_closed_space([f for f, _ in flats], conductor).rank
         assert q_rank % phi == 0
         ranks[chi] = q_rank // phi
     total = _zeta_closed_space(
-        [_flatten(w, pair_index, conductor) for w, _ in products],
+        _flatten([w for w, _ in products], pair_index, conductor),
         conductor).rank
     assert total % phi == 0
     return ranks, total // phi

@@ -7,6 +7,7 @@ anything fancier.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import CycleDetected, InvalidPartition
@@ -215,11 +216,12 @@ class LinkCounts:
       block_pairs[(a, b)]    -- number of x in a, y in b with x <= y
       element_to_block[(x, b)] -- number of y in b with x <= y
       block_to_element[(a, y)] -- number of x in a with x <= y
+    Each is a Counter: a key with no comparable pair is absent and reads 0.
     """
 
-    block_pairs: dict = field(default_factory=dict)
-    element_to_block: dict = field(default_factory=dict)
-    block_to_element: dict = field(default_factory=dict)
+    block_pairs: Counter = field(default_factory=Counter)
+    element_to_block: Counter = field(default_factory=Counter)
+    block_to_element: Counter = field(default_factory=Counter)
 
 
 def link_counts(p, blocks):
@@ -238,17 +240,6 @@ def link_counts(p, blocks):
         raise InvalidPartition("blocks do not cover the element set")
 
     counts = LinkCounts()
-    names = list(blocks)
-    for a in names:
-        for b in names:
-            if a != b:
-                counts.block_pairs[(a, b)] = 0
-    for name, members in blocks.items():
-        for x in members:
-            for b in names:
-                if b != name:
-                    counts.element_to_block[(x, b)] = 0
-                    counts.block_to_element[(b, x)] = 0
     for x, y in p.comparable_pairs():
         a, b = seen[x], seen[y]
         if a == b:

@@ -248,6 +248,23 @@ def test_unhashable_label_exits_2(tmp_path, capsys, where):
     _assert_malformed(tmp_path, capsys, doc)
 
 
+def test_duplicate_key_is_rejected(tmp_path, capsys):
+    text = jsonio.dumps_canonical(jsonio.encode_datum(_two_block()))
+    # block "1" given twice: read last-wins, the datum would be valid
+    block = '"blocks":{"1":{"generators":[[1]]}'
+    assert block in text
+    path = tmp_path / "duplicate.json"
+    path.write_text(text.replace(
+        block, '"blocks":{"1":{"generators":[[2]]},"1":{"generators":[[1]]}'),
+        encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "MalformedInput"
+    assert "duplicate key" in error["message"]
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io
     doc = jsonio.dumps_canonical(jsonio.encode_datum(_two_block()))

@@ -16,8 +16,8 @@ from incidence_gradings.abelian import (
 from incidence_gradings.bimodules import BimoduleClass
 from incidence_gradings.characters import dual_group, trivial_character
 from incidence_gradings.cyclo import CycloNumber, root_of_unity
-from incidence_gradings.datum import realize, validate_datum
-from incidence_gradings.errors import MalformedInput
+from incidence_gradings.datum import GradingDatum, realize, validate_datum
+from incidence_gradings.errors import InvalidDatum, MalformedInput
 from incidence_gradings.incidence import IncidenceElement
 from incidence_gradings.posets import chain_poset, poset_from_relation
 
@@ -108,6 +108,33 @@ def test_datum_roundtrip_and_canonical_bytes():
     assert back.cover_bimodules == d.cover_bimodules
     # canonical serialization: byte-identical round trip
     assert jsonio.dumps_canonical(jsonio.encode_datum(back)) == text
+
+
+def _colliding_covers():
+    # labels holding "," give the covers a,b < c and a < b,c one key
+    labels = ["a,b", "c", "a", "b,c"]
+    skeleton = poset_from_relation(labels, [("a,b", "c"), ("a", "b,c")])
+    t = trivial_subgroup(Z4)
+    cls = BimoduleClass(t, t, [(trivial_character(t), Z4.zero())])
+    return GradingDatum(Z4, skeleton, dict.fromkeys(labels, t),
+                        {("a,b", "c"): cls, ("a", "b,c"): cls})
+
+
+def test_encode_rejects_colliding_cover_keys():
+    with pytest.raises(InvalidDatum, match="share the key 'a,b,c'"):
+        jsonio.encode_datum(_colliding_covers())
+
+
+def test_decode_names_colliding_cover_key():
+    d = _colliding_covers()
+    cls = d.cover_bimodules[("a", "b,c")]
+    doc = {"ambient": jsonio.encode_group(Z4),
+           "skeleton": jsonio.encode_poset(d.skeleton),
+           "blocks": {label: jsonio.encode_subgroup(sub)
+                      for label, sub in d.blocks.items()},
+           "bimodules": {"a,b,c": jsonio.encode_bimodule(cls)}}
+    with pytest.raises(MalformedInput, match="share the key 'a,b,c'"):
+        jsonio.decode_datum(doc)
 
 
 def test_realized_export_shape():

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from incidence_gradings.abelian import (
     AbelianGroup,
+    all_subgroups,
     canonicalize,
     full_subgroup,
     intersect,
@@ -17,15 +19,18 @@ from incidence_gradings.datum import BasisVector, RealizedGrading, realize
 from incidence_gradings.errors import NoIntermediateBlock
 from incidence_gradings.incidence import IncidenceElement
 from incidence_gradings.oracle import (
+    _flatten,
+    _isotypic_flats,
     apply_twist_projector,
     check_link_equation,
     isotypic_rank_table,
     radical_square_component,
     verify_grading,
 )
+from incidence_gradings.posets import chain_poset
 from incidence_gradings.rowspan import RationalRowSpace
 
-from helpers import chain_datum, two_block_datum
+from helpers import SWEEP_GROUPS, chain_datum, two_block_datum
 
 Z2 = AbelianGroup(0, [2])
 Z4 = AbelianGroup(0, [4])
@@ -199,6 +204,55 @@ def test_projector_algebra():
             total = total + pw
         # resolution of the identity on the product span
         assert total == w
+
+
+def test_flatten_uses_one_common_scale():
+    # one scale for all vectors keeps their integer combinations
+    # proportional to the same combinations of the elements
+    p = chain_poset(["x", "y"])
+    pair_index = {q: n for n, q in enumerate(p.comparable_pairs())}
+    a = IncidenceElement(p, {("x", "y"): Fraction(1, 2)})
+    b = IncidenceElement(p, {("x", "x"): 1, ("x", "y"): Fraction(1, 3)})
+    fa, fb = _flatten([a, b], pair_index, 1)
+    xx, xy = pair_index[("x", "x")], pair_index[("x", "y")]
+    assert (fa, fb) == ({xy: 3}, {xx: 6, xy: 2})
+
+
+def _primitive(flat):
+    g = 0
+    for x in flat.values():
+        g = gcd(g, x)
+    return {c: x // g for c, x in flat.items()}
+
+
+@pytest.mark.parametrize("ambient", [g for g in SWEEP_GROUPS if g.order <= 6],
+                         ids=repr)
+def test_projector_fast_path_matches_honest_projector(ambient):
+    # the flattened pi_chi(w) of the shared isotypic helper against
+    # apply_twist_projector: present exactly when the honest projection is
+    # nonzero, and then a positive multiple of it
+    rng = random.Random(ambient.order)
+    subs = all_subgroups(ambient)
+    for h1 in subs:
+        for h2 in subs:
+            for h3 in subs:
+                g12 = rng.choice(list(ambient.elements()))
+                d = _three_chain(ambient, h1, h2, h3,
+                                 rng.choice(dual_group(intersect(h1, h2))),
+                                 rng.choice(dual_group(intersect(h2, h3))),
+                                 g12, ambient.zero())
+                r = realize(d)
+                products, pair_index, conductor, projected = \
+                    _isotypic_flats(r, "1", "3")
+                assert products
+                for chi, flats in projected.items():
+                    want = []
+                    for w, deg in products:
+                        pw = apply_twist_projector(r, "1", "3", chi, w)
+                        if not pw.is_zero():
+                            flat = _flatten([pw], pair_index, conductor)[0]
+                            want.append((_primitive(flat), deg))
+                    assert [(_primitive(f), deg) for f, deg in flats] == want
 
 
 def test_link_equation_reports():
