@@ -6,10 +6,16 @@ coordinate sums here).  A subgroup is represented by the canonical Hermite
 basis of its preimage lattice in Z^n, which makes subgroup equality a
 plain tuple comparison and supports infinite ambient groups.  All
 arithmetic is on arbitrary-precision integers.
+
+Canonical subgroups are interned, and intersections and sums memoized, in
+`functools.lru_cache`s bounded at several times the working sets of the
+tests and the benchmark.  Equality never relies on interning (`__eq__`
+compares ambient and Hermite basis), so eviction only costs a rebuild.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import prod
 
@@ -22,6 +28,9 @@ from .intlinalg import (
     solve_in_rowspace,
 )
 
+_SUBGROUP_MEMO_SIZE = 256  # interned subgroups; working sets up to 28
+_PAIR_MEMO_SIZE = 512  # pairs for intersect and for sum; up to 110
+
 
 class AbelianGroup:
     """The ambient group Z^free_rank x Z/d1 x ... x Z/dk."""
@@ -32,11 +41,11 @@ class AbelianGroup:
         factors = tuple(int(d) for d in torsion_factors)
         if free_rank < 0:
             raise ValueError("free_rank must be non-negative")
+        if any(d < 2 for d in factors):
+            raise ValueError("torsion factors must be >= 2")
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError("torsion factors must form a divisibility chain")
-        if any(d < 2 for d in factors):
-            raise ValueError("torsion factors must be >= 2")
         object.__setattr__(self, "free_rank", int(free_rank))
         object.__setattr__(self, "torsion_factors", factors)
 
@@ -152,11 +161,6 @@ class GroupElement:
         return f"GroupElement{self.coords}"
 
 
-# Subgroups are interned on their canonical basis, so repeated
-# constructions share caches (duals, enumerations, decompositions).
-_SUBGROUP_CACHE = {}
-
-
 class Subgroup:
     """A subgroup of an ambient AbelianGroup in canonical form.
 
@@ -165,24 +169,14 @@ class Subgroup:
     of the relations-in-basis matrix yields invariant-factor generators:
     `structure` lists the torsion invariant factors and
     `torsion_generators` the matching independent generators, the basis
-    every character is written in.
+    every character is written in.  Build one with `canonicalize`.
     """
 
     __slots__ = ("ambient", "lattice_basis", "_pivots", "structure",
                  "sub_free_rank", "_gen_rows", "_gen_orders", "_gen_coord_matrix",
-                 "_decompose_cache", "_elements", "_dual", "_restrict_cache")
+                 "_elements", "_dual", "_restrict_cache")
 
-    def __new__(cls, ambient, lattice_basis, _pivots):
-        key = (ambient, lattice_basis)
-        cached = _SUBGROUP_CACHE.get(key)
-        if cached is not None:
-            return cached
-        self = object.__new__(cls)
-        self._init(ambient, lattice_basis, _pivots)
-        _SUBGROUP_CACHE[key] = self
-        return self
-
-    def _init(self, ambient, lattice_basis, pivots):
+    def __init__(self, ambient, lattice_basis, pivots):
         self.ambient = ambient
         self.lattice_basis = lattice_basis
         self._pivots = pivots
@@ -202,7 +196,9 @@ class Subgroup:
         self._gen_coord_matrix = V
         self.structure = tuple(d for d in diag if d > 1)
         self.sub_free_rank = m - len(diag)
-        self._decompose_cache = {}
+        # Per-object memos, freed with the subgroup, bounded by |H| or the
+        # number of subgroups of H; an lru_cache on characters.restrict
+        # would hash a Subgroup and a Character in Python on every hit.
         self._elements = None
         self._dual = None
         self._restrict_cache = {}
@@ -247,13 +243,8 @@ class Subgroup:
     def _lattice_coords(self, g):
         if g.group != self.ambient:
             raise AmbientMismatch("element over a different ambient group")
-        cached = self._decompose_cache.get(g.coords, False)
-        if cached is not False:
-            return cached
         c = solve_in_rowspace(self.lattice_basis, self._pivots, g.coords)
-        result = tuple(c) if c is not None else None
-        self._decompose_cache[g.coords] = result
-        return result
+        return tuple(c) if c is not None else None
 
     def __contains__(self, g):
         return self._lattice_coords(g) is not None
@@ -320,7 +311,12 @@ def canonicalize(gens, ambient):
             raise InvalidElement("generator does not belong to the ambient group")
     rows = [list(g.coords) for g in gens] + ambient._relation_rows()
     basis, pivots = row_hnf(rows, ambient.rank)
-    return Subgroup(ambient, tuple(tuple(r) for r in basis), tuple(pivots))
+    return _interned(ambient, tuple(tuple(r) for r in basis), tuple(pivots))
+
+
+@functools.lru_cache(maxsize=_SUBGROUP_MEMO_SIZE)
+def _interned(ambient, lattice_basis, pivots):
+    return Subgroup(ambient, lattice_basis, pivots)
 
 
 def trivial_subgroup(ambient):
@@ -342,19 +338,14 @@ def _check_same_ambient(a, b):
         raise AmbientMismatch("subgroups over different ambient groups")
 
 
-_INTERSECT_CACHE = {}
-_SUM_CACHE = {}
-
-
 def intersect(a, b):
     """Canonical subgroup a /\\ b (intersection of preimage lattices)."""
     _check_same_ambient(a, b)
-    if a is b:
-        return a
-    key = (a, b)
-    cached = _INTERSECT_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return a if a is b else _intersect(a, b)
+
+
+@functools.lru_cache(maxsize=_PAIR_MEMO_SIZE)
+def _intersect(a, b):
     rows_a = [list(r) for r in a.lattice_basis]
     rows_b = [list(r) for r in b.lattice_basis]
     stacked = rows_a + rows_b
@@ -367,23 +358,18 @@ def intersect(a, b):
             if c:
                 coords = [x + c * y for x, y in zip(coords, row)]
         gens.append(GroupElement(a.ambient, coords))
-    result = canonicalize(gens, a.ambient)
-    _INTERSECT_CACHE[key] = result
-    return result
+    return canonicalize(gens, a.ambient)
 
 
 def subgroup_sum(a, b):
     """Canonical subgroup a + b, generated by both generator sets."""
     _check_same_ambient(a, b)
-    if a is b:
-        return a
-    key = (a, b)
-    cached = _SUM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    result = canonicalize(a.generators + b.generators, a.ambient)
-    _SUM_CACHE[key] = result
-    return result
+    return a if a is b else _sum(a, b)
+
+
+@functools.lru_cache(maxsize=_PAIR_MEMO_SIZE)
+def _sum(a, b):
+    return canonicalize(a.generators + b.generators, a.ambient)
 
 
 def double_coset_eq(g, g_prime, h1, h2):

@@ -41,7 +41,8 @@ def _read_json(path):
             return json.load(sys.stdin, object_pairs_hook=_unique_keys)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
-    except (OSError, json.JSONDecodeError, MalformedInput) as exc:
+    # ValueError: bad JSON or not UTF-8; RecursionError: nested too deep
+    except (OSError, ValueError, RecursionError, MalformedInput) as exc:
         raise MalformedInput(f"{path}: {exc}") from exc
 
 
@@ -150,13 +151,18 @@ def cmd_dual(args):
     return EXIT_OK
 
 
+def _dot_id(label):
+    escaped = str(label).replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
 def hasse_dot(poset):
     """Graphviz text for the Hasse diagram (covers only)."""
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for v in poset.elements:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {_dot_id(v)};")
     for x, y in poset.covers():
-        lines.append(f'  "{x}" -> "{y}";')
+        lines.append(f"  {_dot_id(x)} -> {_dot_id(y)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -9,12 +9,21 @@ the oracle rely on.  Mixed conductors are aligned lazily to the lcm.
 No multiplicative inverse is provided: nothing in the constructions needs
 division, and the oracle's linear algebra works coordinate-wise over the
 rationals instead.
+
+Phi_n, the power and embedding tables and the roots of unity are memoized
+in `functools.lru_cache`s bounded at several times the working sets of
+the tests and the benchmark; cached numbers are immutable and equality
+never compares identity, so eviction only costs a recomputation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
+
+_FIELD_MEMO_SIZE = 64  # conductors, or pairs for embeddings; up to 20
+_ROOT_MEMO_SIZE = 256  # distinct roots of unity; working sets up to 40
 
 
 def _poly_mul(a, b):
@@ -43,14 +52,10 @@ def _poly_divexact(num, den):
     return out
 
 
-_CYCLOTOMIC = {}
-
-
+@functools.lru_cache(maxsize=_FIELD_MEMO_SIZE)
 def cyclotomic_polynomial(n):
     """Coefficients of Phi_n, ascending degree, computed by dividing
     x^n - 1 by the lower-order cyclotomic polynomials."""
-    if n in _CYCLOTOMIC:
-        return _CYCLOTOMIC[n]
     if n < 1:
         raise ValueError("conductor must be positive")
     num = [0] * (n + 1)
@@ -59,20 +64,13 @@ def cyclotomic_polynomial(n):
     for d in range(1, n):
         if n % d == 0:
             den = _poly_mul(den, cyclotomic_polynomial(d))
-    phi = tuple(_poly_divexact(num, den))
-    _CYCLOTOMIC[n] = phi
-    return phi
+    return tuple(_poly_divexact(num, den))
 
 
-_POWER_TABLE = {}
-
-
+@functools.lru_cache(maxsize=_FIELD_MEMO_SIZE)
 def _power_table(n):
     """zeta_n^k in the power basis, for k up to n + phi - 2 (enough to
     reduce any product of a basis power with a root exponent below n)."""
-    cached = _POWER_TABLE.get(n)
-    if cached is not None:
-        return cached
     poly = cyclotomic_polynomial(n)
     phi = len(poly) - 1
     table = []
@@ -92,30 +90,20 @@ def _power_table(n):
         else:
             row = row[:phi]
         table.append(tuple(row))
-    result = tuple(table)
-    _POWER_TABLE[n] = result
-    return result
+    return tuple(table)
 
 
 def euler_phi(n):
     return len(cyclotomic_polynomial(n)) - 1
 
 
-_EMBED_TABLE = {}
-
-
+@functools.lru_cache(maxsize=_FIELD_MEMO_SIZE)
 def _embed_table(small, big):
     """Power-basis images of zeta_small^k inside Q(zeta_big)."""
-    key = (small, big)
-    cached = _EMBED_TABLE.get(key)
-    if cached is not None:
-        return cached
     step = big // small
     table_big = _power_table(big)
     phi_small = euler_phi(small)
-    rows = tuple(table_big[(k * step) % big] for k in range(phi_small))
-    _EMBED_TABLE[key] = rows
-    return rows
+    return tuple(table_big[(k * step) % big] for k in range(phi_small))
 
 
 def _normalize(nums, den):
@@ -271,9 +259,6 @@ class CycloNumber:
         return f"Cyclo[{self.conductor}]({terms or '0'})"
 
 
-_ROOT_CACHE = {}
-
-
 def root_of_unity(q):
     """zeta_b^a for a reduced rational q = a/b in [0, 1).
 
@@ -281,15 +266,12 @@ def root_of_unity(q):
     root_of_unity(q1) * root_of_unity(q2) == root_of_unity((q1+q2) % 1).
     """
     q = Fraction(q) % 1
-    key = (q.numerator, q.denominator)
-    cached = _ROOT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    b, a = q.denominator, q.numerator
-    table = _power_table(b)
-    result = CycloNumber(b, table[a % b] if b > 1 else (1,))
-    _ROOT_CACHE[key] = result
-    return result
+    return _root(q.numerator, q.denominator)
+
+
+@functools.lru_cache(maxsize=_ROOT_MEMO_SIZE)
+def _root(a, b):
+    return CycloNumber(b, _power_table(b)[a] if b > 1 else (1,))
 
 
 def cyclo_zero(conductor=1):

@@ -333,18 +333,11 @@ def vertex_label(block, chi):
 
 def _twist_orbit_representatives(h_left, h_right, h_mid):
     """Deterministic orbit representatives of H_i x H_j under
-    (h, k) ~ (h + t, k - t) for t in the intersection."""
-    mids = list(h_mid.elements())
-    seen = set()
-    reps = []
-    for h in h_left.elements():
-        for k in h_right.elements():
-            if (h.coords, k.coords) in seen:
-                continue
-            reps.append((h, k))
-            for t in mids:
-                seen.add(((h + t).coords, (k - t).coords))
-    return reps
+    (h, k) ~ (h + t, k - t) for t in the intersection: in element order an
+    orbit is first reached at the least h of its coset h + H_ij, any k."""
+    return [(h, k) for h in h_left.elements()
+            if h_mid.least_coset_coords(h) == h
+            for k in h_right.elements()]
 
 
 def realize(d):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from incidence_gradings import abelian
 from incidence_gradings.abelian import (
     AbelianGroup,
     all_subgroups,
@@ -33,6 +34,8 @@ def test_group_validation():
         AbelianGroup(0, [4, 2])  # not a divisibility chain
     with pytest.raises(ValueError):
         AbelianGroup(0, [1])
+    with pytest.raises(ValueError):
+        AbelianGroup(0, [0, 4])  # rejected before the divisibility test
     with pytest.raises(ValueError):
         AbelianGroup(-1, [])
 
@@ -228,3 +231,16 @@ def test_least_coset_coords():
     two = sub(Z4, [2])
     assert two.least_coset_coords(Z4.element([3])).coords == (1,)
     assert two.least_coset_coords(Z4.element([2])).coords == (0,)
+
+
+def test_intern_memo_is_bounded():
+    z = AbelianGroup(1, [])
+    first = sub(z, [1])
+    bound = abelian._interned.cache_info().maxsize
+    for n in range(2, bound + 10):
+        sub(z, [n])
+    assert abelian._interned.cache_info().currsize <= bound
+    # evicted and rebuilt: a new object, equal to the old one
+    again = sub(z, [1])
+    assert again is not first
+    assert again == first and hash(again) == hash(first)

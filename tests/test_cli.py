@@ -1,9 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from incidence_gradings import jsonio
+from incidence_gradings import abelian, cyclo, jsonio
 from incidence_gradings.abelian import (
     AbelianGroup,
     canonicalize,
@@ -85,6 +86,33 @@ def test_realize_dot_output(tmp_path, capsys):
     assert code == 0
     assert out.startswith("digraph hasse {")
     assert "->" in out
+
+
+def test_realize_dot_escapes_labels(tmp_path, capsys):
+    # skeleton labels may be any strings; `a"b` < `c\d` over trivial blocks
+    trivial = {"generators": []}
+    doc = {"ambient": {"free_rank": 0, "torsion": [2]},
+           "blocks": {'a"b': trivial, "c\\d": trivial},
+           "bimodules": {'a"b,c\\d': {
+               "left": trivial, "right": trivial,
+               "pairs": [{"char": {"domain": trivial, "values": []},
+                          "deg": [1]}]}},
+           "skeleton": {"elements": ['a"b', "c\\d"],
+                        "covers": [['a"b', "c\\d"]]}}
+    code, out, err = run(capsys, "realize", write_json(tmp_path, "d.json", doc),
+                         "--dot")
+    assert code == 0
+    quoted = r'"(?:[^"\\]|\\.)*"'
+    body = out.splitlines()[2:-1]
+    nodes = [line for line in body if "->" not in line]
+    assert len(nodes) == 2
+    for line in nodes:
+        assert re.fullmatch(f"  {quoted};", line), line
+    for line in body[len(nodes):]:
+        assert re.fullmatch(f"  {quoted} -> {quoted};", line), line
+    # DOT escapes `"` and `\` as JSON does, so the IDs read back as labels
+    ids = [json.loads(line.strip()[:-1]) for line in nodes]
+    assert [i.split("|")[0] for i in ids] == ['a"b', "c\\d"]
 
 
 def test_verify_clean(tmp_path, capsys):
@@ -199,6 +227,19 @@ def test_malformed_input_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("raw", [
+    b'{"a": "\xff"}',
+    b"[" * 100000 + b"]" * 100000,
+], ids=["not-utf8", "too-deep"])
+def test_unreadable_json_exits_2(tmp_path, capsys, raw):
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "MalformedInput"
+
+
 def _assert_malformed(tmp_path, capsys, doc):
     path = write_json(tmp_path, "hostile.json", doc)
     code, out, err = run(capsys, "validate", path)
@@ -213,6 +254,13 @@ def test_float_torsion_is_rejected(tmp_path, capsys):
     doc["ambient"]["torsion"] = [4.7]
     message = _assert_malformed(tmp_path, capsys, doc)
     assert "datum.ambient.torsion[0]" in message
+
+
+def test_zero_torsion_factor_is_rejected(tmp_path, capsys):
+    doc = jsonio.encode_datum(_two_block())
+    doc["ambient"]["torsion"] = [0, 4]
+    message = _assert_malformed(tmp_path, capsys, doc)
+    assert ">= 2" in message
 
 
 def test_bool_free_rank_is_rejected(tmp_path, capsys):
@@ -272,3 +320,22 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "validate", "-")
     assert code == 0
     assert json.loads(out)["valid"] is True
+
+
+def test_memo_eviction_changes_nothing(capsys):
+    path = DATA / "z16-chain3.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    commands = ("validate", "realize", "verify")
+    before = jsonio.decode_datum(doc)
+    outputs = [run(capsys, command, str(path)) for command in commands]
+    memos = [f for module in (abelian, cyclo) for f in vars(module).values()
+             if hasattr(f, "cache_clear")]
+    assert len(memos) == 7
+    for memo in memos:
+        memo.cache_clear()
+    after = jsonio.decode_datum(doc)
+    for label, block in before.blocks.items():
+        assert after.blocks[label] is not block
+        assert after.blocks[label] == block
+        assert hash(after.blocks[label]) == hash(block)
+    assert [run(capsys, command, str(path)) for command in commands] == outputs
