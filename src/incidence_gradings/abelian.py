@@ -4,7 +4,9 @@ The ambient group is G = Z^free_rank x Z/d1 x ... x Z/dk with d1 | d2 |
 ... | dk, written additively (degree products in graded algebras become
 coordinate sums here).  A subgroup is represented by the canonical Hermite
 basis of its preimage lattice in Z^n, which makes subgroup equality a
-plain tuple comparison and supports infinite ambient groups.  All
+plain tuple comparison and supports infinite ambient groups.  Reduction
+against that basis (`intlinalg.hnf_reduce`) answers membership, lattice
+coordinates and least coset representatives without enumerating H.  All
 arithmetic is on arbitrary-precision integers.
 
 Canonical subgroups are interned, and intersections and sums memoized, in
@@ -19,17 +21,27 @@ import functools
 import itertools
 from math import prod
 
-from .errors import AmbientMismatch, InfiniteSubgroup, InvalidElement
+from .errors import AmbientMismatch, BudgetExceeded, InfiniteSubgroup, InvalidElement
 from .intlinalg import (
+    hnf_reduce,
     left_kernel,
     mat_mul,
     row_hnf,
     smith_normal_form,
-    solve_in_rowspace,
 )
 
 _SUBGROUP_MEMO_SIZE = 256  # interned subgroups; working sets up to 28
 _PAIR_MEMO_SIZE = 512  # pairs for intersect and for sum; up to 110
+# Largest order Subgroup.elements and dual_group list: the tests, benchmark
+# and probes list at most 64, and Z/10**7 would fill memory before answering.
+ENUMERATION_BUDGET = 2 ** 16
+
+
+def check_enumeration_budget(order, what):
+    """Raise BudgetExceeded, before any allocation, above the budget."""
+    if order > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"{what} of order {order} exceeds the "
+                             f"enumeration budget of {ENUMERATION_BUDGET}")
 
 
 class AbelianGroup:
@@ -185,8 +197,8 @@ class Subgroup:
         relations = ambient._relation_rows()
         rel_coords = []
         for rel in relations:
-            c = solve_in_rowspace(basis, pivots, rel)
-            assert c is not None, "relation lattice escaped the subgroup lattice"
+            c, rest = hnf_reduce(basis, pivots, rel)
+            assert not any(rest), "relation lattice escaped the subgroup lattice"
             rel_coords.append(c)
         diag, V, W = smith_normal_form(rel_coords, m)
         gen_rows = mat_mul(W, basis) if m else []
@@ -241,13 +253,13 @@ class Subgroup:
     # -- membership and coordinates --------------------------------------
 
     def _lattice_coords(self, g):
+        # (coefficients, rest) of g; zip would truncate a foreign element
         if g.group != self.ambient:
             raise AmbientMismatch("element over a different ambient group")
-        c = solve_in_rowspace(self.lattice_basis, self._pivots, g.coords)
-        return tuple(c) if c is not None else None
+        return hnf_reduce(self.lattice_basis, self._pivots, g.coords)
 
     def __contains__(self, g):
-        return self._lattice_coords(g) is not None
+        return not any(self._lattice_coords(g)[1])
 
     def generator_coords(self, g):
         """Coefficients of g on the invariant-factor generator rows.
@@ -256,8 +268,8 @@ class Subgroup:
         rows of order > 1 carry character data.  Returns None for
         non-members.
         """
-        c = self._lattice_coords(g)
-        if c is None:
+        c, rest = self._lattice_coords(g)
+        if any(rest):
             return None
         V = self._gen_coord_matrix
         m = len(V)
@@ -267,6 +279,7 @@ class Subgroup:
         """All elements, lexicographically ordered by coordinates."""
         if not self.is_finite:
             raise InfiniteSubgroup("cannot enumerate an infinite subgroup")
+        check_enumeration_budget(self.order, "subgroup")
         if self._elements is None:
             gens = self.torsion_generators
             orders = self.structure
@@ -282,13 +295,16 @@ class Subgroup:
         return self._elements
 
     def least_coset_coords(self, g):
-        """Lexicographically least element of the coset g + H (H finite)."""
-        best = None
-        for h in self.elements():
-            cand = g + h
-            if best is None or cand.coords < best.coords:
-                best = cand
-        return best
+        """Lexicographically least element of the coset g + H (H finite).
+
+        The preimage lattice holds the relations d_j * e_j and, H being
+        finite, has zero free part: its Hermite basis has a pivot dividing
+        d_j in every torsion column and none in a free column.  So Hermite
+        reduction, column by column into [0, pivot), gives the least element.
+        """
+        if not self.is_finite:
+            raise InfiniteSubgroup("an infinite subgroup has no least coset element")
+        return GroupElement(self.ambient, self._lattice_coords(g)[1])
 
     def __eq__(self, other):
         if not isinstance(other, Subgroup):

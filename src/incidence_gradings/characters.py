@@ -13,7 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .abelian import Subgroup
+from .abelian import Subgroup, check_enumeration_budget
 from .errors import DomainMismatch, InfiniteSubgroup, NotASubgroup
 
 
@@ -97,6 +97,7 @@ def dual_group(h):
     """
     if not h.is_finite:
         raise InfiniteSubgroup("dual group requires a finite subgroup")
+    check_enumeration_budget(h.order, "dual group")
     if h._dual is None:
         ranges = [[Fraction(a, d) for a in range(d)] for d in h.structure]
         h._dual = tuple(Character(h, values)

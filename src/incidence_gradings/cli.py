@@ -141,11 +141,10 @@ def cmd_dual(args):
     data = _read_json(args.subgroup)
     if not isinstance(data, dict):
         raise MalformedInput("subgroup: expected an object")
-    ambient = jsonio.decode_group(data.get("ambient", {}), "subgroup.ambient")
-    sub = jsonio.decode_subgroup(data, ambient, "subgroup")
+    sub = jsonio.decode_subgroup_standalone(data)
     if not sub.is_finite:
         raise MalformedInput("subgroup: dual group requires a finite subgroup")
-    _emit({"ambient": jsonio.encode_group(ambient),
+    _emit({"ambient": jsonio.encode_group(sub.ambient),
            "characters": [jsonio.encode_character(chi)
                           for chi in dual_group(sub)]})
     return EXIT_OK

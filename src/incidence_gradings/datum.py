@@ -46,7 +46,7 @@ from .errors import (
     NotValid,
 )
 from .incidence import IncidenceElement
-from .posets import Poset
+from .posets import Poset, poset_isomorphisms
 
 
 class GradingDatum:
@@ -161,9 +161,8 @@ def _derive(d, collect_issues=None):
             if j in conflicts:
                 error = DegreeConflict(conflicts[j])
             else:
-                reducer = subgroup_sum(d.blocks[i], d.blocks[j])
-                canonical = [sorted((chi.values, reducer.least_coset_coords(deg).coords)
-                                    for chi, deg in res) for res in results[j]]
+                canonical = [BimoduleClass(d.blocks[i], d.blocks[j], res).sorted_key()
+                             for res in results[j]]
                 if all(c == canonical[0] for c in canonical[1:]):
                     raw[(i, j)] = results[j][0]
                     continue
@@ -451,7 +450,6 @@ def grading_iso(d, d_prime):
     """
     if d.ambient != d_prime.ambient:
         raise AmbientMismatch("data over different ambient groups")
-    from .posets import poset_isomorphisms
 
     skel = d.skeleton
     order = list(skel.elements)

@@ -87,3 +87,7 @@ class NoIntermediateBlock(IncidenceGradingsError):
 
 class MalformedInput(IncidenceGradingsError):
     """JSON input does not match the documented schema."""
+
+
+class BudgetExceeded(IncidenceGradingsError):
+    """The input is larger than a fixed size budget of the library."""

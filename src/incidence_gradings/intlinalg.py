@@ -2,8 +2,10 @@
 
 Everything here works on small dense matrices given as lists of rows of
 Python ints, so there is no overflow anywhere.  The Hermite normal form is
-the canonical representative used for subgroup identity; the Smith normal
-form (with column transforms) produces invariant-factor generators.
+the canonical representative used for subgroup identity, and reduction
+against it (`hnf_reduce`; Cohen, GTM 138, 2.4) picks coset representatives;
+the Smith normal form (with column transforms) produces invariant-factor
+generators.
 """
 
 
@@ -83,24 +85,22 @@ def left_kernel(rows, ncols):
     return transform[len(hnf):]
 
 
-def solve_in_rowspace(hnf_rows, pivot_cols, target):
-    """Express `target` as an integer combination of HNF rows.
+def hnf_reduce(hnf_rows, pivot_cols, target):
+    """Reduce `target` by HNF rows, each pivot coordinate into [0, pivot).
 
-    Returns the coefficient list, or None when target is outside the
-    lattice spanned by the rows.
+    Returns (coeffs, rest) with target == sum(c * row) + rest.  `rest` is
+    zero exactly when target lies in the lattice of the rows, and equal for
+    any two targets in one coset of it: no nonzero lattice vector has its
+    leading entry, a multiple of a pivot, inside (-pivot, pivot).
     """
-    v = list(target)
+    rest = list(target)
     coeffs = []
     for row, pc in zip(hnf_rows, pivot_cols):
-        if v[pc] % row[pc] != 0:
-            return None
-        c = v[pc] // row[pc]
+        c = rest[pc] // row[pc]
         if c:
-            v = [a - c * b for a, b in zip(v, row)]
+            rest = [a - c * b for a, b in zip(rest, row)]
         coeffs.append(c)
-    if any(v):
-        return None
-    return coeffs
+    return coeffs, rest
 
 
 def smith_normal_form(rows, ncols):

@@ -4,7 +4,8 @@ Rationals travel as reduced "p/q" strings with positive denominator, so
 exactness survives any JSON parser.  Serialization is canonical: equal
 values produce byte-identical documents (sorted keys, compact separators,
 canonical in-memory forms).  Decoders raise MalformedInput with a path
-hint on any schema violation.
+hint on any schema violation, an unknown key included; a missing key takes
+its default.
 """
 
 from __future__ import annotations
@@ -42,6 +43,21 @@ def _expect(data, typ, path):
     return data
 
 
+def _expect_object(data, keys, path):
+    # a misspelt key would otherwise be dropped and its default used
+    for key in _expect(data, dict, path):
+        if key not in keys:
+            _fail(path, f"unknown key {key!r}")
+    return data
+
+
+def _standalone(data, decode, path):
+    """Decode an object that carries its "ambient" group beside its keys."""
+    _expect(data, dict, path)
+    ambient = decode_group(data.get("ambient", {}), f"{path}.ambient")
+    return decode({k: v for k, v in data.items() if k != "ambient"}, ambient, path)
+
+
 def encode_rational(q):
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
@@ -64,7 +80,7 @@ def encode_group(group):
 
 
 def decode_group(data, path="group"):
-    _expect(data, dict, path)
+    _expect_object(data, ("free_rank", "torsion"), path)
     free_rank = _expect(data.get("free_rank", 0), int, f"{path}.free_rank")
     torsion = [_expect(d, int, f"{path}.torsion[{n}]") for n, d in
                enumerate(_expect(data.get("torsion", []), list, path))]
@@ -92,11 +108,15 @@ def encode_subgroup(sub):
 
 
 def decode_subgroup(data, ambient, path="subgroup"):
-    _expect(data, dict, path)
+    _expect_object(data, ("generators",), path)
     gens_data = _expect(data.get("generators", []), list, path)
     gens = [decode_element(g, ambient, f"{path}.generators[{n}]")
             for n, g in enumerate(gens_data)]
     return canonicalize(gens, ambient)
+
+
+def decode_subgroup_standalone(data, path="subgroup"):
+    return _standalone(data, decode_subgroup, path)
 
 
 # -- characters ---------------------------------------------------------------
@@ -107,7 +127,7 @@ def encode_character(chi):
 
 
 def decode_character(data, ambient, path="character"):
-    _expect(data, dict, path)
+    _expect_object(data, ("domain", "values"), path)
     domain = decode_subgroup(data.get("domain", {}), ambient, f"{path}.domain")
     values = [decode_rational(v, f"{path}.values[{n}]")
               for n, v in enumerate(_expect(data.get("values", []), list, path))]
@@ -125,7 +145,7 @@ def encode_cyclo(c):
 
 
 def decode_cyclo(data, path="cyclo"):
-    _expect(data, dict, path)
+    _expect_object(data, ("conductor", "coeffs"), path)
     conductor = _expect(data.get("conductor", 1), int, f"{path}.conductor")
     coeffs = [decode_rational(v, f"{path}.coeffs[{n}]")
               for n, v in enumerate(_expect(data.get("coeffs", []), list, path))]
@@ -151,7 +171,7 @@ def decode_incidence_element(data, poset, path="incidence"):
     _expect(data, list, path)
     coeffs = {}
     for n, entry in enumerate(data):
-        _expect(entry, dict, f"{path}[{n}]")
+        _expect_object(entry, ("from", "to", "coeff"), f"{path}[{n}]")
         x, y = entry.get("from"), entry.get("to")
         c = decode_cyclo(entry.get("coeff", {}), f"{path}[{n}].coeff")
         try:
@@ -172,7 +192,7 @@ def encode_poset(p):
 
 
 def decode_poset(data, path="poset"):
-    _expect(data, dict, path)
+    _expect_object(data, ("elements", "covers"), path)
     elements = _expect(data.get("elements", []), list, path)
     covers = _expect(data.get("covers", []), list, path)
     # labels are hashed below, so their type is checked first
@@ -203,12 +223,12 @@ def encode_bimodule(m):
 
 
 def decode_bimodule(data, ambient, path="bimodule"):
-    _expect(data, dict, path)
+    _expect_object(data, ("left", "right", "pairs"), path)
     left = decode_subgroup(data.get("left", {}), ambient, f"{path}.left")
     right = decode_subgroup(data.get("right", {}), ambient, f"{path}.right")
     pairs = []
     for n, entry in enumerate(_expect(data.get("pairs", []), list, path)):
-        _expect(entry, dict, f"{path}.pairs[{n}]")
+        _expect_object(entry, ("char", "deg"), f"{path}.pairs[{n}]")
         chi = decode_character(entry.get("char", {}), ambient,
                                f"{path}.pairs[{n}].char")
         deg = decode_element(entry.get("deg", []), ambient,
@@ -227,9 +247,7 @@ def encode_bimodule_standalone(m):
 
 
 def decode_bimodule_standalone(data, path="bimodule"):
-    _expect(data, dict, path)
-    ambient = decode_group(data.get("ambient", {}), f"{path}.ambient")
-    return decode_bimodule(data, ambient, path)
+    return _standalone(data, decode_bimodule, path)
 
 
 # -- grading data ----------------------------------------------------------------
@@ -257,7 +275,7 @@ def encode_datum(d):
 
 
 def decode_datum(data, path="datum"):
-    _expect(data, dict, path)
+    _expect_object(data, ("ambient", "skeleton", "blocks", "bimodules"), path)
     ambient = decode_group(data.get("ambient", {}), f"{path}.ambient")
     skeleton = decode_poset(data.get("skeleton", {}), f"{path}.skeleton")
     blocks_data = _expect(data.get("blocks", {}), dict, path)

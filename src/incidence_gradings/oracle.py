@@ -18,6 +18,7 @@ from functools import reduce
 from math import lcm
 
 from .abelian import intersect, subgroup_sum
+from .bimodules import BimoduleClass
 from .characters import dual_group
 from .cyclo import _power_table, euler_phi, root_of_unity
 from .errors import NoIntermediateBlock
@@ -292,9 +293,7 @@ def radical_square_component(r, i, k):
             continue
         reps = {coset.least_coset_coords(deg).coords for _, deg in flats}
         assert len(reps) == 1, "isotypic piece spread over several degree cosets"
-        degree = coset.least_coset_coords(flats[0][1])
-        pairs.append((chi, degree))
-    from .bimodules import BimoduleClass
+        pairs.append((chi, flats[0][1]))
     return BimoduleClass(h_i, h_k, pairs)
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incidence_gradings import abelian
 from incidence_gradings.abelian import (
@@ -13,11 +14,15 @@ from incidence_gradings.abelian import (
     subgroup_sum,
     trivial_subgroup,
 )
+from incidence_gradings.characters import dual_group
 from incidence_gradings.errors import (
     AmbientMismatch,
+    BudgetExceeded,
     InfiniteSubgroup,
     InvalidElement,
 )
+
+from helpers import SWEEP_GROUPS
 
 Z4 = AbelianGroup(0, [4])
 Z2xZ2 = AbelianGroup(0, [2, 2])
@@ -231,6 +236,76 @@ def test_least_coset_coords():
     two = sub(Z4, [2])
     assert two.least_coset_coords(Z4.element([3])).coords == (1,)
     assert two.least_coset_coords(Z4.element([2])).coords == (0,)
+
+
+# -- Hermite reduction against the enumeration it replaced ---------------------
+
+COSET_GROUPS = SWEEP_GROUPS + [AbelianGroup(0, t) for t in
+                               ([12], [2, 6], [4, 4], [3, 9], [2, 2, 2])]
+
+
+def least_by_enumeration(h, g):
+    return min((g + x for x in h.elements()), key=lambda e: e.coords)
+
+
+def test_least_coset_coords_matches_enumeration():
+    cases = 0
+    for group in COSET_GROUPS:
+        elems = list(group.elements())
+        for h in all_subgroups(group):
+            for g in elems:
+                assert h.least_coset_coords(g) == least_by_enumeration(h, g)
+                cases += 1
+    assert cases > 900
+
+
+@st.composite
+def finite_subgroup_and_element(draw):
+    """A finite subgroup of Z x Z/4 or Z^2 x Z/2 x Z/6 (its generators have
+    zero free part) and an element whose free coordinates may be negative."""
+    group = draw(st.sampled_from([AbelianGroup(1, [4]), AbelianGroup(2, [2, 6])]))
+    torsion = [st.integers(-12, 12) for _ in group.torsion_factors]
+    zeros = (0,) * group.free_rank
+    gens = draw(st.lists(st.tuples(*torsion), max_size=3))
+    h = canonicalize([group.element(zeros + t) for t in gens], group)
+    coords = draw(st.tuples(*[st.integers(-9, 9) for _ in range(group.rank)]))
+    return h, group.element(coords)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(finite_subgroup_and_element())
+def test_least_coset_coords_matches_enumeration_with_free_rank(case):
+    h, g = case
+    rep = h.least_coset_coords(g)
+    assert rep == least_by_enumeration(h, g)
+    # a finite subgroup moves only the torsion coordinates
+    free = g.group.free_rank
+    assert rep.coords[:free] == g.coords[:free]
+
+
+def test_least_coset_coords_errors():
+    with pytest.raises(AmbientMismatch):
+        sub(Z4, [2]).least_coset_coords(Z2xZ2.element([1, 0]))
+    with pytest.raises(AmbientMismatch):
+        Z2xZ2.element([1, 0]) in sub(Z2xZ4, [0, 2])
+    free = canonicalize([ZxZ2.element([1, 0])], ZxZ2)
+    with pytest.raises(InfiniteSubgroup):
+        free.least_coset_coords(ZxZ2.element([3, 1]))
+
+
+def test_enumeration_budget(monkeypatch):
+    whole = full_subgroup(AbelianGroup(0, [2, 4]))
+    monkeypatch.setattr(abelian, "ENUMERATION_BUDGET", 7)
+    with pytest.raises(BudgetExceeded, match="enumeration budget of 7"):
+        whole.elements()
+    with pytest.raises(BudgetExceeded, match="enumeration budget of 7"):
+        dual_group(whole)
+    # coset questions never enumerate, so they stay within any budget
+    g = Z2xZ4.element([1, 3])
+    assert whole.least_coset_coords(g) == Z2xZ4.zero()
+    assert g in whole
+    monkeypatch.setattr(abelian, "ENUMERATION_BUDGET", 8)
+    assert len(whole.elements()) == len(dual_group(whole)) == 8
 
 
 def test_intern_memo_is_bounded():

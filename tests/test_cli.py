@@ -339,3 +339,92 @@ def test_memo_eviction_changes_nothing(capsys):
         assert after.blocks[label] == block
         assert hash(after.blocks[label]) == hash(block)
     assert [run(capsys, command, str(path)) for command in commands] == outputs
+
+
+def _rename(key, new):
+    def edit(obj):
+        obj[new] = obj.pop(key)
+    return edit
+
+
+# one misspelt or extra key per object kind: (steps to the object, edit,
+# the path the error names, the unknown key)
+PAIR = ["bimodules", "1,2", "pairs", 0]
+UNKNOWN_KEYS = {
+    "datum": ([], _rename("skeleton", "skeletons"), "datum", "skeletons"),
+    "ambient": (["ambient"], _rename("torsion", "torsoin"),
+                "datum.ambient", "torsoin"),
+    "skeleton": (["skeleton"], _rename("covers", "cover"),
+                 "datum.skeleton", "cover"),
+    "block": (["blocks", "2"], _rename("generators", "gens"),
+              "datum.blocks[2]", "gens"),
+    "bimodule": (PAIR[:2], _rename("pairs", "pair"),
+                 "datum.bimodules[1,2]", "pair"),
+    "pair": (PAIR, _rename("deg", "degree"),
+             "datum.bimodules[1,2].pairs[0]", "degree"),
+    "character": (PAIR + ["char"], _rename("values", "value"),
+                  "datum.bimodules[1,2].pairs[0].char", "value"),
+    "domain": (PAIR + ["char", "domain"], lambda obj: obj.update(ambient={}),
+               "datum.bimodules[1,2].pairs[0].char.domain", "ambient"),
+}
+
+
+@pytest.mark.parametrize("kind", list(UNKNOWN_KEYS))
+def test_unknown_key_in_datum_exits_2(tmp_path, capsys, kind):
+    steps, edit, path, key = UNKNOWN_KEYS[kind]
+    doc = jsonio.encode_datum(_two_block())
+    obj = doc
+    for step in steps:
+        obj = obj[step]
+    edit(obj)
+    message = _assert_malformed(tmp_path, capsys, doc)
+    assert message == f"{path}: unknown key {key!r}"
+
+
+@pytest.mark.parametrize("command", ["product", "iso-bimodule"])
+def test_unknown_key_in_standalone_bimodule_exits_2(tmp_path, capsys, command):
+    m = BimoduleClass(full_subgroup(Z2), full_subgroup(Z2),
+                      [(dual_group(full_subgroup(Z2))[1], Z2.zero())])
+    good = jsonio.encode_bimodule_standalone(m)
+    assert "ambient" in good  # beside the bimodule's own keys, and accepted
+    code, out, err = run(capsys, command, write_json(tmp_path, "m.json", good),
+                         write_json(tmp_path, "n.json", good))
+    assert code == 0
+    good["note"] = "x"
+    code, out, err = run(capsys, command, write_json(tmp_path, "m.json", good),
+                         write_json(tmp_path, "n.json", good))
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "MalformedInput"
+    assert error["message"] == "bimodule: unknown key 'note'"
+
+
+def test_unknown_key_in_dual_subgroup_exits_2(tmp_path, capsys):
+    # {"gens": ...} would otherwise be read as the trivial subgroup
+    doc = {"ambient": jsonio.encode_group(Z4), "gens": [[2]]}
+    code, out, err = run(capsys, "dual", write_json(tmp_path, "sub.json", doc))
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "MalformedInput"
+    assert error["message"] == "subgroup: unknown key 'gens'"
+
+
+def test_enumeration_budget_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(abelian, "ENUMERATION_BUDGET", 3)
+    doc = {"ambient": jsonio.encode_group(Z4), "generators": [[1]]}
+    code, out, err = run(capsys, "dual", write_json(tmp_path, "sub.json", doc))
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "BudgetExceeded"
+    assert "enumeration budget of 3" in error["message"]
+    path = write_json(tmp_path, "d.json", jsonio.encode_datum(_two_block()))
+    code, out, err = run(capsys, "verify", path)
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == "BudgetExceeded"
+    # validating a two-block datum asks only coset questions: no enumeration
+    code, out, err = run(capsys, "validate", path)
+    assert code == 0
+    assert json.loads(out)["valid"] is True

@@ -1,12 +1,14 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from incidence_gradings.intlinalg import (
+    hnf_reduce,
     left_kernel,
     mat_mul,
     row_hnf,
     row_hnf_with_transform,
     smith_normal_form,
-    solve_in_rowspace,
 )
 
 
@@ -56,18 +58,46 @@ def test_left_kernel_annihilates():
             assert all(v == 0 for v in out)
 
 
-def test_solve_in_rowspace_roundtrip():
+def combine(coeffs, rows, n):
+    return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+
+
+def test_hnf_reduce_roundtrip():
     rng = random.Random(17)
     for _ in range(40):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         rows = random_matrix(rng, m, n)
         hnf, pivots = row_hnf(rows, n)
         coeffs = [rng.randint(-3, 3) for _ in hnf]
-        target = [sum(c * row[j] for c, row in zip(coeffs, hnf)) for j in range(n)]
-        got = solve_in_rowspace(hnf, pivots, target)
-        assert got is not None
-        rebuilt = [sum(c * row[j] for c, row in zip(got, hnf)) for j in range(n)]
-        assert rebuilt == target
+        target = combine(coeffs, hnf, n)
+        got, rest = hnf_reduce(hnf, pivots, target)
+        assert not any(rest)
+        assert combine(got, hnf, n) == target
+
+
+MATRICES = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=4),
+    st.lists(st.integers(-20, 20), min_size=n, max_size=n),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4)))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(MATRICES)
+def test_hnf_reduce_splits_target_into_lattice_part_and_coset_rest(case):
+    n, rows, target, shift = case
+    hnf, pivots = row_hnf(rows, n)
+    coeffs, rest = hnf_reduce(hnf, pivots, target)
+    assert [a + b for a, b in zip(combine(coeffs, hnf, n), rest)] == target
+    for row, pc in zip(hnf, pivots):
+        assert 0 <= rest[pc] < row[pc]
+    # rest is zero exactly for members: membership decided independently
+    # by whether appending the target keeps the lattice's Hermite form
+    member = row_hnf(rows + [target], n) == (hnf, pivots)
+    assert (not any(rest)) == member
+    # and is one vector per coset
+    moved = [a + b for a, b in zip(target, combine(shift, hnf, n))]
+    assert hnf_reduce(hnf, pivots, moved)[1] == rest
 
 
 def test_smith_normal_form_properties():

@@ -183,3 +183,15 @@ def test_decode_rejects_garbage():
                              "skeleton": {"elements": ["a"], "covers": []},
                              "blocks": {},
                              "bimodules": {"a,b": {}}})
+
+
+def test_decoders_outside_the_cli_reject_unknown_keys():
+    # the CLI reaches every other decoder (tests/test_cli.py)
+    with pytest.raises(MalformedInput, match="cyclo: unknown key 'coef'"):
+        jsonio.decode_cyclo({"conductor": 1, "coef": ["1/1"]})
+    p = chain_poset(["x", "y"])
+    entry = {"from": "x", "to": "y", "coeff": {"conductor": 1, "coeffs": ["1/1"]}}
+    assert not jsonio.decode_incidence_element([entry], p).is_zero()
+    with pytest.raises(MalformedInput,
+                       match=r"incidence\[0\]: unknown key 'weight'"):
+        jsonio.decode_incidence_element([dict(entry, weight=1)], p)
