@@ -93,6 +93,18 @@ def _power_table(n):
     return tuple(table)
 
 
+@functools.lru_cache(maxsize=_FIELD_MEMO_SIZE)
+def _root_exponents(n):
+    """The n-th roots of unity in the power basis of Q(zeta_n):
+    {power-basis vector of zeta_n^e: e} for e in [0, n), and the nonzero
+    (column, entry) pairs of each zeta_n^e, which reduce an element of
+    Z[x]/(x^n - 1) to the power basis one exponent at a time."""
+    rows = _power_table(n)[:n]
+    return ({row: e for e, row in enumerate(rows)},
+            tuple(tuple((q, x) for q, x in enumerate(row) if x)
+                  for row in rows))
+
+
 def euler_phi(n):
     return len(cyclotomic_polynomial(n)) - 1
 

@@ -30,6 +30,7 @@ not graded (the B_3 datum over Z/3 in the tests).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import lcm
 
 from .abelian import intersect, subgroup_sum
@@ -39,6 +40,7 @@ from .characters import dual_group, restrict
 from .cyclo import root_of_unity
 from .errors import (
     AmbientMismatch,
+    BudgetExceeded,
     ChainInconsistency,
     DegreeConflict,
     InternalTransitivityFailure,
@@ -47,6 +49,14 @@ from .errors import (
 )
 from .incidence import IncidenceElement
 from .posets import Poset, poset_isomorphisms
+
+# Largest conductor (lcm of the block exponents) validate_datum accepts,
+# so that validate refuses the data realize and verify cannot handle.  The
+# tests, benchmark and probes use at most 32.  Up to the budget the
+# costliest fields are Q(zeta_p) for the primes 1019 and 1021: their tables
+# (cyclo._power_table and _root_exponents, oracle._modular_root) build in
+# 0.12-0.18 s from cold on a 2-vCPU Xeon with Python 3.11.7.
+CONDUCTOR_BUDGET = 2 ** 10
 
 
 class GradingDatum:
@@ -230,6 +240,9 @@ def validate_datum(d):
     report = ValidationReport()
     report.conductor = lcm(*(h.exponent() for h in d.blocks.values())) \
         if d.blocks else 1
+    if report.conductor > CONDUCTOR_BUDGET:
+        raise BudgetExceeded(f"conductor {report.conductor} exceeds the "
+                             f"conductor budget of {CONDUCTOR_BUDGET}")
 
     # condition (2): every cover class embeds in the regular module
     for (i, j), cls in sorted(d.cover_bimodules.items(),
@@ -360,11 +373,11 @@ def realize(d):
     conductor = report.conductor
     roots = {}
 
-    def root(q):
-        # one lifted number per distinct character value, shared by the basis
-        c = roots.get(q)
+    def root(e):
+        # zeta_N^e: one lifted number per exponent, shared by the basis
+        c = roots.get(e)
         if c is None:
-            c = roots[q] = root_of_unity(q).lift(conductor)
+            c = roots[e] = root_of_unity(Fraction(e, conductor)).lift(conductor)
         return c
 
     skel = d.skeleton
@@ -378,6 +391,24 @@ def realize(d):
             verts.append(lab)
             vertex_data[lab] = (block, eta)
     vert_index = {v: n for n, v in enumerate(verts)}
+
+    # N * eta(h) mod N for every vertex and every h of its block: the
+    # generator coordinates of h are found once per block, and each value
+    # is their dot product with N times eta's generator values (the sum
+    # Character.__call__ forms; N is a multiple of every denominator)
+    exponent = {}
+    for block in skel.elements:
+        h_block = d.blocks[block]
+        carried = [n for n, order in enumerate(h_block._gen_orders) if order > 1]
+        labelled = [(vertex_label(block, eta),
+                     [int(v * conductor) for v in eta.values])
+                    for eta in duals[block]]
+        for h in h_block.elements():
+            coords = h_block.generator_coords(h)
+            coords = [coords[n] for n in carried]
+            for lab, values in labelled:
+                exponent[(lab, h.coords)] = sum(
+                    c * v for c, v in zip(coords, values)) % conductor
 
     # restrictions of every vertex character to each relevant intersection
     up = [{n} for n in range(len(verts))]
@@ -414,7 +445,7 @@ def realize(d):
             coeffs = {}
             for eta in duals[block]:
                 lab = vertex_label(block, eta)
-                coeffs[(lab, lab)] = root(eta(h))
+                coeffs[(lab, lab)] = root(exponent[(lab, h.coords)])
             basis.append(BasisVector(
                 IncidenceElement(poset, coeffs), h, ("diag", block, h.coords)))
     for (i, j), state in sorted(raw.items(),
@@ -427,9 +458,9 @@ def realize(d):
             for h, k in _twist_orbit_representatives(h_i, h_j, h_ij):
                 coeffs = {}
                 for vi, vj in related:
-                    eta_i = vertex_data[vi][1]
-                    eta_j = vertex_data[vj][1]
-                    coeffs[(vi, vj)] = root((eta_i(h) + eta_j(k)) % 1)
+                    coeffs[(vi, vj)] = root(
+                        (exponent[(vi, h.coords)] + exponent[(vj, k.coords)])
+                        % conductor)
                 basis.append(BasisVector(
                     IncidenceElement(poset, coeffs), h + deg + k,
                     ("cross", i, j, chi.values, h.coords, k.coords)))

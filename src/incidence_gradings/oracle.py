@@ -1,17 +1,37 @@
 """Brute-force verification inside the concrete algebra I(X).
 
 Everything here distrusts the construction: the grading axioms are
-re-checked by exact linear algebra over the rationals (coordinate-wise
-over the cyclotomic power basis), the two-step radical products are
+re-checked by exact linear algebra, the two-step radical products are
 decomposed with honest character projectors built from left/right
 multiplications in I(X), and the link-count identity is recounted on the
-realized poset.  Linear independence over the field Q(zeta_N) is decided
-by closing each vector under multiplication by zeta and taking ranks
-over Q, which needs no field division.
+realized poset.
+
+Products.  Each element is written once as a preimage in the group ring
+Z[x]/(x^N - 1): a coefficient equal to zeta_N^e becomes the monomial x^e,
+any other its power-basis numerators, all at one common integer scale.
+Products then only add exponents mod N, and each result is reduced to
+the power basis of Q(zeta_N) once.  x -> zeta_N is a ring homomorphism,
+so the reduced vector is exactly a positive multiple of the product's;
+zero tests and spans do not see the multiple.
+
+Full rank.  The basis is mapped to F_p^dim, one entry per comparable
+pair, with p the least prime = 1 (mod N) above 2^62 and zeta_N sent to a
+root r of Phi_N mod p.  That map is reduction modulo a prime ideal of
+Z[zeta_N] above p, so rank dim mod p makes the determinant nonzero and
+proves full rank over Q(zeta_N).  Any other outcome proves nothing, and
+independence and spanning are then decided exactly: each vector is closed
+under multiplication by zeta and ranks are taken over Q, which needs no
+field division.
+
+Membership of a product in the span of its degree is always decided over
+Q in that zeta-closed form, because no modular answer certifies "in the
+span".
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -20,7 +40,13 @@ from math import lcm
 from .abelian import intersect, subgroup_sum
 from .bimodules import BimoduleClass
 from .characters import dual_group
-from .cyclo import _power_table, euler_phi, root_of_unity
+from .cyclo import (
+    _power_table,
+    _root_exponents,
+    cyclotomic_polynomial,
+    euler_phi,
+    root_of_unity,
+)
 from .errors import NoIntermediateBlock
 from .incidence import IncidenceElement, identity_element
 from .posets import link_counts
@@ -28,7 +54,7 @@ from .rowspan import RationalRowSpace
 
 
 # ---------------------------------------------------------------------------
-# flattening incidence elements to integer vectors
+# group-ring preimages and flattening to integer vectors
 
 
 def _conductor_of(elements):
@@ -39,26 +65,77 @@ def _conductor_of(elements):
     return n
 
 
-def _flatten(elems, pair_index, conductor):
-    """Integer vectors of the elements, one block of phi(N) columns per
-    comparable pair, all multiplied by one common scale that clears every
-    denominator.  Ranks and membership are scale-invariant, and the common
-    scale keeps integer combinations of the vectors proportional to the
-    same combinations of the elements."""
-    phi = euler_phi(conductor)
-    lifted = [[(pair_index[pair] * phi, c.lift(conductor))
-               for pair, c in elem.coeffs.items()] for elem in elems]
-    scale = reduce(lcm, (c.den for blocks in lifted for _, c in blocks), 1)
+def _ring_preimages(elems, conductor):
+    """Each element as a sparse {(x, y, exponent): int}, a preimage in
+    Z[x]/(x^N - 1) of all its coefficients at one common scale that
+    clears every denominator: a coefficient equal to zeta_N^e becomes
+    the monomial scale * x^e, any other its power-basis numerators.
+
+    x -> zeta_N is a ring homomorphism, so a product formed here and then
+    reduced (`_reduce`) is exactly scale^2 times the product of the
+    elements.  Returns (preimages, scale)."""
+    exponent_of, _ = _root_exponents(conductor)
+    lifted = [[(pair, c.lift(conductor)) for pair, c in elem.coeffs.items()]
+              for elem in elems]
+    scale = reduce(lcm, (c.den for terms in lifted for _, c in terms), 1)
     out = []
-    for blocks in lifted:
-        flat = {}
-        for base, c in blocks:
-            factor = scale // c.den
-            for p, x in enumerate(c.nums):
-                if x:
-                    flat[base + p] = x * factor
-        out.append(flat)
+    for terms in lifted:
+        pre = {}
+        for (x, y), c in terms:
+            e = exponent_of.get(c.nums) if c.den == 1 else None
+            if e is not None:
+                pre[(x, y, e)] = scale
+            else:
+                factor = scale // c.den
+                for p, num in enumerate(c.nums):
+                    if num:
+                        pre[(x, y, p)] = num * factor
+        out.append(pre)
+    return out, scale
+
+
+def _by_first(pre):
+    # product loops index the right factor by its first vertex
+    out = {}
+    for (z, y, e), c in pre.items():
+        out.setdefault(z, []).append((y, e, c))
     return out
+
+
+def _ring_product(a, b_by_first, conductor):
+    """The group-ring product of a and an element indexed by `_by_first`:
+    convolution over the poset, exponents added mod N."""
+    out = {}
+    for (x, z, ea), ca in a.items():
+        for y, eb, cb in b_by_first.get(z, ()):
+            key = (x, y, (ea + eb) % conductor)
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def _reduce(elem, pair_index, conductor):
+    """The integer vector of a group-ring element: one block of phi(N)
+    power-basis columns per comparable pair, each (pair, exponent) term
+    reduced through its `_power_table` row; zero entries are dropped."""
+    phi = euler_phi(conductor)
+    _, rows = _root_exponents(conductor)
+    flat = {}
+    for (x, y, e), c in elem.items():
+        if c:
+            base = pair_index[(x, y)] * phi
+            for q, t in rows[e]:
+                col = base + q
+                flat[col] = flat.get(col, 0) + c * t
+    return {col: v for col, v in flat.items() if v}
+
+
+def _flatten(elems, pair_index, conductor):
+    """Integer vectors of the elements, all multiplied by one common scale
+    that clears every denominator.  Ranks and membership are
+    scale-invariant, and the common scale keeps integer combinations of
+    the vectors proportional to the same combinations of the elements."""
+    pres, _ = _ring_preimages(elems, conductor)
+    return [_reduce(pre, pair_index, conductor) for pre in pres]
 
 
 def _zeta_shift(flat, conductor, power):
@@ -91,6 +168,95 @@ def _zeta_closed_space(flats, conductor):
         for a in range(phi):
             space.add(_zeta_shift(flat, conductor, a))
     return space
+
+
+# ---------------------------------------------------------------------------
+# full rank modulo a prime
+
+
+_CERTIFICATE_FLOOR = 2 ** 62
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n):
+    """Miller-Rabin on the first 13 prime bases, deterministic for
+    n < 3.3 * 10**24."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=64)  # conductors, like cyclo's field memos
+def _modular_root(conductor):
+    """(p, r): the least prime p = 1 (mod N) above 2^62, and r with
+    Phi_N(r) = 0 (mod p).  x^N - 1 has no repeated roots mod p, so r is a
+    primitive N-th root of unity there."""
+    p = _CERTIFICATE_FLOOR // conductor * conductor + 1
+    while p <= _CERTIFICATE_FLOOR or not _is_prime(p):
+        p += conductor
+    phi_n = cyclotomic_polynomial(conductor)
+    for g in itertools.count(2):
+        r = pow(g, (p - 1) // conductor, p)
+        if reduce(lambda acc, c: (acc * r + c) % p, reversed(phi_n), 0) == 0:
+            return p, r
+
+
+def _rank_mod_p(vectors, p):
+    """Rank over F_p of sparse integer vectors {column: int}, by
+    elimination on the least column."""
+    rows = {}
+    for vec in vectors:
+        v = {c: x % p for c, x in vec.items() if x % p}
+        while v:
+            pivot = min(v)
+            row = rows.get(pivot)
+            if row is None:
+                inv = pow(v[pivot], -1, p)
+                rows[pivot] = {c: x * inv % p for c, x in v.items()}
+                break
+            f = v[pivot]
+            for c, x in row.items():
+                nv = (v.get(c, 0) - f * x) % p
+                if nv:
+                    v[c] = nv
+                else:
+                    v.pop(c, None)
+    return len(rows)
+
+
+def _full_rank_mod_p(preimages, scale, pair_index, conductor):
+    """True when the images of the preimages in F_p^dim (zeta_N -> r, one
+    entry per pair) have rank dim.  Their determinant is then nonzero
+    modulo a prime of Z[zeta_N] above p, so the elements are linearly
+    independent over Q(zeta_N).  False proves nothing."""
+    p, r = _modular_root(conductor)
+    if scale % p == 0:
+        return False
+    powers = [pow(r, e, p) for e in range(conductor)]
+    vectors = []
+    for pre in preimages:
+        vec = {}
+        for (x, y, e), c in pre.items():
+            col = pair_index[(x, y)]
+            vec[col] = vec.get(col, 0) + c * powers[e]
+        vectors.append(vec)
+    return _rank_mod_p(vectors, p) == len(pair_index)
 
 
 # ---------------------------------------------------------------------------
@@ -136,23 +302,28 @@ def verify_grading(r):
     report.dimension = dim
     report.basis_size = len(r.basis)
 
-    conductor = _conductor_of([b.element for b in r.basis])
+    elems = [b.element for b in r.basis]
+    conductor = _conductor_of(elems)
     phi = euler_phi(conductor)
-    flats = _flatten([b.element for b in r.basis], pair_index, conductor)
+    preimages, scale = _ring_preimages(elems, conductor)
+    flats = [_reduce(pre, pair_index, conductor) for pre in preimages]
 
     if len(r.basis) != dim:
         report.flag("basis-size", "basis",
                     f"{len(r.basis)} basis elements for dimension {dim}")
-    space = RationalRowSpace()
-    for idx, flat in enumerate(flats):
-        added = sum(1 for a in range(phi)
-                    if space.add(_zeta_shift(flat, conductor, a)))
-        if added != phi:
-            report.flag("dependent-basis", f"basis[{idx}]",
-                        "element lies in the span of its predecessors")
-    if space.rank != phi * dim:
-        report.flag("not-spanning", "basis",
-                    f"rank {space.rank} over Q, expected {phi * dim}")
+    if len(r.basis) != dim or not _full_rank_mod_p(
+            preimages, scale, pair_index, conductor):
+        # no certificate: decide independence and spanning exactly
+        space = RationalRowSpace()
+        for idx, flat in enumerate(flats):
+            added = sum(1 for a in range(phi)
+                        if space.add(_zeta_shift(flat, conductor, a)))
+            if added != phi:
+                report.flag("dependent-basis", f"basis[{idx}]",
+                            "element lies in the span of its predecessors")
+        if space.rank != phi * dim:
+            report.flag("not-spanning", "basis",
+                        f"rank {space.rank} over Q, expected {phi * dim}")
 
     by_degree = {}
     for idx, b in enumerate(r.basis):
@@ -166,11 +337,18 @@ def verify_grading(r):
                 [flats[m] for m in members], conductor)
         return degree_spaces[deg]
 
+    # a product is zero unless some pair of u ends where one of v starts
+    ends = [{z for _, z, _ in pre} for pre in preimages]
+    indexed = [_by_first(pre) for pre in preimages]
     for iu, u in enumerate(r.basis):
         for iv, v in enumerate(r.basis):
-            w = u.element * v.element
             report.checked_products += 1
-            if w.is_zero():
+            if ends[iu].isdisjoint(indexed[iv]):
+                continue
+            # scale^2 times the flattened u * v; membership ignores the scale
+            w = _reduce(_ring_product(preimages[iu], indexed[iv], conductor),
+                        pair_index, conductor)
+            if not w:
                 continue
             target = u.degree + v.degree
             if target not in by_degree:
@@ -178,8 +356,7 @@ def verify_grading(r):
                             f"nonzero product but no component of degree "
                             f"{target.coords}")
                 continue
-            if not span_of_degree(target).contains(
-                    _flatten([w], pair_index, conductor)[0]):
+            if not span_of_degree(target).contains(w):
                 report.flag("product-escape", f"basis[{iu}] * basis[{iv}]",
                             "product escapes the component of the summed degree")
 
@@ -227,9 +404,11 @@ def _isotypic_flats(r, i, k):
     layout they are flattened in, and their flattened pi_chi images.
 
     The conjugates psi_i(h) w psi_k(-h) are shared by all characters, so
-    they are formed a single time per (product, h) and flattened; each
-    projector is then an integer combination of zeta-shifted conjugates
-    (the 1/|H_ik| scale is dropped: ranks and zero-ness are unaffected).
+    they are formed a single time per (product, h), as group-ring
+    products of the preimages; each projection is then the sum of the
+    conjugates shifted by chi(h)^{-1} in the exponents, reduced once per
+    (character, product) (the 1/|H_ik| scale is dropped and a common
+    positive scale added: ranks and zero-ness are unaffected).
     Returns (products, pair_index, conductor, {chi: [(flat, degree)]}),
     each chi's list in product order with zero projections omitted.
     """
@@ -248,26 +427,31 @@ def _isotypic_flats(r, i, k):
     pair_index = {p: n for n, p in enumerate(r.poset.comparable_pairs())}
     conductor = lcm(_conductor_of([w for w, _ in products]), h_ik.exponent())
     elements = list(h_ik.elements())
+    m = len(elements)
+    pres, _ = _ring_preimages(
+        [diag[(i, h.coords)] for h in elements]
+        + [diag[(k, (-h).coords)] for h in elements]
+        + [w for w, _ in products], conductor)
+    lefts, rights = pres[:m], [_by_first(pre) for pre in pres[m:2 * m]]
     conjugates = []
-    for w, deg in products:
-        terms = [(diag[(i, h.coords)] * w) * diag[(k, (-h).coords)]
-                 for h in elements]
-        conjugates.append((_flatten(terms, pair_index, conductor), deg))
+    for pre in pres[2 * m:]:
+        w = _by_first(pre)
+        conjugates.append([_ring_product(_ring_product(left, w, conductor),
+                                         right, conductor)
+                           for left, right in zip(lefts, rights)])
     projected = {}
     for chi in dual_group(h_ik):
         shifts = [int(((-chi(h)) % 1) * conductor) for h in elements]
         flats = []
-        for per_h, deg in conjugates:
+        for per_h, (_, deg) in zip(conjugates, products):
             acc = {}
-            for flat, shift in zip(per_h, shifts):
-                for col, x in _zeta_shift(flat, conductor, shift).items():
-                    nv = acc.get(col, 0) + x
-                    if nv:
-                        acc[col] = nv
-                    else:
-                        del acc[col]
-            if acc:
-                flats.append((acc, deg))
+            for conj, shift in zip(per_h, shifts):
+                for (x, y, e), c in conj.items():
+                    key = (x, y, (e + shift) % conductor)
+                    acc[key] = acc.get(key, 0) + c
+            flat = _reduce(acc, pair_index, conductor)
+            if flat:
+                flats.append((flat, deg))
         projected[chi] = flats
     return products, pair_index, conductor, projected
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from incidence_gradings import abelian, cyclo, jsonio
+from incidence_gradings import abelian, cyclo, datum, jsonio, oracle
 from incidence_gradings.abelian import (
     AbelianGroup,
     canonicalize,
@@ -132,7 +132,8 @@ def test_verify_clean(tmp_path, capsys):
     assert doc["radical_products"] == [{"pair": ["1", "3"], "agree": True}]
 
 
-@pytest.mark.parametrize("name", ["z12-chain2", "z24-wedge", "z16-chain3"])
+@pytest.mark.parametrize("name", ["z12-chain2", "z24-wedge", "z16-chain3",
+                                  "z32-full-trivial"])
 def test_verify_matches_golden_output(capsys, name):
     # NAME.verify.json is the stdout of `verify NAME.json`, byte for byte
     code, out, err = run(capsys, "verify", str(DATA / f"{name}.json"))
@@ -328,10 +329,11 @@ def test_memo_eviction_changes_nothing(capsys):
     commands = ("validate", "realize", "verify")
     before = jsonio.decode_datum(doc)
     outputs = [run(capsys, command, str(path)) for command in commands]
-    memos = [f for module in (abelian, cyclo) for f in vars(module).values()
-             if hasattr(f, "cache_clear")]
-    assert len(memos) == 7
-    for memo in memos:
+    # by name: oracle holds cyclo's memos too
+    memos = {name: f for module in (abelian, cyclo, oracle)
+             for name, f in vars(module).items() if hasattr(f, "cache_clear")}
+    assert len(memos) == 9
+    for memo in memos.values():
         memo.cache_clear()
     after = jsonio.decode_datum(doc)
     for label, block in before.blocks.items():
@@ -339,6 +341,28 @@ def test_memo_eviction_changes_nothing(capsys):
         assert after.blocks[label] == block
         assert hash(after.blocks[label]) == hash(block)
     assert [run(capsys, command, str(path)) for command in commands] == outputs
+
+
+def test_conductor_budget_exits_1_in_every_command(tmp_path, capsys):
+    # blocks Z/10**7 and its subgroup of order 2: validate used to accept
+    # the datum that realize and verify then refused (its dual group)
+    half = [[10 ** 7 // 2]]
+    doc = {"ambient": {"free_rank": 0, "torsion": [10 ** 7]},
+           "skeleton": {"elements": ["1", "2"], "covers": [["1", "2"]]},
+           "blocks": {"1": {"generators": [[1]]}, "2": {"generators": half}},
+           "bimodules": {"1,2": {
+               "left": {"generators": [[1]]}, "right": {"generators": half},
+               "pairs": [{"char": {"domain": {"generators": half},
+                                   "values": ["1/2"]},
+                          "deg": [1]}]}}}
+    path = write_json(tmp_path, "d.json", doc)
+    for command in ("validate", "realize", "verify"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {
+            "type": "BudgetExceeded",
+            "message": "conductor 10000000 exceeds the conductor budget "
+                       f"of {datum.CONDUCTOR_BUDGET}"}}
 
 
 def _rename(key, new):

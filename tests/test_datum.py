@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -35,13 +34,14 @@ from helpers import (
     ACCEPTANCE_SHAPES,
     SWEEP_GROUPS,
     chain_datum,
+    chain_over_z8,
     diamond_datum,
+    diamond_over_z2,
     two_block_datum,
 )
 
 Z2 = AbelianGroup(0, [2])
 Z4 = AbelianGroup(0, [4])
-Z8 = AbelianGroup(0, [8])
 
 
 def sub(group, *gens):
@@ -251,16 +251,7 @@ def test_realize_cross_degrees():
                           "representatives whose products escape their "
                           "component; the datum still validates")
 def test_realize_diamond_over_z2_is_graded():
-    # block 1 is Z/2, the others trivial, every character trivial; the
-    # paths 1-2-4 and 1-3-4 carry degrees 1 and 0, equal modulo H_1 + H_4
-    whole = full_subgroup(Z2)
-    t = trivial_subgroup(Z2)
-    d = diamond_datum(Z2, [whole, t, t, t], [
-        trivial_class(whole, t, Z2.zero()),
-        trivial_class(whole, t, Z2.zero()),
-        trivial_class(t, t, Z2.element([1])),
-        trivial_class(t, t, Z2.zero()),
-    ])
+    d = diamond_over_z2()
     assert validate_datum(d).valid
     report = verify_grading(realize(d))
     assert report.ok, sorted({v.kind for v in report.violations})
@@ -271,17 +262,7 @@ def test_realize_diamond_over_z2_is_graded():
                           "whose products escape their component; the "
                           "datum still validates")
 def test_realize_chain_over_z8_is_graded():
-    # blocks Z/8, <2>, <2>; covers (1, 2) = {1/4 @ 0, 1/2 @ 0} and
-    # (2, 3) = {3/4 @ 0, 1/2 @ 1}
-    whole = full_subgroup(Z8)
-    two = sub(Z8, [2])
-    by_value = {chi.values[0]: chi for chi in dual_group(two)}
-    d = chain_datum(Z8, [whole, two, two], [
-        BimoduleClass(whole, two, [(by_value[Fraction(1, 4)], Z8.zero()),
-                                   (by_value[Fraction(1, 2)], Z8.zero())]),
-        BimoduleClass(two, two, [(by_value[Fraction(3, 4)], Z8.zero()),
-                                 (by_value[Fraction(1, 2)], Z8.element([1]))]),
-    ])
+    d = chain_over_z8()
     assert validate_datum(d).valid
     report = verify_grading(realize(d))
     assert report.ok, sorted({v.kind for v in report.violations})

@@ -11,32 +11,29 @@ import json
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from incidence_gradings import datum as datum_mod
 from incidence_gradings import jsonio
-from incidence_gradings.abelian import (
-    AbelianGroup,
-    all_subgroups,
-    canonicalize,
-    full_subgroup,
-    intersect,
-    trivial_subgroup,
-)
+from incidence_gradings.abelian import AbelianGroup, canonicalize
 from incidence_gradings.bimodules import BimoduleClass
-from incidence_gradings.characters import dual_group, restrict, trivial_character
+from incidence_gradings.characters import dual_group, trivial_character
 from incidence_gradings.cli import main
 from incidence_gradings.datum import GradingDatum, realize, validate_datum
 from incidence_gradings.errors import ChainInconsistency, DegreeConflict, NotValid
 from incidence_gradings.oracle import verify_grading
 from incidence_gradings.posets import poset_from_relation
 
-from helpers import reference_derive, reference_triple_issue, saturated_chains
+from helpers import (
+    BOOLEAN3,
+    b3_over_z3,
+    grading_data,
+    reference_derive,
+    reference_triple_issue,
+    saturated_chains,
+)
 
 DIAMOND = [("1", "2"), ("1", "3"), ("2", "4"), ("3", "4")]
-BOOLEAN3 = [("0", "a"), ("0", "b"), ("0", "c"), ("a", "ab"), ("a", "ac"),
-            ("b", "ab"), ("b", "bc"), ("c", "ac"), ("c", "bc"),
-            ("ab", "t"), ("ac", "t"), ("bc", "t")]
 
 SHAPES = [
     # the eight shapes of the acceptance sweep (the diamond among them)
@@ -57,40 +54,6 @@ SHAPES = [
 ]
 
 GROUPS = [AbelianGroup(0, t) for t in ([2], [3], [4], [2, 2], [6])]
-SUBGROUPS = {g: all_subgroups(g) for g in GROUPS}
-
-
-@st.composite
-def data(draw):
-    """A random datum.  In half the data nine covers in ten are coboundaries
-    (the cover on u <. w is mu_u / mu_w with degree p_w - p_u), so chains
-    mostly agree and the memo merges states; the other half have free
-    covers, where conflicts and disagreeing chains are common."""
-    labels, relation = draw(st.sampled_from(SHAPES))
-    ambient = draw(st.sampled_from(GROUPS))
-    # nontrivial blocks weigh three times, so covers often carry two
-    # characters, whose products can force degree conflicts
-    subs = [h for h in SUBGROUPS[ambient] if h.order > 1] * 3 + SUBGROUPS[ambient]
-    blocks = {v: draw(st.sampled_from(subs)) for v in labels}
-    skeleton = poset_from_relation(labels, relation)
-    elems = list(ambient.elements())
-    coboundary = draw(st.booleans())
-    mu = {v: draw(st.sampled_from(dual_group(blocks[v]))) for v in labels}
-    pot = {v: draw(st.sampled_from(elems)) for v in labels}
-    covers = {}
-    for u, w in skeleton.covers():
-        mid = intersect(blocks[u], blocks[w])
-        chars = dual_group(mid)
-        if coboundary and draw(st.integers(0, 9)) > 0:
-            pairs = [(restrict(mu[u], mid) * restrict(mu[w], mid).inverse(),
-                      pot[w] - pot[u])]
-        else:
-            # a repeated character breaks condition (2), which the
-            # derivation must still handle as listing the chains does
-            picks = draw(st.lists(st.sampled_from(chars), min_size=1, max_size=2))
-            pairs = [(chi, draw(st.sampled_from(elems))) for chi in picks]
-        covers[(u, w)] = BimoduleClass(blocks[u], blocks[w], pairs)
-    return GradingDatum(ambient, skeleton, blocks, covers)
 
 
 def _raw_form(raw):
@@ -145,7 +108,7 @@ def test_memoised_derivation_matches_chain_enumeration():
 
     @settings(max_examples=2000, derandomize=True, database=None,
               deadline=None)
-    @given(data())
+    @given(grading_data(SHAPES, GROUPS))
     @example(_two_conflicts_diamond())
     def check(d):
         report = _assert_same_derivation(d)
@@ -159,26 +122,8 @@ def test_memoised_derivation_matches_chain_enumeration():
     assert tally["issues"] >= 200 and tally["valid"] >= 200
 
 
-def _b3_over_z3():
-    """Blocks c and bc are Z/3, the rest trivial; cover (c, bc) carries the
-    character 2/3, every other cover the trivial one."""
-    z3 = AbelianGroup(0, [3])
-    full, trivial = full_subgroup(z3), trivial_subgroup(z3)
-    labels = ["0", "a", "b", "c", "ab", "ac", "bc", "t"]
-    blocks = {v: full if v in ("c", "bc") else trivial for v in labels}
-    degrees = {("0", "a"): 0, ("0", "b"): 2, ("0", "c"): 0, ("a", "ab"): 0,
-               ("a", "ac"): 0, ("b", "ab"): 1, ("b", "bc"): 0, ("c", "ac"): 0,
-               ("c", "bc"): 0, ("ab", "t"): 2, ("ac", "t"): 2, ("bc", "t"): 0}
-    covers = {}
-    for (u, w), g in degrees.items():
-        mid = intersect(blocks[u], blocks[w])
-        chi = dual_group(mid)[2] if (u, w) == ("c", "bc") else trivial_character(mid)
-        covers[(u, w)] = BimoduleClass(blocks[u], blocks[w], [(chi, z3.element([g]))])
-    return GradingDatum(z3, poset_from_relation(labels, BOOLEAN3), blocks, covers)
-
-
 def test_b3_over_z3_chains_disagree():
-    d = _b3_over_z3()
+    d = b3_over_z3()
     issues = _assert_same_derivation(d).issues
     assert issues and all("saturated chains" in i.message for i in issues)
     with pytest.raises(NotValid):
@@ -196,7 +141,7 @@ def test_b3_over_z3_chains_disagree():
 
 
 def test_realize_and_verify_derive_once(tmp_path, capsys):
-    d = _b3_over_z3()
+    d = b3_over_z3()
     # make it valid: every cover trivial, the degrees telescoping to 0
     covers = {c: BimoduleClass(cls.left, cls.right,
                                [(trivial_character(cls.middle), d.ambient.zero())])

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from incidence_gradings.abelian import (
     AbelianGroup,
@@ -14,13 +16,28 @@ from incidence_gradings.abelian import (
 )
 from incidence_gradings.bimodules import BimoduleClass, bimodule_iso
 from incidence_gradings.characters import dual_group, trivial_character
-from incidence_gradings.cyclo import root_of_unity
-from incidence_gradings.datum import BasisVector, RealizedGrading, realize
+from incidence_gradings import datum as datum_mod
+from incidence_gradings import oracle
+from incidence_gradings.cyclo import cyclotomic_polynomial, root_of_unity
+from incidence_gradings.datum import (
+    CONDUCTOR_BUDGET,
+    BasisVector,
+    GradingDatum,
+    RealizedGrading,
+    realize,
+    validate_datum,
+)
 from incidence_gradings.errors import NoIntermediateBlock
 from incidence_gradings.incidence import IncidenceElement
 from incidence_gradings.oracle import (
+    _conductor_of,
     _flatten,
+    _full_rank_mod_p,
+    _is_prime,
     _isotypic_flats,
+    _modular_root,
+    _rank_mod_p,
+    _ring_preimages,
     apply_twist_projector,
     check_link_equation,
     isotypic_rank_table,
@@ -30,7 +47,19 @@ from incidence_gradings.oracle import (
 from incidence_gradings.posets import chain_poset
 from incidence_gradings.rowspan import RationalRowSpace
 
-from helpers import SWEEP_GROUPS, chain_datum, two_block_datum
+from helpers import (
+    ACCEPTANCE_SHAPES,
+    SWEEP_GROUPS,
+    b3_over_z3,
+    chain_datum,
+    grading_data,
+    chain_over_z8,
+    diamond_over_z2,
+    reference_derive,
+    reference_verify_grading,
+    saturated_chains,
+    two_block_datum,
+)
 
 Z2 = AbelianGroup(0, [2])
 Z4 = AbelianGroup(0, [4])
@@ -275,3 +304,245 @@ def test_link_equation_reports():
                       {"a": whole, "b": whole}, {})
     report3 = check_link_equation(realize(d3))
     assert report3.ok and report3.checked_pairs == 0
+
+
+# ---------------------------------------------------------------------------
+# group-ring products and the modular certificate against the reference
+
+
+def _report_form(report):
+    return ([(v.kind, v.location, v.message) for v in report.violations],
+            report.dimension, report.basis_size, report.checked_products)
+
+
+def _assert_same_report(r):
+    got = verify_grading(r)
+    assert _report_form(got) == _report_form(reference_verify_grading(r))
+    return got
+
+
+def _with_basis(r, basis):
+    return RealizedGrading(r.datum, r.poset, r.vertex_data, basis, r.full_raw)
+
+
+def _changed(vector, pair, change):
+    """The basis vector with change applied to its coefficient at pair."""
+    coeffs = dict(vector.element.coeffs)
+    coeffs[pair] = change(coeffs[pair])
+    return BasisVector(IncidenceElement(vector.element.poset, coeffs),
+                       vector.degree, vector.tag)
+
+
+# coefficients that are not roots of unity, one with a rational denominator
+COEFFICIENT_CHANGES = {
+    "two-zeta": lambda c: 2 * c,
+    "one-plus-zeta": lambda c: 1 + c,
+    "denominator": lambda c: c * Fraction(1, 3),
+}
+MUTATIONS = ("none", "degree", *COEFFICIENT_CHANGES, "duplicate", "drop")
+
+
+def _mutated(r, kind, pick):
+    """r with one basis vector changed as kind says; pick chooses which."""
+    basis = list(r.basis)
+    idx = pick % len(basis)
+    old = basis[idx]
+    if kind == "degree":
+        nonzero = [g for g in r.ambient.elements() if not g.is_zero()]
+        if not nonzero:
+            return r
+        basis[idx] = BasisVector(old.element,
+                                 old.degree + nonzero[pick % len(nonzero)],
+                                 old.tag)
+    elif kind in COEFFICIENT_CHANGES:
+        pair = sorted(old.element.coeffs)[pick % len(old.element.coeffs)]
+        basis[idx] = _changed(old, pair, COEFFICIENT_CHANGES[kind])
+    elif kind == "duplicate":
+        if len(basis) < 2:
+            return r
+        other = basis[(idx + 1 + pick // len(basis) % (len(basis) - 1))
+                      % len(basis)]
+        basis[idx] = BasisVector(other.element, old.degree, old.tag)
+    elif kind == "drop":
+        del basis[idx]
+    return _with_basis(r, basis)
+
+
+@pytest.mark.parametrize("change", list(COEFFICIENT_CHANGES))
+def test_projector_conjugates_with_non_root_diagonals(change):
+    # a diagonal coefficient that is not a root of unity takes the
+    # power-basis path of the group-ring product; the flattened
+    # conjugate sums still match apply_twist_projector's
+    rng = random.Random(f"non-root-{change}")
+    for ambient in (Z4, AbelianGroup(0, [6]), AbelianGroup(0, [2, 2])):
+        subs = [h for h in all_subgroups(ambient) if h.order > 1]
+        for _ in range(4):
+            h1, h3 = rng.choice(subs), rng.choice(subs)
+            h2 = rng.choice(all_subgroups(ambient))
+            d = _three_chain(ambient, h1, h2, h3,
+                             rng.choice(dual_group(intersect(h1, h2))),
+                             rng.choice(dual_group(intersect(h2, h3))),
+                             rng.choice(list(ambient.elements())), ambient.zero())
+            r = realize(d)
+            diag = [n for n, b in enumerate(r.basis)
+                    if b.tag[0] == "diag" and b.tag[1] in ("1", "3")]
+            basis = list(r.basis)
+            for n in rng.sample(diag, 2):
+                pair = rng.choice(sorted(basis[n].element.coeffs))
+                basis[n] = _changed(basis[n], pair, COEFFICIENT_CHANGES[change])
+            r = _with_basis(r, basis)
+            products, pair_index, conductor, projected = \
+                _isotypic_flats(r, "1", "3")
+            for chi, flats in projected.items():
+                want = []
+                for w, deg in products:
+                    pw = apply_twist_projector(r, "1", "3", chi, w)
+                    if not pw.is_zero():
+                        flat = _flatten([pw], pair_index, conductor)[0]
+                        want.append((_primitive(flat), deg))
+                assert [(_primitive(f), deg) for f, deg in flats] == want
+
+
+def test_verify_grading_matches_reference_oracle():
+    # the group-ring products and the modular certificate give the report
+    # of the general products and the zeta-closed Q-elimination, field by
+    # field, on realizations and on corrupted copies of them
+    tally = {"data": 0, "valid": 0, "flagged": 0}
+
+    @settings(max_examples=500, derandomize=True, database=None,
+              deadline=None, suppress_health_check=list(HealthCheck))
+    @given(grading_data([(labels, covers) for _, labels, covers in ACCEPTANCE_SHAPES],
+                        SWEEP_GROUPS),
+           st.sampled_from(MUTATIONS),
+           st.integers(0, 10 ** 6))
+    def check(d, kind, pick):
+        tally["data"] += 1
+        if not validate_datum(d).valid:
+            return
+        tally["valid"] += 1
+        report = _assert_same_report(_mutated(realize(d), kind, pick))
+        tally["flagged"] += not report.ok
+
+    check()
+    assert tally["data"] >= 500
+    assert tally["valid"] >= 300 and tally["flagged"] >= 100
+
+
+def _realized_along_first_chains(d):
+    # derived along the first saturated chain of each pair only, the B_3
+    # datum over Z/3 validates and realizes to an algebra that is not graded
+    def first_chain(skeleton, i, j):
+        return saturated_chains(skeleton, i, j)[:1]
+
+    with mock.patch("helpers.saturated_chains", first_chain), \
+            mock.patch.object(datum_mod, "_derive", reference_derive):
+        return realize(d)
+
+
+@pytest.mark.parametrize("realized", [
+    lambda: realize(diamond_over_z2()),
+    lambda: realize(chain_over_z8()),
+    lambda: _realized_along_first_chains(b3_over_z3()),
+], ids=["diamond-z2", "chain-z8", "b3-z3"])
+def test_verify_grading_matches_reference_on_non_graded_data(realized):
+    r = realized()
+    assert "product-escape" in {v.kind for v in _assert_same_report(r).violations}
+    for kind in MUTATIONS[1:]:
+        for pick in range(0, 40, 7):
+            _assert_same_report(_mutated(r, kind, pick))
+
+
+def test_modular_root_is_a_root_of_the_cyclotomic_polynomial():
+    for n in list(range(1, 65)) + [CONDUCTOR_BUDGET]:
+        p, r = _modular_root(n)
+        assert p > 2 ** 62 and (p - 1) % n == 0 and _is_prime(p)
+        # the least such prime: every smaller candidate is composite
+        assert not any(_is_prime(q) for q in range(p - n, 2 ** 62, -n))
+        assert pow(r, n, p) == 1
+        assert all(pow(r, n // q, p) != 1 for q in range(2, n + 1)
+                   if n % q == 0)
+        value = 0
+        for c in reversed(cyclotomic_polynomial(n)):
+            value = (value * r + c) % p
+        assert value == 0
+    # Miller-Rabin against trial division, and on a strong pseudoprime
+    small = [q for q in range(2, 2000)
+             if all(q % s for s in range(2, int(q ** 0.5) + 1))]
+    assert [q for q in range(2000) if _is_prime(q)] == small
+    assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 7),
+                                st.integers(-9, 9).filter(bool), max_size=5),
+                min_size=1, max_size=8),
+       st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99),
+                          st.integers(-3, 3)), max_size=4))
+def test_rank_mod_p_matches_rational_rank(vectors, planted):
+    # planted dependencies: b + c * a of earlier vectors a and b, sparse
+    # like every vector the row spaces take (no zero entries)
+    vectors = list(vectors)
+    for a, b, c in planted:
+        x, y = vectors[a % len(vectors)], vectors[b % len(vectors)]
+        combo = {col: y.get(col, 0) + c * x.get(col, 0)
+                 for col in set(x) | set(y)}
+        vectors.append({col: v for col, v in combo.items() if v})
+    space = RationalRowSpace()
+    for v in vectors:
+        space.add(v)
+    # an 8 x 8 minor of the drawn vectors stays below p in size, so a
+    # nonzero one stays nonzero mod p and the ranks agree
+    p, _ = _modular_root(12)
+    assert _rank_mod_p(vectors, p) == space.rank
+    # modulo a small prime the rank can only drop
+    assert _rank_mod_p(vectors, 13) <= space.rank
+
+
+def test_rank_mod_p_sees_a_dependency_that_exists_only_mod_p():
+    vectors = [{0: 1, 1: 2}, {0: 3, 1: 19}]  # determinant 13
+    space = RationalRowSpace()
+    assert all(space.add(v) for v in vectors)
+    assert _rank_mod_p(vectors, 13) == 1
+    assert _rank_mod_p(vectors, 17) == 2
+
+
+def _z12_realization():
+    z12 = AbelianGroup(0, [12])
+    whole, four = full_subgroup(z12), sub(z12, [3])
+    chi = dual_group(four)[1]
+    r = realize(two_block_datum(z12, whole, four, chi, z12.element([1])))
+    assert _conductor_of([b.element for b in r.basis]) == 12
+    return r
+
+
+def _times(r, idx, factor):
+    basis = list(r.basis)
+    old = basis[idx]
+    basis[idx] = BasisVector(old.element.scale(factor), old.degree, old.tag)
+    return _with_basis(r, basis)
+
+
+def test_full_rank_certificate_falls_back_to_exact_flags(monkeypatch):
+    r = _z12_realization()
+    pair_index = {p: n for n, p in enumerate(r.poset.comparable_pairs())}
+
+    def certified(r):
+        pres, scale = _ring_preimages([b.element for b in r.basis], 12)
+        return _full_rank_mod_p(pres, scale, pair_index, 12)
+
+    p, _ = _modular_root(12)
+    assert certified(r)
+    # a basis vector times p (or over a denominator p) vanishes mod p, yet
+    # the basis still has full rank: the exact path must say so
+    for corrupted in (_times(r, 3, p), _times(r, 3, Fraction(1, p))):
+        assert not certified(corrupted)
+        assert _assert_same_report(corrupted).ok
+    # modulo 13 = 1 (mod 12), with the primitive 12th root 2, the same
+    # holds for a factor 13; and a planted dependency is flagged exactly
+    monkeypatch.setattr(oracle, "_modular_root", lambda n: (13, 2))
+    assert not certified(_times(r, 3, 13))
+    assert _assert_same_report(_times(r, 3, 13)).ok
+    for pick in range(5):
+        kinds = {v.kind for v in
+                 _assert_same_report(_mutated(r, "duplicate", pick)).violations}
+        assert {"dependent-basis", "not-spanning"} <= kinds
