@@ -95,10 +95,13 @@ class AbelianGroup:
         if len(coords) != self.rank:
             raise InvalidElement(
                 f"expected {self.rank} coordinates, got {len(coords)}")
-        free = coords[: self.free_rank]
-        tors = tuple(c % d for c, d in
-                     zip(coords[self.free_rank:], self.torsion_factors))
-        return free + tors
+        return self._mod(coords)
+
+    def _mod(self, coords):
+        # coords: a tuple of self.rank ints
+        f = self.free_rank
+        return coords[:f] + tuple(c % d for c, d in
+                                  zip(coords[f:], self.torsion_factors))
 
     def _relation_rows(self):
         # Rows d_j * e_{free_rank + j}: the kernel of Z^n -> G.
@@ -137,21 +140,24 @@ class GroupElement:
         raise AttributeError("GroupElement is immutable")
 
     def _check(self, other):
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise AmbientMismatch("elements of different groups")
+
+    # Sums, differences and negatives of elements of one group are already
+    # int tuples of the right length: only the torsion reduction remains.
 
     def __add__(self, other):
         self._check(other)
-        return GroupElement(self.group,
-                            tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _element(self.group, self.group._mod(
+            tuple(a + b for a, b in zip(self.coords, other.coords))))
 
     def __sub__(self, other):
         self._check(other)
-        return GroupElement(self.group,
-                            tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _element(self.group, self.group._mod(
+            tuple(a - b for a, b in zip(self.coords, other.coords))))
 
     def __neg__(self):
-        return GroupElement(self.group, tuple(-a for a in self.coords))
+        return _element(self.group, self.group._mod(tuple(-a for a in self.coords)))
 
     def __mul__(self, n):
         return GroupElement(self.group, tuple(n * a for a in self.coords))
@@ -173,6 +179,14 @@ class GroupElement:
         return f"GroupElement{self.coords}"
 
 
+def _element(group, coords):
+    """A GroupElement from coordinates already reduced in `group`."""
+    g = object.__new__(GroupElement)
+    object.__setattr__(g, "group", group)
+    object.__setattr__(g, "coords", coords)
+    return g
+
+
 class Subgroup:
     """A subgroup of an ambient AbelianGroup in canonical form.
 
@@ -186,7 +200,7 @@ class Subgroup:
 
     __slots__ = ("ambient", "lattice_basis", "_pivots", "structure",
                  "sub_free_rank", "_gen_rows", "_gen_orders", "_gen_coord_matrix",
-                 "_elements", "_dual", "_restrict_cache")
+                 "_elements", "_dual", "_restrict_cache", "_fibers")
 
     def __init__(self, ambient, lattice_basis, pivots):
         self.ambient = ambient
@@ -214,6 +228,7 @@ class Subgroup:
         self._elements = None
         self._dual = None
         self._restrict_cache = {}
+        self._fibers = {}
 
     # -- basic facts ----------------------------------------------------
 

@@ -68,8 +68,11 @@ class BimoduleClass:
         return [chi for chi, _ in self.pairs]
 
     def sorted_key(self):
-        """Order-free canonical form: the sorted (values, degree) multiset."""
-        return tuple(sorted((chi.values, g.coords) for chi, g in self.pairs))
+        """Order-free canonical form: the sorted (exponents, degree) multiset.
+
+        The middle subgroup fixes each value's denominator, so exponent
+        order is value order."""
+        return tuple(sorted((chi.exps, g.coords) for chi, g in self.pairs))
 
     def __eq__(self, other):
         if not isinstance(other, BimoduleClass):
@@ -83,6 +86,16 @@ class BimoduleClass:
     def __repr__(self):
         inner = ", ".join(f"({chi!r}, {g.coords})" for chi, g in self.pairs)
         return f"BimoduleClass[{inner}]"
+
+
+def _canonical_class(left, right, middle, pairs):
+    """A BimoduleClass from pairs already in canonical form: characters on
+    middle = left /\\ right, degrees least in their coset of left + right."""
+    m = object.__new__(BimoduleClass)
+    for name, value in (("left", left), ("right", right), ("middle", middle),
+                        ("pairs", pairs)):
+        object.__setattr__(m, name, value)
+    return m
 
 
 def realizable(m):
@@ -107,10 +120,10 @@ def bimodule_iso(m, n):
         return False, None
     buckets = {}
     for j, (chi, g) in enumerate(n.pairs):
-        buckets.setdefault((chi.values, g.coords), []).append(j)
+        buckets.setdefault((chi.exps, g.coords), []).append(j)
     sigma = []
     for chi, g in m.pairs:
-        slot = buckets.get((chi.values, g.coords))
+        slot = buckets.get((chi.exps, g.coords))
         if not slot:
             return False, None
         sigma.append(slot.pop())
@@ -119,12 +132,17 @@ def bimodule_iso(m, n):
 
 def twist(m, mu_left, mu_right):
     """The class with every character multiplied by the restrictions of
-    (mu_left, mu_right) to the middle subgroup; degrees are unchanged."""
+    (mu_left, mu_right) to the middle subgroup; degrees are unchanged.
+
+    The result skips the constructor's checks and coset reduction: its
+    blocks are m's, so m's degrees are still least coset representatives
+    and the twisted characters still live on m.middle.  Reducing them
+    again would return them unchanged."""
     if mu_left.domain != m.left or mu_right.domain != m.right:
         raise DomainMismatch("twist characters must live on the blocks")
     factor = restrict(mu_left, m.middle) * restrict(mu_right, m.middle)
-    return BimoduleClass(m.left, m.right,
-                         [(factor * chi, g) for chi, g in m.pairs])
+    return _canonical_class(m.left, m.right, m.middle,
+                            tuple((factor * chi, g) for chi, g in m.pairs))
 
 
 def _compose(left, right, h_mid, h_out):
@@ -177,5 +195,5 @@ def bimodule_product(m12, m23):
     pairs = _merge_state(
         _compose(m12.pairs, m23.pairs, intersect(h13, m12.right), h13),
         subgroup_sum(h1, h3))
-    pairs.sort(key=lambda p: p[0].values)
+    pairs.sort(key=lambda p: p[0].exps)
     return BimoduleClass(h1, h3, pairs)

@@ -1,10 +1,13 @@
 """Characters of finite abelian subgroups, valued in the rationals mod 1.
 
 A character chi: H -> Q/Z is stored by its values on the invariant-factor
-generators of H; the multiplicative character of the base field is
-exp(2*pi*i*chi(-)), realized exactly by cyclo.root_of_unity.  Keeping the
-values additive-rational makes products, inverses, restrictions and
-comparisons pure Fraction arithmetic.
+generators of H, as integer exponents: exps[i] in [0, structure[i]) stands
+for the value exps[i] / structure[i].  The multiplicative character of the
+base field is exp(2*pi*i*chi(-)), realized exactly by cyclo.root_of_unity.
+The domain fixes every denominator, so products, inverses, orders,
+restrictions and comparisons are integer arithmetic modulo the invariant
+factors; the Fraction values are built only at the edges (JSON, labels,
+repr) through the `values` property.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .errors import DomainMismatch, InfiniteSubgroup, NotASubgroup
 class Character:
     """A homomorphism from a finite subgroup into Q/Z."""
 
-    __slots__ = ("domain", "values")
+    __slots__ = ("domain", "exps")
 
     def __init__(self, domain: Subgroup, values):
         if not domain.is_finite:
@@ -34,59 +37,85 @@ class Character:
             if not (0 <= q < 1) or (q * d).denominator != 1:
                 raise DomainMismatch(f"value {q} invalid for a generator of order {d}")
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "exps",
+                           tuple(int(q * d) for q, d in zip(values, orders)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Character is immutable")
 
+    @property
+    def values(self):
+        """The values on the generators, as Fractions in [0, 1)."""
+        return tuple(Fraction(e, d) for e, d in zip(self.exps, self.domain.structure))
+
     def __call__(self, g):
         """chi(g) in [0, 1); g must lie in the domain."""
+        return Fraction(*self._scaled_value(g))
+
+    def _scaled_value(self, g):
+        # (t, n) with chi(g) = t / n, n the exponent of the domain
         coords = self.domain.generator_coords(g)
         if coords is None:
             raise NotASubgroup("element outside the character's domain")
-        total = Fraction(0)
-        idx = 0
-        for c, order in zip(coords, self.domain._gen_orders):
-            if order > 1:
-                total += c * self.values[idx]
-                idx += 1
-        return total % 1
+        n = self.domain.exponent()
+        return sum(c * w for c, w in zip(_carried(self.domain, coords),
+                                         _scaled(self, n))) % n, n
 
     def is_trivial(self):
-        return not any(self.values)
+        return not any(self.exps)
 
     def __mul__(self, other):
         if not isinstance(other, Character):
             return NotImplemented
         if self.domain != other.domain:
             raise DomainMismatch("characters on different domains")
-        return Character(self.domain,
-                         tuple((a + b) % 1 for a, b in zip(self.values, other.values)))
+        return _character(self.domain, tuple(
+            (a + b) % d for a, b, d in
+            zip(self.exps, other.exps, self.domain.structure)))
 
     def inverse(self):
-        return Character(self.domain, tuple((-v) % 1 for v in self.values))
+        return _character(self.domain, tuple(
+            -e % d for e, d in zip(self.exps, self.domain.structure)))
 
     def order(self):
         """Order in the dual group: lcm of the value denominators."""
-        n = 1
-        for v in self.values:
-            n = math.lcm(n, v.denominator)
-        return n
+        return math.lcm(*(d // math.gcd(e, d)
+                          for e, d in zip(self.exps, self.domain.structure)))
 
     def __eq__(self, other):
         if not isinstance(other, Character):
             return NotImplemented
-        return self.domain == other.domain and self.values == other.values
+        return self.exps == other.exps and self.domain == other.domain
 
     def __hash__(self):
-        return hash((self.domain, self.values))
+        # equal characters have equal exponents; the domain only breaks
+        # ties, which __eq__ settles
+        return hash(self.exps)
 
     def __repr__(self):
         return f"Character({', '.join(str(v) for v in self.values)})"
 
 
+def _character(domain, exps):
+    """A character from exponents already reduced modulo domain.structure."""
+    chi = object.__new__(Character)
+    object.__setattr__(chi, "domain", domain)
+    object.__setattr__(chi, "exps", exps)
+    return chi
+
+
+def _carried(h, coords):
+    # generator coordinates of order > 1, the ones a character weighs
+    return [c for c, order in zip(coords, h._gen_orders) if order > 1]
+
+
+def _scaled(chi, n):
+    # n * chi on each generator, n a multiple of the domain's exponent
+    return [e * (n // d) for e, d in zip(chi.exps, chi.domain.structure)]
+
+
 def trivial_character(domain):
-    return Character(domain, (Fraction(0),) * len(domain.structure))
+    return _character(domain, (0,) * len(domain.structure))
 
 
 def dual_group(h):
@@ -99,10 +128,25 @@ def dual_group(h):
         raise InfiniteSubgroup("dual group requires a finite subgroup")
     check_enumeration_budget(h.order, "dual group")
     if h._dual is None:
-        ranges = [[Fraction(a, d) for a in range(d)] for d in h.structure]
-        h._dual = tuple(Character(h, values)
-                        for values in itertools.product(*ranges))
+        # each position has one denominator, so exponent order is value order
+        h._dual = tuple(_character(h, exps) for exps in
+                        itertools.product(*(range(d) for d in h.structure)))
     return list(h._dual)
+
+
+def exponent_rows(h, n):
+    """n * chi(g) mod n for every character chi of h and element g of h.
+
+    One row per character in dual_group order, one entry per element in
+    h.elements() order; n must be a multiple of h's exponent.  The
+    generator coordinates of each element are found once.
+    """
+    coords = [_carried(h, h.generator_coords(g)) for g in h.elements()]
+    rows = []
+    for chi in dual_group(h):
+        weights = _scaled(chi, n)
+        rows.append([sum(c * w for c, w in zip(cs, weights)) % n for cs in coords])
+    return rows
 
 
 def _check_contained(k, h):
@@ -116,13 +160,15 @@ def restrict(chi, k):
     h = chi.domain
     if k == h:
         return chi
-    key = (chi.values, k)
+    key = (chi.exps, k)
     cached = h._restrict_cache.get(key)
     if cached is not None:
         return cached
     _check_contained(k, h)
-    values = tuple(chi(g) for g in k.torsion_generators)
-    result = Character(k, values)
+    # chi(g) = t / n has order dividing the order d of g, so n | t * d
+    values = (chi._scaled_value(g) for g in k.torsion_generators)
+    result = _character(k, tuple(t * d // n for (t, n), d in
+                                 zip(values, k.structure)))
     h._restrict_cache[key] = result
     return result
 
@@ -131,8 +177,16 @@ def extension_fiber(chi, h):
     """All characters of h restricting to chi on chi.domain.
 
     The fiber is a translate of the kernel of the restriction map, so it
-    has exactly |h| / |domain| entries.
+    has exactly |h| / |domain| entries.  The first call for a pair
+    (h, domain) checks the containment and sorts dual_group(h) by
+    restriction into a table held on h; every call is then one lookup.
     """
-    _check_contained(chi.domain, h)
-    return [eta for eta in dual_group(h) if restrict(eta, chi.domain) == chi]
-
+    k = chi.domain
+    table = h._fibers.get(k)
+    if table is None:
+        _check_contained(k, h)
+        table = {}
+        for eta in dual_group(h):
+            table.setdefault(restrict(eta, k).exps, []).append(eta)
+        h._fibers[k] = table
+    return list(table[chi.exps])

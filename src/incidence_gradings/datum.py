@@ -36,7 +36,7 @@ from math import lcm
 from .abelian import intersect, subgroup_sum
 from .bimodules import BimoduleClass, bimodule_iso, realizable, twist
 from .bimodules import _compose, _merge_state
-from .characters import dual_group, restrict
+from .characters import dual_group, exponent_rows, extension_fiber, restrict
 from .cyclo import root_of_unity
 from .errors import (
     AmbientMismatch,
@@ -131,7 +131,7 @@ def _walk_chains(d, i, cover_up, above):
                     if d.skeleton.leq(nxt, j):
                         conflicts.setdefault(j, str(exc))
                 continue
-            key = (nxt, tuple((chi.values, deg.coords) for chi, deg in new))
+            key = (nxt, tuple((chi.exps, deg.coords) for chi, deg in new))
             if key not in seen:
                 seen.add(key)
                 results.setdefault(nxt, []).append(new)
@@ -392,42 +392,32 @@ def realize(d):
             vertex_data[lab] = (block, eta)
     vert_index = {v: n for n, v in enumerate(verts)}
 
-    # N * eta(h) mod N for every vertex and every h of its block: the
-    # generator coordinates of h are found once per block, and each value
-    # is their dot product with N times eta's generator values (the sum
-    # Character.__call__ forms; N is a multiple of every denominator)
+    # N * eta(h) mod N for every vertex and every h of its block (N is a
+    # multiple of every block exponent)
     exponent = {}
     for block in skel.elements:
         h_block = d.blocks[block]
-        carried = [n for n, order in enumerate(h_block._gen_orders) if order > 1]
-        labelled = [(vertex_label(block, eta),
-                     [int(v * conductor) for v in eta.values])
-                    for eta in duals[block]]
-        for h in h_block.elements():
-            coords = h_block.generator_coords(h)
-            coords = [coords[n] for n in carried]
-            for lab, values in labelled:
-                exponent[(lab, h.coords)] = sum(
-                    c * v for c, v in zip(coords, values)) % conductor
+        elements = h_block.elements()
+        for eta, row in zip(duals[block], exponent_rows(h_block, conductor)):
+            lab = vertex_label(block, eta)
+            for h, e in zip(elements, row):
+                exponent[(lab, h.coords)] = e
 
-    # restrictions of every vertex character to each relevant intersection
+    # eta_i relates to eta_j when eta_i restricts to chi * eta_j on H_ij:
+    # the eta_i are an extension fiber, listed in dual-group order
     up = [{n} for n in range(len(verts))]
     cross_pairs = {}
     for (i, j), state in raw.items():
         h_ij = intersect(d.blocks[i], d.blocks[j])
-        res_i = {eta: restrict(eta, h_ij).values for eta in duals[i]}
-        res_j = {eta: restrict(eta, h_ij).values for eta in duals[j]}
         for chi, deg in state:
             related = []
             for eta_j in duals[j]:
-                want = tuple((a + b) % 1
-                             for a, b in zip(chi.values, res_j[eta_j]))
-                for eta_i in duals[i]:
-                    if res_i[eta_i] == want:
-                        vi = vertex_label(i, eta_i)
-                        vj = vertex_label(j, eta_j)
-                        up[vert_index[vi]].add(vert_index[vj])
-                        related.append((vi, vj))
+                want = chi * restrict(eta_j, h_ij)
+                for eta_i in extension_fiber(want, d.blocks[i]):
+                    vi = vertex_label(i, eta_i)
+                    vj = vertex_label(j, eta_j)
+                    up[vert_index[vi]].add(vert_index[vj])
+                    related.append((vi, vj))
             cross_pairs[(i, j, chi)] = related
 
     # the relation is transitive by condition (3); re-check defensively
@@ -455,6 +445,7 @@ def realize(d):
         h_ij = intersect(h_i, h_j)
         for chi, deg in state:
             related = cross_pairs[(i, j, chi)]
+            values = chi.values
             for h, k in _twist_orbit_representatives(h_i, h_j, h_ij):
                 coeffs = {}
                 for vi, vj in related:
@@ -463,7 +454,7 @@ def realize(d):
                         % conductor)
                 basis.append(BasisVector(
                     IncidenceElement(poset, coeffs), h + deg + k,
-                    ("cross", i, j, chi.values, h.coords, k.coords)))
+                    ("cross", i, j, values, h.coords, k.coords)))
     return RealizedGrading(d, poset, vertex_data, basis, raw)
 
 

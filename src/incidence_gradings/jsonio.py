@@ -1,7 +1,8 @@
 """Canonical JSON encoding of every domain type.
 
 Rationals travel as reduced "p/q" strings with positive denominator, so
-exactness survives any JSON parser.  Serialization is canonical: equal
+exactness survives any JSON parser; a decoder takes a JSON integer or a
+string of decimal digits "p" or "p/q", optionally signed, and nothing else.  Serialization is canonical: equal
 values produce byte-identical documents (sorted keys, compact separators,
 canonical in-memory forms).  Decoders raise MalformedInput with a path
 hint on any schema violation, an unknown key included; a missing key takes
@@ -11,6 +12,7 @@ its default.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -63,14 +65,21 @@ def encode_rational(q):
     return f"{q.numerator}/{q.denominator}"
 
 
+# Fraction() alone would also take "0.25", " 3/4 ", "1_000/3" and
+# "1e-1000000", whose denominator has 3.3 million bits
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def decode_rational(data, path="rational"):
     if _has_type(data, int):
         return Fraction(data)
     text = _expect(data, str, path)
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        _fail(path, f"not a rational: {text!r}")
+    if _RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass  # a zero denominator, or more digits than int() converts
+    _fail(path, f"not a rational: {text!r}")
 
 
 # -- groups and subgroups -----------------------------------------------------

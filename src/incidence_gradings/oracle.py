@@ -39,7 +39,7 @@ from math import lcm
 
 from .abelian import intersect, subgroup_sum
 from .bimodules import BimoduleClass
-from .characters import dual_group
+from .characters import dual_group, exponent_rows
 from .cyclo import (
     _power_table,
     _root_exponents,
@@ -440,8 +440,8 @@ def _isotypic_flats(r, i, k):
                                          right, conductor)
                            for left, right in zip(lefts, rights)])
     projected = {}
-    for chi in dual_group(h_ik):
-        shifts = [int(((-chi(h)) % 1) * conductor) for h in elements]
+    for chi, row in zip(dual_group(h_ik), exponent_rows(h_ik, conductor)):
+        shifts = [-e % conductor for e in row]
         flats = []
         for per_h, (_, deg) in zip(conjugates, products):
             acc = {}

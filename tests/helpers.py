@@ -46,6 +46,27 @@ SWEEP_GROUPS = [
     AbelianGroup(0, [2, 4]),
 ]
 
+# the groups the character differential tests run over: the sweep groups,
+# three with a larger exponent or rank, and one with free rank
+CHARACTER_GROUPS = SWEEP_GROUPS + [
+    AbelianGroup(0, [12]),
+    AbelianGroup(0, [2, 6]),
+    AbelianGroup(0, [4, 4]),
+    AbelianGroup(1, [2, 4]),
+]
+
+
+def finite_subgroups(ambient):
+    """Every finite subgroup: those of the torsion part when the ambient
+    group has free rank."""
+    if ambient.is_finite:
+        return all_subgroups(ambient)
+    pad = (0,) * ambient.free_rank
+    return [canonicalize([ambient.element(pad + g.coords) for g in s.generators],
+                         ambient)
+            for s in all_subgroups(AbelianGroup(0, ambient.torsion_factors))]
+
+
 # the skeleton shapes of the acceptance sweep: (name, labels, covers)
 ACCEPTANCE_SHAPES = [
     ("chain2", ["1", "2"], [("1", "2")]),
@@ -390,3 +411,54 @@ def reference_verify_grading(r):
         report.flag("identity-degree", "identity",
                     "identity element is not homogeneous of degree 0")
     return report
+
+
+# ---------------------------------------------------------------------------
+# reference characters: the Fraction formulas Character used before it
+# stored integer exponents
+
+
+class ReferenceCharacter:
+    """A character kept as Fraction values on the invariant-factor
+    generators of its domain, every operation written on the values."""
+
+    def __init__(self, domain, values):
+        self.domain = domain
+        self.values = tuple(Fraction(v) for v in values)
+
+    @classmethod
+    def of(cls, chi):
+        return cls(chi.domain, chi.values)
+
+    def __call__(self, g):
+        coords = self.domain.generator_coords(g)
+        total = Fraction(0)
+        idx = 0
+        for c, order in zip(coords, self.domain._gen_orders):
+            if order > 1:
+                total += c * self.values[idx]
+                idx += 1
+        return total % 1
+
+    def is_trivial(self):
+        return not any(self.values)
+
+    def __mul__(self, other):
+        assert self.domain == other.domain
+        return ReferenceCharacter(
+            self.domain, ((a + b) % 1 for a, b in zip(self.values, other.values)))
+
+    def inverse(self):
+        return ReferenceCharacter(self.domain, ((-v) % 1 for v in self.values))
+
+    def order(self):
+        return lcm(1, *(v.denominator for v in self.values))
+
+    def restrict(self, k):
+        return ReferenceCharacter(k, (self(g) for g in k.torsion_generators))
+
+
+def reference_extension_fiber(chi, h):
+    """The characters of h restricting to chi: a filter over dual_group(h)."""
+    return [eta for eta in dual_group(h)
+            if ReferenceCharacter.of(eta).restrict(chi.domain).values == chi.values]

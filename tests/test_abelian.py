@@ -22,7 +22,7 @@ from incidence_gradings.errors import (
     InvalidElement,
 )
 
-from helpers import SWEEP_GROUPS
+from helpers import CHARACTER_GROUPS, SWEEP_GROUPS
 
 Z4 = AbelianGroup(0, [4])
 Z2xZ2 = AbelianGroup(0, [2, 2])
@@ -319,3 +319,25 @@ def test_intern_memo_is_bounded():
     again = sub(z, [1])
     assert again is not first
     assert again == first and hash(again) == hash(first)
+
+
+@st.composite
+def element_pairs(draw):
+    group = draw(st.sampled_from(CHARACTER_GROUPS + [AbelianGroup(2, [3])]))
+    coords = st.tuples(*([st.integers(-50, 50)] * group.rank))
+    return group, draw(coords), draw(coords)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(element_pairs())
+def test_element_arithmetic_matches_coercing_constructor(case):
+    # +, - and unary - skip the constructor's coercion, not the reduction
+    group, x, y = case
+    a, b = group.element(x), group.element(y)
+    for got, raw in ((a + b, [p + q for p, q in zip(x, y)]),
+                     (a - b, [p - q for p, q in zip(x, y)]),
+                     (-a, [-p for p in x])):
+        want = group.element(raw)
+        assert got == want and hash(got) == hash(want)
+        assert got.coords == want.coords
+        assert all(type(c) is int for c in got.coords)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incidence_gradings.abelian import (
     AbelianGroup,
@@ -19,13 +20,15 @@ from incidence_gradings.bimodules import (
     realizable,
     twist,
 )
-from incidence_gradings.characters import dual_group, restrict, trivial_character
+from incidence_gradings.characters import Character, dual_group, restrict, trivial_character
 from incidence_gradings.errors import (
     BlockMismatch,
     ChainMismatch,
     DegreeConflict,
     DomainMismatch,
 )
+
+from helpers import CHARACTER_GROUPS, ReferenceCharacter, finite_subgroups
 
 Z2 = AbelianGroup(0, [2])
 Z4 = AbelianGroup(0, [4])
@@ -307,3 +310,36 @@ def test_product_associative_on_classes():
             rdeg = dict(right.pairs)
             for chi in ldeg:
                 assert (ldeg[chi] - rdeg[chi]).coords in coset
+
+
+@st.composite
+def twists(draw):
+    """(m, mu_left, mu_right) over CHARACTER_GROUPS, with up to three pairs
+    whose degrees are drawn unreduced (free coordinates included)."""
+    ambient = draw(st.sampled_from(CHARACTER_GROUPS))
+    subs = finite_subgroups(ambient)
+    left, right = draw(st.sampled_from(subs)), draw(st.sampled_from(subs))
+    middle = intersect(left, right)
+    degree = st.tuples(*([st.integers(-9, 9)] * ambient.rank)).map(ambient.element)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(dual_group(middle)), degree),
+                          max_size=3))
+    m = BimoduleClass(left, right, pairs)
+    return m, draw(st.sampled_from(dual_group(left))), draw(st.sampled_from(dual_group(right)))
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(twists())
+def test_twist_matches_constructor(case):
+    # twist skips the constructor's coset reduction; building the class
+    # from the Fraction-twisted pairs must give the same class
+    m, mu_left, mu_right = case
+    factor = (ReferenceCharacter.of(mu_left).restrict(m.middle)
+              * ReferenceCharacter.of(mu_right).restrict(m.middle))
+    expected = BimoduleClass(m.left, m.right, [
+        (Character(m.middle, (factor * ReferenceCharacter.of(chi)).values), g)
+        for chi, g in m.pairs])
+    got = twist(m, mu_left, mu_right)
+    assert got == expected and hash(got) == hash(expected)
+    assert got.sorted_key() == expected.sorted_key()
+    assert got.pairs == expected.pairs
+    assert got.middle == expected.middle

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from incidence_gradings.abelian import (
     AbelianGroup,
@@ -20,6 +21,13 @@ from incidence_gradings.errors import (
     DomainMismatch,
     InfiniteSubgroup,
     NotASubgroup,
+)
+
+from helpers import (
+    CHARACTER_GROUPS,
+    ReferenceCharacter,
+    finite_subgroups,
+    reference_extension_fiber,
 )
 
 Z4 = AbelianGroup(0, [4])
@@ -187,3 +195,82 @@ def test_dual_group_is_a_group():
     for x in chars:
         for y in chars:
             assert (x * y).values in table
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the Fraction formulas (helpers.ReferenceCharacter)
+
+DIFF = settings(max_examples=500, derandomize=True, database=None, deadline=None)
+
+# (h, k) for every finite subgroup h of every group and every k <= h
+NESTED = [(h, k) for g in CHARACTER_GROUPS for subs in [finite_subgroups(g)]
+          for h in subs for k in subs if all(x in h for x in k.generators)]
+
+
+def test_unary_operations_match_reference_on_every_subgroup():
+    for h, k in NESTED:
+        for eta in dual_group(h):
+            ref = ReferenceCharacter.of(eta)
+            # the public constructor and the dual group build equal characters
+            public = Character(h, ref.values)
+            assert public == eta and hash(public) == hash(eta)
+            assert public.exps == eta.exps
+            if k == h:
+                assert eta.order() == ref.order()
+                assert eta.is_trivial() == ref.is_trivial()
+                assert eta.inverse().values == ref.inverse().values
+                assert eta.inverse() == Character(h, ref.inverse().values)
+                for g in h.elements():
+                    assert eta(g) == ref(g)
+            res = restrict(eta, k)
+            assert res.domain == k
+            assert res.values == ref.restrict(k).values
+            assert res == Character(k, ref.restrict(k).values)
+        for chi in dual_group(k):
+            assert extension_fiber(chi, h) == reference_extension_fiber(chi, h)
+
+
+@st.composite
+def character_words(draw):
+    """(h, k, values, [(op, values)]): a start character on h, a word of
+    products and inverses, then a restriction to k <= h."""
+    h, k = draw(st.sampled_from(NESTED))
+    values = st.tuples(*(st.integers(0, d - 1).map(lambda a, d=d: Fraction(a, d))
+                         for d in h.structure))
+    start = draw(values)
+    ops = draw(st.lists(st.one_of(st.tuples(st.just("mul"), values),
+                                  st.tuples(st.just("inv"), st.just(None))),
+                        max_size=6))
+    return h, k, start, ops
+
+
+@DIFF
+@given(character_words())
+def test_character_words_match_reference(word):
+    h, k, start, ops = word
+    chi, ref = Character(h, start), ReferenceCharacter(h, start)
+    for op, values in ops:
+        if op == "mul":
+            chi, ref = chi * Character(h, values), ref * ReferenceCharacter(h, values)
+        else:
+            chi, ref = chi.inverse(), ref.inverse()
+        assert chi.values == ref.values
+        assert chi.order() == ref.order()
+        assert chi.is_trivial() == ref.is_trivial()
+    public = Character(h, ref.values)
+    assert chi == public and hash(chi) == hash(public)
+    assert [chi(g) for g in h.elements()] == [ref(g) for g in h.elements()]
+    res, ref_res = restrict(chi, k), ref.restrict(k)
+    assert res.values == ref_res.values
+    assert res == Character(k, ref_res.values)
+    assert hash(res) == hash(Character(k, ref_res.values))
+    assert extension_fiber(res, h) == reference_extension_fiber(res, h)
+    assert chi in extension_fiber(res, h)
+
+
+def test_equal_exponents_on_different_domains_differ():
+    group = AbelianGroup(0, [2, 2])
+    orders_two = [h for h in all_subgroups(group) if h.order == 2]
+    chars = [Character(h, [Fraction(1, 2)]) for h in orders_two]
+    assert len(set(chars)) == 3
+    assert all(a != b for a in chars for b in chars if a is not b)

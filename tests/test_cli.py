@@ -405,6 +405,17 @@ def test_unknown_key_in_datum_exits_2(tmp_path, capsys, kind):
     assert message == f"{path}: unknown key {key!r}"
 
 
+@pytest.mark.parametrize("text", ["1e-1", "0.5", " 1/2", "1_0/20"])
+def test_non_digit_rational_exits_2(tmp_path, capsys, text):
+    # "1e-1000000" would build a 3.3-million-bit denominator before
+    # anything else could reject it; the small exponent takes the same path
+    doc = jsonio.encode_datum(_two_block())
+    doc["bimodules"]["1,2"]["pairs"][0]["char"]["values"][0] = text
+    message = _assert_malformed(tmp_path, capsys, doc)
+    assert message == (f"datum.bimodules[1,2].pairs[0].char.values[0]: "
+                       f"not a rational: {text!r}")
+
+
 @pytest.mark.parametrize("command", ["product", "iso-bimodule"])
 def test_unknown_key_in_standalone_bimodule_exits_2(tmp_path, capsys, command):
     m = BimoduleClass(full_subgroup(Z2), full_subgroup(Z2),

@@ -41,6 +41,21 @@ def test_rational_strings():
         jsonio.decode_rational("x/y")
 
 
+def test_rational_strings_are_digits_only():
+    for text, value in (("3/4", Fraction(3, 4)), ("-3/4", Fraction(-3, 4)),
+                        ("6/8", Fraction(3, 4)), ("7", Fraction(7)),
+                        ("-0", Fraction(0)), (5, Fraction(5))):
+        assert jsonio.decode_rational(text) == value
+    # Fraction() takes all of these; "1e-1" stands for the exponent forms
+    # whose denominators run to millions of bits (only small ones run here)
+    for bad in ("0.25", " 3/4 ", "3/4\n", "1_000/3", "1e-1", "1E5", "+1/2",
+                "3/-4", "1/0", "", "/2", "1/", "\u0661/2", "inf", "nan"):
+        with pytest.raises(MalformedInput, match=r"^where: not a rational"):
+            jsonio.decode_rational(bad, "where")
+    with pytest.raises(MalformedInput, match=r"^cyclo\.coeffs\[1\]: not a rational"):
+        jsonio.decode_cyclo({"conductor": 4, "coeffs": ["1/2", "1e-3"]})
+
+
 def test_subgroup_roundtrip_random():
     rng = random.Random(71)
     for group in (Z4, Z2xZ4):
