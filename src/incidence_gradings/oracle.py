@@ -6,22 +6,24 @@ decomposed with honest character projectors built from left/right
 multiplications in I(X), and the link-count identity is recounted on the
 realized poset.
 
-Products.  Each element is written once as a preimage in the group ring
+Elements.  Each element is written once as a preimage in the group ring
 Z[x]/(x^N - 1): a coefficient equal to zeta_N^e becomes the monomial x^e,
 any other its power-basis numerators, all at one common integer scale.
-Products then only add exponents mod N, and each result is reduced to
-the power basis of Q(zeta_N) once.  x -> zeta_N is a ring homomorphism,
-so the reduced vector is exactly a positive multiple of the product's;
-zero tests and spans do not see the multiple.
+Products then only add exponents mod N, and zeta_N^a times an element
+shifts every exponent by a.  A preimage is reduced to an integer vector
+in the power basis of Q(zeta_N) only where a zero test or a row space
+takes it.  x -> zeta_N is a ring homomorphism, so the reduced vector is
+exactly a positive multiple of the element's; zero tests and spans do
+not see the multiple.
 
 Full rank.  The basis is mapped to F_p^dim, one entry per comparable
 pair, with p the least prime = 1 (mod N) above 2^62 and zeta_N sent to a
 root r of Phi_N mod p.  That map is reduction modulo a prime ideal of
 Z[zeta_N] above p, so rank dim mod p makes the determinant nonzero and
 proves full rank over Q(zeta_N).  Any other outcome proves nothing, and
-independence and spanning are then decided exactly: each vector is closed
-under multiplication by zeta and ranks are taken over Q, which needs no
-field division.
+independence and spanning are then decided exactly: each element is
+closed under multiplication by zeta and ranks are taken over Q, which
+needs no field division.
 
 Membership of a product in the span of its degree is always decided over
 Q in that zeta-closed form, because no modular answer certifies "in the
@@ -41,14 +43,13 @@ from .abelian import intersect, subgroup_sum
 from .bimodules import BimoduleClass
 from .characters import dual_group, exponent_rows
 from .cyclo import (
-    _power_table,
     _root_exponents,
     cyclotomic_polynomial,
     euler_phi,
     root_of_unity,
 )
 from .errors import NoIntermediateBlock
-from .incidence import IncidenceElement, identity_element
+from .incidence import IncidenceElement
 from .posets import link_counts
 from .rowspan import RationalRowSpace
 
@@ -129,44 +130,21 @@ def _reduce(elem, pair_index, conductor):
     return {col: v for col, v in flat.items() if v}
 
 
-def _flatten(elems, pair_index, conductor):
-    """Integer vectors of the elements, all multiplied by one common scale
-    that clears every denominator.  Ranks and membership are
-    scale-invariant, and the common scale keeps integer combinations of
-    the vectors proportional to the same combinations of the elements."""
-    pres, _ = _ring_preimages(elems, conductor)
-    return [_reduce(pre, pair_index, conductor) for pre in pres]
+def _zeta_multiples(pre, pair_index, conductor):
+    """The integer vectors of zeta^a times the element, for a < phi(N):
+    its preimage with every exponent shifted by a, reduced."""
+    for a in range(euler_phi(conductor)):
+        yield _reduce({(x, y, (e + a) % conductor): c
+                       for (x, y, e), c in pre.items()}, pair_index, conductor)
 
 
-def _zeta_shift(flat, conductor, power):
-    """The flattened vector of zeta^power times the element."""
-    if power == 0:
-        return dict(flat)
-    phi = euler_phi(conductor)
-    table = _power_table(conductor)
-    out = {}
-    for col, x in flat.items():
-        base = col - col % phi
-        row = table[col % phi + power]
-        for q, coeff in enumerate(row):
-            if coeff:
-                c = base + q
-                nv = out.get(c, 0) + x * coeff
-                if nv:
-                    out[c] = nv
-                else:
-                    out.pop(c, None)
-    return out
-
-
-def _zeta_closed_space(flats, conductor):
+def _zeta_closed_space(preimages, pair_index, conductor):
     """Q-row space of all zeta-power multiples; its rank is phi(N) times
     the rank over the cyclotomic field."""
-    phi = euler_phi(conductor)
     space = RationalRowSpace()
-    for flat in flats:
-        for a in range(phi):
-            space.add(_zeta_shift(flat, conductor, a))
+    for pre in preimages:
+        for vec in _zeta_multiples(pre, pair_index, conductor):
+            space.add(vec)
     return space
 
 
@@ -306,7 +284,6 @@ def verify_grading(r):
     conductor = _conductor_of(elems)
     phi = euler_phi(conductor)
     preimages, scale = _ring_preimages(elems, conductor)
-    flats = [_reduce(pre, pair_index, conductor) for pre in preimages]
 
     if len(r.basis) != dim:
         report.flag("basis-size", "basis",
@@ -315,9 +292,9 @@ def verify_grading(r):
             preimages, scale, pair_index, conductor):
         # no certificate: decide independence and spanning exactly
         space = RationalRowSpace()
-        for idx, flat in enumerate(flats):
-            added = sum(1 for a in range(phi)
-                        if space.add(_zeta_shift(flat, conductor, a)))
+        for idx, pre in enumerate(preimages):
+            added = sum(1 for vec in _zeta_multiples(pre, pair_index, conductor)
+                        if space.add(vec))
             if added != phi:
                 report.flag("dependent-basis", f"basis[{idx}]",
                             "element lies in the span of its predecessors")
@@ -334,7 +311,7 @@ def verify_grading(r):
         if deg not in degree_spaces:
             members = by_degree.get(deg, ())
             degree_spaces[deg] = _zeta_closed_space(
-                [flats[m] for m in members], conductor)
+                [preimages[m] for m in members], pair_index, conductor)
         return degree_spaces[deg]
 
     # a product is zero unless some pair of u ends where one of v starts
@@ -360,9 +337,10 @@ def verify_grading(r):
                 report.flag("product-escape", f"basis[{iu}] * basis[{iv}]",
                             "product escapes the component of the summed degree")
 
-    zero = r.ambient.zero()
-    one_flat = _flatten([identity_element(poset)], pair_index, conductor)[0]
-    if zero not in by_degree or not span_of_degree(zero).contains(one_flat):
+    # the identity's preimage is x^0 on every diagonal pair; a degree with
+    # no members spans 0, the identity of the zero algebra
+    one = _reduce({(x, x, 0): 1 for x in poset.elements}, pair_index, conductor)
+    if not span_of_degree(r.ambient.zero()).contains(one):
         report.flag("identity-degree", "identity",
                     "identity element is not homogeneous of degree 0")
     return report
@@ -400,41 +378,57 @@ def apply_twist_projector(r, i, k, chi, elem):
 
 
 def _isotypic_flats(r, i, k):
-    """The nonzero two-step products M_ij * M_jk between i and k, the
-    layout they are flattened in, and their flattened pi_chi images.
+    """The nonzero two-step products w = u * v of M_ij * M_jk between i and
+    k, and their pi_chi images, all as group-ring preimages.
 
     The conjugates psi_i(h) w psi_k(-h) are shared by all characters, so
-    they are formed a single time per (product, h), as group-ring
-    products of the preimages; each projection is then the sum of the
-    conjugates shifted by chi(h)^{-1} in the exponents, reduced once per
-    (character, product) (the 1/|H_ik| scale is dropped and a common
-    positive scale added: ranks and zero-ness are unaffected).
-    Returns (products, pair_index, conductor, {chi: [(flat, degree)]}),
-    each chi's list in product order with zero projections omitted.
+    they are formed a single time per (product, h); each projection is
+    then the sum of the conjugates shifted by chi(h)^{-1} in the
+    exponents (the 1/|H_ik| scale is dropped and a common positive scale
+    added: ranks and zero-ness are unaffected).  A product or projection
+    is kept when it reduces to nonzero, as the preimage of its reduced
+    vector.
+    Returns (products, pair_index, conductor, {chi: [(preimage, degree)]}),
+    products as [(preimage, degree)] in (middle, u, v) order and each
+    chi's list in product order.
     """
     mids = r.datum.skeleton.strictly_between(i, k)
     if not mids:
         raise NoIntermediateBlock(f"no block strictly between {i!r} and {k!r}")
-    products = []
-    for j in mids:
-        for u in _cross_basis(r, i, j):
-            for v in _cross_basis(r, j, k):
-                w = u.element * v.element
-                if not w.is_zero():
-                    products.append((w, u.degree + v.degree))
+    factors = [(_cross_basis(r, i, j), _cross_basis(r, j, k)) for j in mids]
     diag = _diagonal_images(r)
     h_ik = intersect(r.datum.blocks[i], r.datum.blocks[k])
-    pair_index = {p: n for n, p in enumerate(r.poset.comparable_pairs())}
-    conductor = lcm(_conductor_of([w for w, _ in products]), h_ik.exponent())
     elements = list(h_ik.elements())
     m = len(elements)
-    pres, _ = _ring_preimages(
-        [diag[(i, h.coords)] for h in elements]
-        + [diag[(k, (-h).coords)] for h in elements]
-        + [w for w, _ in products], conductor)
+    elems = ([diag[(i, h.coords)] for h in elements]
+             + [diag[(k, (-h).coords)] for h in elements]
+             + [b.element for us, vs in factors for b in us + vs])
+    pairs = r.poset.comparable_pairs()
+    pair_index = {p: n for n, p in enumerate(pairs)}
+    conductor = lcm(_conductor_of(elems), h_ik.exponent())
+    phi = euler_phi(conductor)
+
+    def reduced(pre):
+        # the preimage of pre's power-basis numerators (x^q with q < phi
+        # maps to zeta_N^q, so both reduce to one vector): a sum of
+        # conjugates shrinks to at most phi terms per pair
+        return {(*pairs[col // phi], col % phi): v
+                for col, v in _reduce(pre, pair_index, conductor).items()}
+
+    pres, _ = _ring_preimages(elems, conductor)
     lefts, rights = pres[:m], [_by_first(pre) for pre in pres[m:2 * m]]
+    rest = iter(pres[2 * m:])
+    products = []
+    for us, vs in factors:
+        u_pres = [next(rest) for _ in us]
+        v_pres = [_by_first(next(rest)) for _ in vs]
+        for u, u_pre in zip(us, u_pres):
+            for v, v_pre in zip(vs, v_pres):
+                w = reduced(_ring_product(u_pre, v_pre, conductor))
+                if w:
+                    products.append((w, u.degree + v.degree))
     conjugates = []
-    for pre in pres[2 * m:]:
+    for pre, _ in products:
         w = _by_first(pre)
         conjugates.append([_ring_product(_ring_product(left, w, conductor),
                                          right, conductor)
@@ -442,17 +436,17 @@ def _isotypic_flats(r, i, k):
     projected = {}
     for chi, row in zip(dual_group(h_ik), exponent_rows(h_ik, conductor)):
         shifts = [-e % conductor for e in row]
-        flats = []
+        pieces = []
         for per_h, (_, deg) in zip(conjugates, products):
             acc = {}
             for conj, shift in zip(per_h, shifts):
                 for (x, y, e), c in conj.items():
                     key = (x, y, (e + shift) % conductor)
                     acc[key] = acc.get(key, 0) + c
-            flat = _reduce(acc, pair_index, conductor)
-            if flat:
-                flats.append((flat, deg))
-        projected[chi] = flats
+            piece = reduced(acc)
+            if piece:
+                pieces.append((piece, deg))
+        projected[chi] = pieces
     return products, pair_index, conductor, projected
 
 
@@ -472,12 +466,12 @@ def radical_square_component(r, i, k):
     coset = subgroup_sum(h_i, h_k)
     pairs = []
     _, _, _, projected = _isotypic_flats(r, i, k)
-    for chi, flats in projected.items():
-        if not flats:
+    for chi, pieces in projected.items():
+        if not pieces:
             continue
-        reps = {coset.least_coset_coords(deg).coords for _, deg in flats}
+        reps = {coset.least_coset_coords(deg).coords for _, deg in pieces}
         assert len(reps) == 1, "isotypic piece spread over several degree cosets"
-        pairs.append((chi, flats[0][1]))
+        pairs.append((chi, pieces[0][1]))
     return BimoduleClass(h_i, h_k, pairs)
 
 
@@ -486,16 +480,14 @@ def isotypic_rank_table(r, i, k):
     over the cyclotomic field (projector completeness checks)."""
     products, pair_index, conductor, projected = _isotypic_flats(r, i, k)
     phi = euler_phi(conductor)
-    ranks = {}
-    for chi, flats in projected.items():
-        q_rank = _zeta_closed_space([f for f, _ in flats], conductor).rank
+
+    def rank(pieces):
+        q_rank = _zeta_closed_space([pre for pre, _ in pieces],
+                                    pair_index, conductor).rank
         assert q_rank % phi == 0
-        ranks[chi] = q_rank // phi
-    total = _zeta_closed_space(
-        _flatten([w for w, _ in products], pair_index, conductor),
-        conductor).rank
-    assert total % phi == 0
-    return ranks, total // phi
+        return q_rank // phi
+
+    return {chi: rank(pieces) for chi, pieces in projected.items()}, rank(products)
 
 
 # ---------------------------------------------------------------------------

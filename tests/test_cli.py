@@ -133,7 +133,7 @@ def test_verify_clean(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("name", ["z12-chain2", "z24-wedge", "z16-chain3",
-                                  "z32-full-trivial"])
+                                  "z32-full-trivial", "empty-skeleton"])
 def test_verify_matches_golden_output(capsys, name):
     # NAME.verify.json is the stdout of `verify NAME.json`, byte for byte
     code, out, err = run(capsys, "verify", str(DATA / f"{name}.json"))

@@ -18,7 +18,7 @@ from incidence_gradings.bimodules import BimoduleClass, bimodule_iso
 from incidence_gradings.characters import dual_group, trivial_character
 from incidence_gradings import datum as datum_mod
 from incidence_gradings import oracle
-from incidence_gradings.cyclo import cyclotomic_polynomial, root_of_unity
+from incidence_gradings.cyclo import cyclotomic_polynomial, euler_phi, root_of_unity
 from incidence_gradings.datum import (
     CONDUCTOR_BUDGET,
     BasisVector,
@@ -31,12 +31,12 @@ from incidence_gradings.errors import NoIntermediateBlock
 from incidence_gradings.incidence import IncidenceElement
 from incidence_gradings.oracle import (
     _conductor_of,
-    _flatten,
     _full_rank_mod_p,
     _is_prime,
     _isotypic_flats,
     _modular_root,
     _rank_mod_p,
+    _reduce,
     _ring_preimages,
     apply_twist_projector,
     check_link_equation,
@@ -56,7 +56,9 @@ from helpers import (
     chain_over_z8,
     diamond_over_z2,
     reference_derive,
+    reference_flatten,
     reference_verify_grading,
+    reference_zeta_closed_space,
     saturated_chains,
     two_block_datum,
 )
@@ -242,7 +244,8 @@ def test_flatten_uses_one_common_scale():
     pair_index = {q: n for n, q in enumerate(p.comparable_pairs())}
     a = IncidenceElement(p, {("x", "y"): Fraction(1, 2)})
     b = IncidenceElement(p, {("x", "x"): 1, ("x", "y"): Fraction(1, 3)})
-    fa, fb = _flatten([a, b], pair_index, 1)
+    pres, _ = _ring_preimages([a, b], 1)
+    fa, fb = (_reduce(pre, pair_index, 1) for pre in pres)
     xx, xy = pair_index[("x", "x")], pair_index[("x", "y")]
     assert (fa, fb) == ({xy: 3}, {xx: 6, xy: 2})
 
@@ -254,12 +257,49 @@ def _primitive(flat):
     return {c: x // g for c, x in flat.items()}
 
 
+def _honest_projections(r):
+    """The two-step products M_1j * M_j3 by the general convolution, in
+    (middle, u, v) order with zero products skipped, and their nonzero
+    apply_twist_projector images by character."""
+    products = []
+    for j in r.datum.skeleton.strictly_between("1", "3"):
+        for u in [b for b in r.basis if b.tag[:3] == ("cross", "1", j)]:
+            for v in [b for b in r.basis if b.tag[:3] == ("cross", j, "3")]:
+                w = u.element * v.element
+                if not w.is_zero():
+                    products.append((w, u.degree + v.degree))
+    projected = {}
+    for chi in dual_group(intersect(r.datum.blocks["1"], r.datum.blocks["3"])):
+        images = [(apply_twist_projector(r, "1", "3", chi, w), deg)
+                  for w, deg in products]
+        projected[chi] = [(pw, deg) for pw, deg in images if not pw.is_zero()]
+    return products, projected
+
+
+def _check_projections(r):
+    # the reduced pi_chi(w) preimages of the shared isotypic helper against
+    # the flattened apply_twist_projector images: present exactly when the
+    # honest projection is nonzero, and then a positive multiple of it
+    products, pair_index, conductor, projected = _isotypic_flats(r, "1", "3")
+    honest_products, honest = _honest_projections(r)
+    for chi, pieces in projected.items():
+        want = [(_primitive(reference_flatten([pw], pair_index, conductor)[0]), deg)
+                for pw, deg in honest[chi]]
+        assert [(_primitive(_reduce(pre, pair_index, conductor)), deg)
+                for pre, deg in pieces] == want
+    return products, pair_index, conductor, honest_products, honest
+
+
+def _reference_rank(elems, pair_index, conductor):
+    # the field rank: the Q-rank of the reference zeta-closure over phi
+    flats = reference_flatten(elems, pair_index, conductor)
+    return (reference_zeta_closed_space(flats, conductor).rank
+            // euler_phi(conductor))
+
+
 @pytest.mark.parametrize("ambient", [g for g in SWEEP_GROUPS if g.order <= 6],
                          ids=repr)
 def test_projector_fast_path_matches_honest_projector(ambient):
-    # the flattened pi_chi(w) of the shared isotypic helper against
-    # apply_twist_projector: present exactly when the honest projection is
-    # nonzero, and then a positive multiple of it
     rng = random.Random(ambient.order)
     subs = all_subgroups(ambient)
     for h1 in subs:
@@ -271,17 +311,15 @@ def test_projector_fast_path_matches_honest_projector(ambient):
                                  rng.choice(dual_group(intersect(h2, h3))),
                                  g12, ambient.zero())
                 r = realize(d)
-                products, pair_index, conductor, projected = \
-                    _isotypic_flats(r, "1", "3")
+                products, pair_index, conductor, honest_products, honest = \
+                    _check_projections(r)
                 assert products
-                for chi, flats in projected.items():
-                    want = []
-                    for w, deg in products:
-                        pw = apply_twist_projector(r, "1", "3", chi, w)
-                        if not pw.is_zero():
-                            flat = _flatten([pw], pair_index, conductor)[0]
-                            want.append((_primitive(flat), deg))
-                    assert [(_primitive(f), deg) for f, deg in flats] == want
+                assert isotypic_rank_table(r, "1", "3") == (
+                    {chi: _reference_rank([pw for pw, _ in pieces],
+                                          pair_index, conductor)
+                     for chi, pieces in honest.items()},
+                    _reference_rank([w for w, _ in honest_products],
+                                    pair_index, conductor))
 
 
 def test_link_equation_reports():
@@ -371,8 +409,8 @@ def _mutated(r, kind, pick):
 @pytest.mark.parametrize("change", list(COEFFICIENT_CHANGES))
 def test_projector_conjugates_with_non_root_diagonals(change):
     # a diagonal coefficient that is not a root of unity takes the
-    # power-basis path of the group-ring product; the flattened
-    # conjugate sums still match apply_twist_projector's
+    # power-basis path of the group-ring product; the reduced conjugate
+    # sums still match apply_twist_projector's
     rng = random.Random(f"non-root-{change}")
     for ambient in (Z4, AbelianGroup(0, [6]), AbelianGroup(0, [2, 2])):
         subs = [h for h in all_subgroups(ambient) if h.order > 1]
@@ -390,17 +428,7 @@ def test_projector_conjugates_with_non_root_diagonals(change):
             for n in rng.sample(diag, 2):
                 pair = rng.choice(sorted(basis[n].element.coeffs))
                 basis[n] = _changed(basis[n], pair, COEFFICIENT_CHANGES[change])
-            r = _with_basis(r, basis)
-            products, pair_index, conductor, projected = \
-                _isotypic_flats(r, "1", "3")
-            for chi, flats in projected.items():
-                want = []
-                for w, deg in products:
-                    pw = apply_twist_projector(r, "1", "3", chi, w)
-                    if not pw.is_zero():
-                        flat = _flatten([pw], pair_index, conductor)[0]
-                        want.append((_primitive(flat), deg))
-                assert [(_primitive(f), deg) for f, deg in flats] == want
+            _check_projections(_with_basis(r, basis))
 
 
 def test_verify_grading_matches_reference_oracle():
