@@ -3,22 +3,26 @@
 The ambient group is G = Z^free_rank x Z/d1 x ... x Z/dk with d1 | d2 |
 ... | dk, written additively (degree products in graded algebras become
 coordinate sums here).  A subgroup is represented by the canonical Hermite
-basis of its preimage lattice in Z^n, which makes subgroup equality a
-plain tuple comparison and supports infinite ambient groups.  Reduction
-against that basis (`intlinalg.hnf_reduce`) answers membership, lattice
-coordinates and least coset representatives without enumerating H.  All
-arithmetic is on arbitrary-precision integers.
+basis of its preimage lattice in Z^n, which is unique and supports infinite
+ambient groups.  Reduction against that basis (`intlinalg.hnf_reduce`)
+answers membership, lattice coordinates and least coset representatives
+without enumerating H.  All arithmetic is on arbitrary-precision integers.
 
-Canonical subgroups are interned, and intersections and sums memoized, in
-`functools.lru_cache`s bounded at several times the working sets of the
-tests and the benchmark.  Equality never relies on interning (`__eq__`
-compares ambient and Hermite basis), so eviction only costs a rebuild.
+Canonical form means a unique object: `AbelianGroup` and `canonicalize`
+return the one live group per (free_rank, torsion_factors) and the one live
+subgroup per (ambient, Hermite basis), held in `weakref.WeakValueDictionary`s,
+so equality is identity (the default `==` and `hash`).  A weak table holds
+only what the program still references; the intersection and sum memos
+apart from it are `functools.lru_cache`s bounded at several times the
+working sets of the tests and the benchmark.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
+import weakref
 from math import prod
 
 from .errors import AmbientMismatch, BudgetExceeded, InfiniteSubgroup, InvalidElement
@@ -30,11 +34,15 @@ from .intlinalg import (
     smith_normal_form,
 )
 
-_SUBGROUP_MEMO_SIZE = 256  # interned subgroups; working sets up to 28
 _PAIR_MEMO_SIZE = 512  # pairs for intersect and for sum; up to 110
 # Largest order Subgroup.elements and dual_group list: the tests, benchmark
 # and probes list at most 64, and Z/10**7 would fill memory before answering.
 ENUMERATION_BUDGET = 2 ** 16
+# Largest ambient rank: the tests use at most 4, and the Hermite and Smith
+# forms of `canonicalize` cost the cube of the rank (800 factors: 64 s).
+RANK_BUDGET = 64
+_GROUPS = weakref.WeakValueDictionary()  # (free_rank, torsion_factors): group
+_SUBGROUPS = weakref.WeakValueDictionary()  # (ambient, lattice_basis): subgroup
 
 
 def check_enumeration_budget(order, what):
@@ -47,19 +55,30 @@ def check_enumeration_budget(order, what):
 class AbelianGroup:
     """The ambient group Z^free_rank x Z/d1 x ... x Z/dk."""
 
-    __slots__ = ("free_rank", "torsion_factors")
+    __slots__ = ("free_rank", "torsion_factors", "__weakref__")
 
-    def __init__(self, free_rank=0, torsion_factors=()):
-        factors = tuple(int(d) for d in torsion_factors)
-        if free_rank < 0:
-            raise ValueError("free_rank must be non-negative")
+    def __new__(cls, free_rank=0, torsion_factors=()):
+        # operator.index, unlike int(), refuses a float or a Fraction
+        try:
+            free_rank = operator.index(free_rank)
+            if free_rank < 0:
+                raise ValueError("free_rank must be non-negative")
+            rank = free_rank + len(torsion_factors)
+            if rank > RANK_BUDGET:
+                raise BudgetExceeded(f"group of rank {rank} exceeds the "
+                                     f"rank budget of {RANK_BUDGET}")
+            factors = tuple(map(operator.index, torsion_factors))
+        except TypeError:
+            raise ValueError("free_rank and torsion factors must be integers") from None
         if any(d < 2 for d in factors):
             raise ValueError("torsion factors must be >= 2")
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError("torsion factors must form a divisibility chain")
-        object.__setattr__(self, "free_rank", int(free_rank))
-        object.__setattr__(self, "torsion_factors", factors)
+        group = object.__new__(cls)
+        object.__setattr__(group, "free_rank", free_rank)
+        object.__setattr__(group, "torsion_factors", factors)
+        return _GROUPS.setdefault((free_rank, factors), group)
 
     def __setattr__(self, name, value):
         raise AttributeError("AbelianGroup is immutable")
@@ -91,7 +110,10 @@ class AbelianGroup:
             yield GroupElement(self, coords)
 
     def _reduce(self, coords):
-        coords = tuple(int(c) for c in coords)
+        try:
+            coords = tuple(map(operator.index, coords))
+        except TypeError:
+            raise InvalidElement("coordinates must be integers") from None
         if len(coords) != self.rank:
             raise InvalidElement(
                 f"expected {self.rank} coordinates, got {len(coords)}")
@@ -113,15 +135,6 @@ class AbelianGroup:
             rows.append(row)
         return rows
 
-    def __eq__(self, other):
-        if not isinstance(other, AbelianGroup):
-            return NotImplemented
-        return (self.free_rank == other.free_rank
-                and self.torsion_factors == other.torsion_factors)
-
-    def __hash__(self):
-        return hash((self.free_rank, self.torsion_factors))
-
     def __repr__(self):
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion_factors]
         return "AbelianGroup(" + (" x ".join(parts) if parts else "0") + ")"
@@ -140,7 +153,7 @@ class GroupElement:
         raise AttributeError("GroupElement is immutable")
 
     def _check(self, other):
-        if self.group is not other.group and self.group != other.group:
+        if self.group is not other.group:
             raise AmbientMismatch("elements of different groups")
 
     # Sums, differences and negatives of elements of one group are already
@@ -170,7 +183,7 @@ class GroupElement:
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self.group == other.group and self.coords == other.coords
+        return self.group is other.group and self.coords == other.coords
 
     def __hash__(self):
         return hash(self.coords)
@@ -195,12 +208,13 @@ class Subgroup:
     of the relations-in-basis matrix yields invariant-factor generators:
     `structure` lists the torsion invariant factors and
     `torsion_generators` the matching independent generators, the basis
-    every character is written in.  Build one with `canonicalize`.
+    every character is written in.  Build one only with `canonicalize`,
+    which keeps it the one live object of its ambient and Hermite basis.
     """
 
     __slots__ = ("ambient", "lattice_basis", "_pivots", "structure",
                  "sub_free_rank", "_gen_rows", "_gen_orders", "_gen_coord_matrix",
-                 "_elements", "_dual", "_restrict_cache", "_fibers")
+                 "_elements", "_dual", "_restrict_cache", "_fibers", "__weakref__")
 
     def __init__(self, ambient, lattice_basis, pivots):
         self.ambient = ambient
@@ -215,16 +229,14 @@ class Subgroup:
             assert not any(rest), "relation lattice escaped the subgroup lattice"
             rel_coords.append(c)
         diag, V, W = smith_normal_form(rel_coords, m)
-        gen_rows = mat_mul(W, basis) if m else []
-        orders = list(diag) + [0] * (m - len(diag))
-        self._gen_rows = gen_rows
-        self._gen_orders = orders
+        self._gen_rows = mat_mul(W, basis) if m else []
+        self._gen_orders = list(diag) + [0] * (m - len(diag))
         self._gen_coord_matrix = V
         self.structure = tuple(d for d in diag if d > 1)
         self.sub_free_rank = m - len(diag)
         # Per-object memos, freed with the subgroup, bounded by |H| or the
         # number of subgroups of H; an lru_cache on characters.restrict
-        # would hash a Subgroup and a Character in Python on every hit.
+        # would hash a Character in Python on every hit.
         self._elements = None
         self._dual = None
         self._restrict_cache = {}
@@ -269,7 +281,7 @@ class Subgroup:
 
     def _lattice_coords(self, g):
         # (coefficients, rest) of g; zip would truncate a foreign element
-        if g.group != self.ambient:
+        if g.group is not self.ambient:
             raise AmbientMismatch("element over a different ambient group")
         return hnf_reduce(self.lattice_basis, self._pivots, g.coords)
 
@@ -321,15 +333,6 @@ class Subgroup:
             raise InfiniteSubgroup("an infinite subgroup has no least coset element")
         return GroupElement(self.ambient, self._lattice_coords(g)[1])
 
-    def __eq__(self, other):
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        return self is other or (self.ambient == other.ambient
-                                 and self.lattice_basis == other.lattice_basis)
-
-    def __hash__(self):
-        return hash((self.ambient, self.lattice_basis))
-
     def __repr__(self):
         gens = [g.coords for g in self.generators]
         return f"Subgroup(order={self.order}, generators={gens})"
@@ -338,16 +341,15 @@ class Subgroup:
 def canonicalize(gens, ambient):
     """The canonical Subgroup of `ambient` generated by `gens`."""
     for g in gens:
-        if not isinstance(g, GroupElement) or g.group != ambient:
+        if not isinstance(g, GroupElement) or g.group is not ambient:
             raise InvalidElement("generator does not belong to the ambient group")
     rows = [list(g.coords) for g in gens] + ambient._relation_rows()
     basis, pivots = row_hnf(rows, ambient.rank)
-    return _interned(ambient, tuple(tuple(r) for r in basis), tuple(pivots))
-
-
-@functools.lru_cache(maxsize=_SUBGROUP_MEMO_SIZE)
-def _interned(ambient, lattice_basis, pivots):
-    return Subgroup(ambient, lattice_basis, pivots)
+    key = (ambient, tuple(map(tuple, basis)))
+    sub = _SUBGROUPS.get(key)
+    if sub is None:
+        sub = _SUBGROUPS[key] = Subgroup(*key, tuple(pivots))
+    return sub
 
 
 def trivial_subgroup(ambient):
@@ -356,16 +358,13 @@ def trivial_subgroup(ambient):
 
 def full_subgroup(ambient):
     """The whole ambient group as a Subgroup."""
-    gens = []
-    for i in range(ambient.rank):
-        coords = [0] * ambient.rank
-        coords[i] = 1
-        gens.append(GroupElement(ambient, coords))
-    return canonicalize(gens, ambient)
+    n = ambient.rank
+    return canonicalize([GroupElement(ambient, [int(i == j) for j in range(n)])
+                         for i in range(n)], ambient)
 
 
 def _check_same_ambient(a, b):
-    if a.ambient != b.ambient:
+    if a.ambient is not b.ambient:
         raise AmbientMismatch("subgroups over different ambient groups")
 
 
@@ -379,8 +378,7 @@ def intersect(a, b):
 def _intersect(a, b):
     rows_a = [list(r) for r in a.lattice_basis]
     rows_b = [list(r) for r in b.lattice_basis]
-    stacked = rows_a + rows_b
-    kernel = left_kernel(stacked, a.ambient.rank)
+    kernel = left_kernel(rows_a + rows_b, a.ambient.rank)
     na = len(rows_a)
     gens = []
     for u in kernel:
@@ -410,7 +408,7 @@ def double_coset_eq(g, g_prime, h1, h2):
     coset g + (h1 + h2).
     """
     _check_same_ambient(h1, h2)
-    if g.group != h1.ambient or g_prime.group != h1.ambient:
+    if g.group is not h1.ambient or g_prime.group is not h1.ambient:
         raise AmbientMismatch("elements over a different ambient group")
     return (g - g_prime) in subgroup_sum(h1, h2)
 

@@ -1,4 +1,8 @@
+import gc
+import itertools
 import random
+import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from incidence_gradings import abelian
 from incidence_gradings.abelian import (
     AbelianGroup,
+    Subgroup,
     all_subgroups,
     canonicalize,
     double_coset_eq,
@@ -21,8 +26,9 @@ from incidence_gradings.errors import (
     InfiniteSubgroup,
     InvalidElement,
 )
+from incidence_gradings.jsonio import decode_subgroup, encode_subgroup
 
-from helpers import CHARACTER_GROUPS, SWEEP_GROUPS
+from helpers import CHARACTER_GROUPS, SWEEP_GROUPS, finite_subgroups
 
 Z4 = AbelianGroup(0, [4])
 Z2xZ2 = AbelianGroup(0, [2, 2])
@@ -43,6 +49,50 @@ def test_group_validation():
         AbelianGroup(0, [0, 4])  # rejected before the divisibility test
     with pytest.raises(ValueError):
         AbelianGroup(-1, [])
+
+
+class Index:
+    """An int-like: operator.index takes it, as it takes int."""
+
+    def __index__(self):
+        return 4
+
+
+def test_group_data_must_be_integers():
+    # int() would truncate 4.7 to Z/4
+    for args in ((0, [4.7]), (0, [Fraction(4)]), (1.0, []), (0, ["4"])):
+        with pytest.raises(ValueError, match="must be integers"):
+            AbelianGroup(*args)
+    assert AbelianGroup(Index(), [Index()]) is AbelianGroup(4, [4])
+
+
+def test_element_coordinates_must_be_integers():
+    # int() would truncate 1.7 to 1
+    for coords in ([1.7], [Fraction(1)], [1.0]):
+        with pytest.raises(InvalidElement, match="must be integers"):
+            Z4.element(coords)
+    assert Z4.element([Index()]) == Z4.element([0])
+
+
+def test_element_multiple_must_be_integral():
+    # int() would truncate every coordinate of g * 0.5 to zero
+    g = Z4.element([1])
+    for n in (0.5, 2.0, Fraction(2)):
+        with pytest.raises(InvalidElement, match="must be integers"):
+            g * n
+        with pytest.raises(InvalidElement, match="must be integers"):
+            n * g
+    assert 3 * g == g * 3 == Z4.element([3])
+
+
+def test_rank_budget():
+    assert AbelianGroup(abelian.RANK_BUDGET).rank == abelian.RANK_BUDGET
+    assert AbelianGroup(0, [2] * abelian.RANK_BUDGET).rank == abelian.RANK_BUDGET
+    # checked before the torsion factors are read
+    for args in ((abelian.RANK_BUDGET + 1,), (1, [2] * abelian.RANK_BUDGET),
+                 (0, [0.5] * 65), (10 ** 18, [])):
+        with pytest.raises(BudgetExceeded, match="rank budget of 64"):
+            AbelianGroup(*args)
 
 
 def test_element_reduction_and_errors():
@@ -308,17 +358,41 @@ def test_enumeration_budget(monkeypatch):
     assert len(whole.elements()) == len(dual_group(whole)) == 8
 
 
-def test_intern_memo_is_bounded():
-    z = AbelianGroup(1, [])
-    first = sub(z, [1])
-    bound = abelian._interned.cache_info().maxsize
-    for n in range(2, bound + 10):
-        sub(z, [n])
-    assert abelian._interned.cache_info().currsize <= bound
-    # evicted and rebuilt: a new object, equal to the old one
-    again = sub(z, [1])
-    assert again is not first
-    assert again == first and hash(again) == hash(first)
+def structural_key(h):
+    return h.ambient.free_rank, h.ambient.torsion_factors, h.lattice_basis
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_canonical_objects_are_unique(data):
+    for cls in (AbelianGroup, Subgroup):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+    for g, h in itertools.product(CHARACTER_GROUPS, repeat=2):
+        assert (g is h) == ((g.free_rank, g.torsion_factors)
+                            == (h.free_rank, h.torsion_factors))
+        assert AbelianGroup(g.free_rank, list(g.torsion_factors)) is g
+    group = data.draw(st.sampled_from(CHARACTER_GROUPS))
+    subs = finite_subgroups(group)
+    a, b = data.draw(st.sampled_from(subs)), data.draw(st.sampled_from(subs))
+    mixed = data.draw(st.permutations(a.generators + b.generators + [group.zero()]))
+    reached = subs + [canonicalize(mixed, group), intersect(a, b), intersect(b, a),
+                      subgroup_sum(a, b), subgroup_sum(b, a),
+                      decode_subgroup(encode_subgroup(a), group),
+                      canonicalize(list(b.elements()), group)]
+    abelian._intersect.cache_clear()
+    abelian._sum.cache_clear()
+    reached += [intersect(a, b), subgroup_sum(a, b)]
+    for x, y in itertools.product(reached, repeat=2):
+        assert (x is y) == (structural_key(x) == structural_key(y))
+    # a weak table keeps nothing alive: over an ambient group no other
+    # code uses, the subgroup and the group die with their last reference
+    fresh = AbelianGroup(group.free_rank + 5, group.torsion_factors)
+    pad = (0,) * 5
+    h = canonicalize([fresh.element(pad + g.coords) for g in a.generators], fresh)
+    dead = [weakref.ref(h), weakref.ref(fresh)]
+    del fresh, h
+    gc.collect()
+    assert [ref() for ref in dead] == [None, None]
 
 
 @st.composite
