@@ -83,6 +83,10 @@ class AbelianGroup:
     def __setattr__(self, name, value):
         raise AttributeError("AbelianGroup is immutable")
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the table: the same object
+        return AbelianGroup, (self.free_rank, self.torsion_factors)
+
     @property
     def rank(self):
         return self.free_rank + len(self.torsion_factors)
@@ -151,6 +155,9 @@ class GroupElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
+
+    def __reduce__(self):
+        return GroupElement, (self.group, self.coords)
 
     def _check(self, other):
         if self.group is not other.group:
@@ -241,6 +248,10 @@ class Subgroup:
         self._dual = None
         self._restrict_cache = {}
         self._fibers = {}
+
+    def __reduce__(self):
+        # rebuilt by canonicalize, so a copy is the one live subgroup
+        return canonicalize, (self.generators, self.ambient)
 
     # -- basic facts ----------------------------------------------------
 

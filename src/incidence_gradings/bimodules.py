@@ -61,6 +61,9 @@ class BimoduleClass:
     def __setattr__(self, name, value):
         raise AttributeError("BimoduleClass is immutable")
 
+    def __reduce__(self):
+        return BimoduleClass, (self.left, self.right, self.pairs)
+
     def is_zero(self):
         return not self.pairs
 

@@ -43,6 +43,9 @@ class Character:
     def __setattr__(self, name, value):
         raise AttributeError("Character is immutable")
 
+    def __reduce__(self):
+        return Character, (self.domain, self.values)
+
     @property
     def values(self):
         """The values on the generators, as Fractions in [0, 1)."""

@@ -9,6 +9,7 @@ Failures are structured JSON objects on standard error, never prose only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -210,8 +211,15 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser():
+    # one parser per process: building it costs about as much as a small
+    # verify, and parse_args leaves it unchanged
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except MalformedInput as exc:

@@ -92,6 +92,10 @@ class GradingDatum:
     def __setattr__(self, name, value):
         raise AttributeError("GradingDatum is immutable")
 
+    def __reduce__(self):
+        return GradingDatum, (self.ambient, self.skeleton, self.blocks,
+                              self.cover_bimodules)
+
     def comparable_block_pairs(self):
         return [(x, y) for x, y in self.skeleton.comparable_pairs() if x != y]
 
@@ -384,10 +388,12 @@ def realize(d):
     verts = []
     vertex_data = {}
     duals = {}
+    labels = {}  # block: {eta.exps: label}, each vertex labelled once
     for block in skel.elements:
         duals[block] = dual_group(d.blocks[block])
+        labels[block] = {}
         for eta in duals[block]:
-            lab = vertex_label(block, eta)
+            lab = labels[block][eta.exps] = vertex_label(block, eta)
             verts.append(lab)
             vertex_data[lab] = (block, eta)
     vert_index = {v: n for n, v in enumerate(verts)}
@@ -398,8 +404,8 @@ def realize(d):
     for block in skel.elements:
         h_block = d.blocks[block]
         elements = h_block.elements()
-        for eta, row in zip(duals[block], exponent_rows(h_block, conductor)):
-            lab = vertex_label(block, eta)
+        for lab, row in zip(labels[block].values(),
+                            exponent_rows(h_block, conductor)):
             for h, e in zip(elements, row):
                 exponent[(lab, h.coords)] = e
 
@@ -411,11 +417,10 @@ def realize(d):
         h_ij = intersect(d.blocks[i], d.blocks[j])
         for chi, deg in state:
             related = []
-            for eta_j in duals[j]:
+            for eta_j, vj in zip(duals[j], labels[j].values()):
                 want = chi * restrict(eta_j, h_ij)
                 for eta_i in extension_fiber(want, d.blocks[i]):
-                    vi = vertex_label(i, eta_i)
-                    vj = vertex_label(j, eta_j)
+                    vi = labels[i][eta_i.exps]
                     up[vert_index[vi]].add(vert_index[vj])
                     related.append((vi, vj))
             cross_pairs[(i, j, chi)] = related
@@ -433,8 +438,7 @@ def realize(d):
         h_block = d.blocks[block]
         for h in h_block.elements():
             coeffs = {}
-            for eta in duals[block]:
-                lab = vertex_label(block, eta)
+            for lab in labels[block].values():
                 coeffs[(lab, lab)] = root(exponent[(lab, h.coords)])
             basis.append(BasisVector(
                 IncidenceElement(poset, coeffs), h, ("diag", block, h.coords)))

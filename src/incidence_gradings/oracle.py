@@ -25,9 +25,33 @@ independence and spanning are then decided exactly: each element is
 closed under multiplication by zeta and ranks are taken over Q, which
 needs no field division.
 
-Membership of a product in the span of its degree is always decided over
-Q in that zeta-closed form, because no modular answer certifies "in the
-span".
+Certificate.  Write V_g for the span of the degree-g basis members and T_g
+for the a in V_g with a * V_h inside V_(g+h) for every h.  Each T_g is a
+subspace, and T is closed under products: for a in T_g and b in T_h, b
+lies in V_h, so ab lies in V_(g+h), and ab * V_k = a(b * V_k) lies in
+V_(g+h+k).  The basis B is graded exactly when B lies in T.
+`verify_grading` shows that without forming all products: (a) B is a
+basis (the count and the full-rank certificate above); (b) 1 lies in V_0,
+so 1 is in T_0; (c) for a set S of members read from the tags, s * v lies
+in V_(deg s + deg v) for every s in S and v in B, so S lies in T (|S| * dim
+products instead of dim^2); (d) starting from S, each element of T formed
+so far (1, and s * v for a member v already reached) is split into one
+multiple of a member per support component, and when exactly one of
+those members is not yet reached, it is: the others are in T, so its
+multiple is too.  Every member must be reached.
+Membership in V_g needs no zeta-closed space when the members of degree g
+have pairwise disjoint supports (each support component holds one member)
+and each member is one coefficient times one root of unity per pair: V_g
+is then the direct sum of the lines they span, and w lies in it exactly
+when w vanishes off their supports and, on each member's support, w_p *
+zeta^(-e_p) is the same number at every pair p, e_p the member's exponent
+at p.  That is decided on the preimage when w has one monomial per pair,
+and otherwise on the reduced values.  Another shape of basis, or any
+failed step, proves nothing, and the dim^2 loop below decides.
+
+Without the certificate, membership of a product in the span of its
+degree is decided over Q in the zeta-closed form, because no modular
+answer certifies "in the span".
 """
 
 from __future__ import annotations
@@ -263,6 +287,174 @@ class VerificationReport:
         self.violations.append(Violation(kind, location, message))
 
 
+class _Degrees:
+    """The basis degrees numbered once per call: `ids[n]` numbers the
+    degree of basis[n], `members[d]` lists the basis indices of degree d,
+    and `plus(a, b)` is the number of degree a + degree b, or None when no
+    basis element has it (each sum is formed once)."""
+
+    def __init__(self, basis):
+        self.number = {}
+        self.ids = [self.number.setdefault(b.degree, len(self.number))
+                    for b in basis]
+        self.degrees = list(self.number)
+        self.members = [[] for _ in self.degrees]
+        for idx, d in enumerate(self.ids):
+            self.members[d].append(idx)
+        self._sums = {}
+
+    def plus(self, a, b):
+        key = (a, b)
+        if key not in self._sums:
+            self._sums[key] = self.number.get(self.degrees[a] + self.degrees[b])
+        return self._sums[key]
+
+
+def _generating_set(r):
+    """S for the certificate, read from the tags: per block the h = 0
+    diagonal image and the images of the block's generators, per pair of
+    comparable blocks the cross vectors with h = k = 0.  The certificate's
+    verdict does not depend on this choice, only whether it gets one.
+
+    The cross vectors of the covers alone generate the algebra, but not
+    one member at a time: through a trivial middle block a product of
+    cover vectors is a sum over every character of the outer pair."""
+    zero = r.ambient.zero().coords
+    diagonal = {(block, g.coords) for block, h in r.datum.blocks.items()
+                for g in [r.ambient.zero(), *h.generators]}
+    return [idx for idx, b in enumerate(r.basis)
+            if (b.tag[0] == "diag" and b.tag[1:] in diagonal)
+            or (b.tag[0] == "cross" and b.tag[4] == b.tag[5] == zero)]
+
+
+def _pair_value(terms, conductor):
+    """The power-basis vector of sum c * zeta_N^e over the (e, c) terms."""
+    _, rows = _root_exponents(conductor)
+    vec = {}
+    for e, c in terms:
+        for q, t in rows[e]:
+            vec[q] = vec.get(q, 0) + c * t
+    return frozenset((q, v) for q, v in vec.items() if v)
+
+
+def _split(w, owner, shape, conductor):
+    """The members whose multiples sum to the element w of the group ring,
+    or None when w is not in the span of the members `owner` lists.
+
+    owner maps each pair to the one member whose support holds it, and
+    shape[m] maps each pair of member m to its one exponent; every member
+    has one coefficient, so w = c * b_m on m's support exactly when
+    w_p * zeta^(-e_p) is the same number on every pair p of it."""
+    by_pair = {}
+    for (x, y, e), c in w.items():
+        if c:
+            by_pair.setdefault((x, y), []).append((e, c))
+    touched = {}
+    for pair, terms in by_pair.items():
+        m = owner.get(pair)
+        if m is not None:
+            touched[m] = True
+        elif len(terms) == 1 or _pair_value(terms, conductor):
+            return None  # nonzero off the supports
+    out = []
+    for m in touched:
+        # first on the preimage: one monomial per pair, each the member's
+        # term times one constant c * x^a
+        keys = set()
+        for pair, e in shape[m].items():
+            terms = by_pair.get(pair, ())
+            if len(terms) != 1:
+                break
+            (ew, cw), = terms
+            keys.add((cw, (ew - e) % conductor))
+        else:
+            if len(keys) == 1:
+                out.append(m)
+                continue
+        values = {_pair_value([((ew - e) % conductor, cw)
+                               for ew, cw in by_pair.get(pair, ())], conductor)
+                  for pair, e in shape[m].items()}
+        if len(values) != 1:
+            return None
+        if values != {frozenset()}:
+            out.append(m)
+    return out
+
+
+def _all_reached(n, seeds, splits):
+    """Whether every member is reached: from the seeds, a split (right,
+    members) of an element s * right of T, right reached (or None for 1),
+    reaches its one member that is still unreached."""
+    reached = set(seeds)
+    grew = True
+    while grew:
+        grew = False
+        for right, members in splits:
+            if right is None or right in reached:
+                left = [m for m in members if m not in reached]
+                if len(left) == 1:
+                    reached.add(left[0])
+                    grew = True
+    return len(reached) == n
+
+
+def _components(preimages, degrees):
+    """(shape, owners) for `_split`, or None when some member is not one
+    coefficient times one root of unity per pair, or when two members of
+    one degree share a pair (a support component with several members).
+
+    shape[m] maps each pair of member m to its exponent; owners[d] maps
+    each pair of a degree-d member to that member (no key for a degree no
+    member has)."""
+    shape = []
+    for pre in preimages:
+        exps, coeffs = {}, set()
+        for (x, y, e), c in pre.items():
+            if (x, y) in exps:
+                return None
+            exps[(x, y)] = e
+            coeffs.add(c)
+        if len(coeffs) > 1:
+            return None
+        shape.append(exps)
+    owners = {}
+    for idx, d in enumerate(degrees.ids):
+        owner = owners.setdefault(d, {})
+        for pair in shape[idx]:
+            if owner.setdefault(pair, idx) != idx:
+                return None
+    return shape, owners
+
+
+def _certified(r, preimages, product, degrees, conductor):
+    """True when the certificate of the module docstring shows that the
+    basis (already known to be one) is graded; False proves nothing.
+    product(u, v) is the group-ring product of members u and v, or None
+    when it is zero by support."""
+    found = _components(preimages, degrees)
+    if found is None:
+        return False
+    shape, owners = found
+    one = _split({(x, x, 0): 1 for x in r.poset.elements},
+                 owners.get(degrees.number.get(r.ambient.zero()), {}),
+                 shape, conductor)
+    if one is None:
+        return False
+    splits = [(None, one)]
+    seeds = _generating_set(r)
+    for iv in range(len(preimages)):
+        for s in seeds:
+            w = product(s, iv)
+            if w is None:
+                continue
+            target = degrees.plus(degrees.ids[s], degrees.ids[iv])
+            members = _split(w, owners.get(target, {}), shape, conductor)
+            if members is None:
+                return False
+            splits.append((iv, members))
+    return _all_reached(len(preimages), seeds, splits)
+
+
 def verify_grading(r):
     """Re-check the grading axioms from scratch on a realized algebra.
 
@@ -271,6 +463,11 @@ def verify_grading(r):
     (b) for every ordered pair of basis elements the product lies in the
         span of the basis elements of the summed degree;
     (c) the identity is homogeneous of degree 0.
+
+    The certificate of the module docstring is tried first; when it holds,
+    every product of (b) is certified without being formed.  Otherwise all
+    of them are formed and checked.  Either way `checked_products` counts
+    the certified products, len(basis)^2.
     """
     report = VerificationReport()
     poset = r.poset
@@ -284,12 +481,26 @@ def verify_grading(r):
     conductor = _conductor_of(elems)
     phi = euler_phi(conductor)
     preimages, scale = _ring_preimages(elems, conductor)
+    degrees = _Degrees(r.basis)
+    ends = [{z for _, z, _ in pre} for pre in preimages]
+    indexed = [_by_first(pre) for pre in preimages]
+
+    def product(iu, iv):
+        # zero unless some pair of u ends where one of v starts
+        if ends[iu].isdisjoint(indexed[iv]):
+            return None
+        return _ring_product(preimages[iu], indexed[iv], conductor)
+
+    full_rank = len(r.basis) == dim and _full_rank_mod_p(
+        preimages, scale, pair_index, conductor)
+    if full_rank and _certified(r, preimages, product, degrees, conductor):
+        report.checked_products = dim * dim
+        return report
 
     if len(r.basis) != dim:
         report.flag("basis-size", "basis",
                     f"{len(r.basis)} basis elements for dimension {dim}")
-    if len(r.basis) != dim or not _full_rank_mod_p(
-            preimages, scale, pair_index, conductor):
+    if not full_rank:
         # no certificate: decide independence and spanning exactly
         space = RationalRowSpace()
         for idx, pre in enumerate(preimages):
@@ -302,36 +513,33 @@ def verify_grading(r):
             report.flag("not-spanning", "basis",
                         f"rank {space.rank} over Q, expected {phi * dim}")
 
-    by_degree = {}
-    for idx, b in enumerate(r.basis):
-        by_degree.setdefault(b.degree, []).append(idx)
     degree_spaces = {}
 
-    def span_of_degree(deg):
-        if deg not in degree_spaces:
-            members = by_degree.get(deg, ())
-            degree_spaces[deg] = _zeta_closed_space(
+    def span_of_degree(d):
+        # d numbers a degree, or is None for one no member has
+        if d not in degree_spaces:
+            members = degrees.members[d] if d is not None else ()
+            degree_spaces[d] = _zeta_closed_space(
                 [preimages[m] for m in members], pair_index, conductor)
-        return degree_spaces[deg]
+        return degree_spaces[d]
 
-    # a product is zero unless some pair of u ends where one of v starts
-    ends = [{z for _, z, _ in pre} for pre in preimages]
-    indexed = [_by_first(pre) for pre in preimages]
-    for iu, u in enumerate(r.basis):
-        for iv, v in enumerate(r.basis):
+    ids = degrees.ids
+    for iu in range(len(r.basis)):
+        for iv in range(len(r.basis)):
             report.checked_products += 1
-            if ends[iu].isdisjoint(indexed[iv]):
+            w = product(iu, iv)
+            if w is None:
                 continue
             # scale^2 times the flattened u * v; membership ignores the scale
-            w = _reduce(_ring_product(preimages[iu], indexed[iv], conductor),
-                        pair_index, conductor)
+            w = _reduce(w, pair_index, conductor)
             if not w:
                 continue
-            target = u.degree + v.degree
-            if target not in by_degree:
+            target = degrees.plus(ids[iu], ids[iv])
+            if target is None:
+                g = r.basis[iu].degree + r.basis[iv].degree
                 report.flag("product-escape", f"basis[{iu}] * basis[{iv}]",
                             f"nonzero product but no component of degree "
-                            f"{target.coords}")
+                            f"{g.coords}")
                 continue
             if not span_of_degree(target).contains(w):
                 report.flag("product-escape", f"basis[{iu}] * basis[{iv}]",
@@ -340,7 +548,7 @@ def verify_grading(r):
     # the identity's preimage is x^0 on every diagonal pair; a degree with
     # no members spans 0, the identity of the zero algebra
     one = _reduce({(x, x, 0): 1 for x in poset.elements}, pair_index, conductor)
-    if not span_of_degree(r.ambient.zero()).contains(one):
+    if not span_of_degree(degrees.number.get(r.ambient.zero())).contains(one):
         report.flag("identity-degree", "identity",
                     "identity element is not homogeneous of degree 0")
     return report

@@ -34,6 +34,9 @@ class Poset:
     def __setattr__(self, name, value):
         raise AttributeError("Poset is immutable")
 
+    def __reduce__(self):
+        return Poset, (self.elements, self._up, True)
+
     def _validate(self):
         n = len(self.elements)
         up = self._up

@@ -1,5 +1,7 @@
+import copy
 import gc
 import itertools
+import pickle
 import random
 import weakref
 from fractions import Fraction
@@ -415,3 +417,19 @@ def test_element_arithmetic_matches_coercing_constructor(case):
         assert got == want and hash(got) == hash(want)
         assert got.coords == want.coords
         assert all(type(c) is int for c in got.coords)
+
+
+def test_copy_and_pickle_return_the_one_live_object():
+    # copy, deepcopy and a pickle round trip rebuild through the
+    # constructor and canonicalize, so each returns the object itself
+    for group in CHARACTER_GROUPS:
+        subgroups = finite_subgroups(group) + [full_subgroup(group)]
+        elements = [group.zero()] + [h.generators[0] for h in subgroups if h.generators]
+        for obj in [group, *subgroups]:
+            assert copy.copy(obj) is obj
+            assert copy.deepcopy(obj) is obj
+            assert pickle.loads(pickle.dumps(obj)) is obj
+        for g in elements:
+            back = pickle.loads(pickle.dumps(g))
+            assert back == g and back.group is group
+            assert copy.deepcopy(g) == g

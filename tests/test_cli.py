@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from incidence_gradings import abelian, cyclo, datum, jsonio, oracle
+from incidence_gradings import abelian, cli, cyclo, datum, jsonio, oracle
 from incidence_gradings.abelian import (
     AbelianGroup,
     canonicalize,
@@ -476,3 +476,20 @@ def test_rank_budget_exits_1(tmp_path, capsys, ambient):
     error = json.loads(err)["error"]
     assert error["type"] == "BudgetExceeded"
     assert error["message"].endswith("exceeds the rank budget of 64")
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        first = run(capsys, "verify", str(DATA / "z12-chain2.json"))
+        assert run(capsys, "verify", str(DATA / "z12-chain2.json")) == first
+        # a usage error still exits 2 through argparse
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--no-such-option"])
+        assert exc.value.code == 2
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from incidence_gradings.abelian import (
 )
 from incidence_gradings.bimodules import BimoduleClass, bimodule_iso, twist
 from incidence_gradings.characters import dual_group, trivial_character
+from incidence_gradings import datum as datum_mod
 from incidence_gradings.cyclo import root_of_unity
 from incidence_gradings.datum import (
     GradingDatum,
@@ -27,6 +30,7 @@ from incidence_gradings.errors import (
     NotValid,
 )
 from incidence_gradings.incidence import incidence_dimension
+from incidence_gradings.jsonio import encode_datum, encode_validation_report
 from incidence_gradings.oracle import verify_grading
 from incidence_gradings.posets import antichain_poset, chain_poset, poset_from_relation
 
@@ -466,3 +470,32 @@ def test_grading_iso_relabelled_skeleton():
     flag, (alpha, _) = grading_iso(d1, d2)
     assert flag
     assert alpha["a"] == "z" and alpha["b"] == "x" and alpha["c"] == "y"
+
+
+def test_datum_survives_copy_and_pickle():
+    # every part of a datum rebuilds through its constructor; the groups and
+    # subgroups come back as the same objects
+    d = diamond_over_z2()
+    for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert twin.ambient is d.ambient
+        assert all(twin.blocks[v] is h for v, h in d.blocks.items())
+        assert encode_datum(twin) == encode_datum(d)
+        assert twin.skeleton.covers() == d.skeleton.covers()
+        assert (encode_validation_report(validate_datum(twin))
+                == encode_validation_report(validate_datum(d)))
+
+
+def test_realize_labels_each_vertex_once(monkeypatch):
+    labelled = []
+    label = datum_mod.vertex_label
+
+    def counting(block, chi):
+        labelled.append((block, chi.exps))
+        return label(block, chi)
+
+    monkeypatch.setattr(datum_mod, "vertex_label", counting)
+    h = canonicalize([Z4.element([2])], Z4)
+    r = realize(chain_datum(Z4, [full_subgroup(Z4), h, full_subgroup(Z4)],
+                            [trivial_class(full_subgroup(Z4), h, Z4.zero()),
+                             trivial_class(h, full_subgroup(Z4), Z4.element([1]))]))
+    assert len(labelled) == len(set(labelled)) == len(r.poset.elements) == 10

@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,9 +17,9 @@ from incidence_gradings.abelian import (
     trivial_subgroup,
 )
 from incidence_gradings.bimodules import BimoduleClass, bimodule_iso
-from incidence_gradings.characters import dual_group, trivial_character
+from incidence_gradings.characters import dual_group, restrict, trivial_character
 from incidence_gradings import datum as datum_mod
-from incidence_gradings import oracle
+from incidence_gradings import jsonio, oracle
 from incidence_gradings.cyclo import cyclotomic_polynomial, euler_phi, root_of_unity
 from incidence_gradings.datum import (
     CONDUCTOR_BUDGET,
@@ -44,7 +46,7 @@ from incidence_gradings.oracle import (
     radical_square_component,
     verify_grading,
 )
-from incidence_gradings.posets import chain_poset
+from incidence_gradings.posets import chain_poset, poset_from_relation
 from incidence_gradings.rowspan import RationalRowSpace
 
 from helpers import (
@@ -574,3 +576,173 @@ def test_full_rank_certificate_falls_back_to_exact_flags(monkeypatch):
         kinds = {v.kind for v in
                  _assert_same_report(_mutated(r, "duplicate", pick)).violations}
         assert {"dependent-basis", "not-spanning"} <= kinds
+
+
+# ---------------------------------------------------------------------------
+# the certificate from a homogeneous generating set
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _spy_certificate(monkeypatch):
+    """The verdicts of the certificate, one per verify_grading call that
+    reaches it (a basis that fails the full-rank step never does)."""
+    verdicts = []
+    certified = oracle._certified
+
+    def spy(*args):
+        verdicts.append(certified(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(oracle, "_certified", spy)
+    return verdicts
+
+
+def _coboundary_datum(ambient, labels, covers, rng):
+    """A valid datum whose every cover is mu_u / mu_w of degree p_w - p_u;
+    blocks are drawn again while the chains of a diamond disagree."""
+    skeleton = poset_from_relation(labels, covers)
+    while True:
+        blocks = {v: rng.choice(all_subgroups(ambient)) for v in labels}
+        mu = {v: rng.choice(dual_group(blocks[v])) for v in labels}
+        pot = {v: rng.choice(list(ambient.elements())) for v in labels}
+        classes = {}
+        for u, w in covers:
+            mid = intersect(blocks[u], blocks[w])
+            chi = restrict(mu[u], mid) * restrict(mu[w], mid).inverse()
+            classes[(u, w)] = BimoduleClass(blocks[u], blocks[w],
+                                            [(chi, pot[w] - pot[u])])
+        d = GradingDatum(ambient, skeleton, blocks, classes)
+        if validate_datum(d).valid:
+            return d
+
+
+def _z64_probes():
+    z64 = AbelianGroup(0, [64])
+    whole, none = full_subgroup(z64), trivial_subgroup(z64)
+    return [two_block_datum(z64, whole, none, trivial_character(none), z64.zero()),
+            chain_datum(z64, [none, whole, none],
+                        [trivial_class(none, whole, z64.zero()),
+                         trivial_class(whole, none, z64.zero())])]
+
+
+def _certified_data():
+    for path in sorted(DATA.glob("*.json")):
+        if not path.name.endswith(".verify.json"):
+            yield path.stem, jsonio.decode_datum(json.loads(path.read_text()))
+    rng = random.Random("certificate")
+    for ambient in SWEEP_GROUPS[:4]:
+        for name, labels, covers in ACCEPTANCE_SHAPES:
+            yield f"{name}/{ambient}", _coboundary_datum(ambient, labels, covers, rng)
+    for n, d in enumerate(_z64_probes()):
+        yield f"z64-{n}", d
+
+
+def test_certificate_decides_graded_data(monkeypatch):
+    # the golden data, every acceptance shape over the small sweep groups
+    # and both Z/64 probes: every graded one is certified, so the dim^2
+    # loop never runs on it
+    verdicts = _spy_certificate(monkeypatch)
+    certified, refused = [], []
+    for name, d in _certified_data():
+        r = realize(d)
+        report = verify_grading(r)
+        if verdicts.pop():
+            assert report.ok, name
+            assert report.checked_products == report.dimension ** 2, name
+            certified.append(name)
+        else:
+            # a valid datum whose realization is not graded (ROADMAP item 1)
+            assert not reference_verify_grading(r).ok, name
+            refused.append(name)
+    assert len(certified) == 38 and refused == ["diamond/AbelianGroup(Z/4)"]
+
+
+def _one_block_seeds(r):
+    block = r.datum.skeleton.elements[0]
+    return [n for n, b in enumerate(r.basis)
+            if b.tag[0] == "diag" and b.tag[1] == block]
+
+
+@pytest.mark.parametrize("realized", [
+    lambda: realize(two_block_datum(Z4, full_subgroup(Z4), sub(Z4, [2]),
+                                    dual_group(sub(Z4, [2]))[1], Z4.element([1]))),
+    lambda: realize(diamond_over_z2()),
+], ids=["fiber-z4", "diamond-z2"])
+def test_certificate_falls_back_when_the_seeds_do_not_generate(monkeypatch, realized):
+    # seeds from one block reach no member of another block's strip: (d)
+    # fails and the dim^2 loop gives the reference report
+    r = realized()
+    verdicts = _spy_certificate(monkeypatch)
+    monkeypatch.setattr(oracle, "_generating_set", _one_block_seeds)
+    _assert_same_report(r)
+    assert verdicts == [False]
+
+
+@pytest.mark.parametrize("realized", [
+    lambda: realize(diamond_over_z2()),
+    lambda: realize(chain_over_z8()),
+    lambda: _realized_along_first_chains(b3_over_z3()),
+], ids=["diamond-z2", "chain-z8", "b3-z3"])
+def test_certificate_refuses_non_graded_data(monkeypatch, realized):
+    r = realized()
+    verdicts = _spy_certificate(monkeypatch)
+    report = _assert_same_report(r)
+    assert verdicts == [False]
+    assert report.violations and {v.kind for v in report.violations} == {"product-escape"}
+
+
+def _chain2_by_hand(entries):
+    """A basis of I(x < y) over Z/2 from {pair: exponent of zeta_4} and a
+    degree per vector; the realized two-point chain supplies the poset."""
+    t = trivial_subgroup(Z2)
+    r = realize(two_block_datum(Z2, t, t, trivial_character(t), Z2.zero()))
+    (xx, yy, xy) = sorted(r.poset.comparable_pairs(), key=lambda p: (p[0] != p[1], p))
+    names = {"xx": xx, "yy": yy, "xy": xy}
+    basis = [BasisVector(IncidenceElement(r.poset, {
+                 names[p]: root_of_unity(Fraction(e, 4)) for p, e in coeffs.items()}),
+                 Z2.element([deg]), ("by-hand",))
+             for coeffs, deg in entries]
+    return _with_basis(r, basis)
+
+
+# 1 = e_xx + e_yy of degree 0, e_xx - e_yy of degree 1 and e_xy of degree 0:
+# every product lies in some V_g, but (e_xx - e_yy) * e_xy = e_xy has degree
+# 1 and is nonzero off the support of V_1
+OFF_SUPPORT = [({"xx": 0, "yy": 0}, 0), ({"xx": 0, "yy": 2}, 1), ({"xy": 0}, 0)]
+
+
+def test_certificate_checks_products_off_the_supports(monkeypatch):
+    r = _chain2_by_hand(OFF_SUPPORT)
+    verdicts = _spy_certificate(monkeypatch)
+    monkeypatch.setattr(oracle, "_generating_set", lambda r: list(range(len(r.basis))))
+    report = _assert_same_report(r)
+    assert verdicts == [False]
+    assert [v.location for v in report.violations] == ["basis[1] * basis[2]",
+                                                       "basis[2] * basis[1]"]
+
+
+def test_certificate_needs_every_member_reached(monkeypatch):
+    # from the identity alone, (c) holds (1 * v = v) and nothing else is
+    # reached: only (d) refuses
+    r = _chain2_by_hand(OFF_SUPPORT)
+    verdicts = _spy_certificate(monkeypatch)
+    monkeypatch.setattr(oracle, "_generating_set", lambda r: [0])
+    assert not _assert_same_report(r).ok
+    assert verdicts == [False]
+
+
+def test_certificate_gives_up_on_shared_supports(monkeypatch):
+    # e_xx + e_yy and e_xx + e_xy, both of degree 0, share the pair xx; the
+    # grading (with e_xy of degree 1) is fine, but a multiple test against
+    # one member would not decide the span of two
+    r = _chain2_by_hand([({"xx": 0, "yy": 0}, 0), ({"xx": 0, "xy": 0}, 0),
+                         ({"xy": 0}, 1)])
+    elems = [b.element for b in r.basis]
+    pres, _ = _ring_preimages(elems, _conductor_of(elems))
+    assert oracle._components(pres, oracle._Degrees(r.basis)) is None
+    verdicts = _spy_certificate(monkeypatch)
+    monkeypatch.setattr(oracle, "_generating_set", lambda r: list(range(len(r.basis))))
+    assert _assert_same_report(r).ok
+    assert verdicts == [False]
