@@ -135,15 +135,20 @@ def bimodule_iso(m, n):
 
 def twist(m, mu_left, mu_right):
     """The class with every character multiplied by the restrictions of
-    (mu_left, mu_right) to the middle subgroup; degrees are unchanged.
+    (mu_left, mu_right) to the middle subgroup; degrees are unchanged."""
+    if mu_left.domain != m.left or mu_right.domain != m.right:
+        raise DomainMismatch("twist characters must live on the blocks")
+    return _twist_by(m, restrict(mu_left, m.middle) * restrict(mu_right, m.middle))
+
+
+def _twist_by(m, factor):
+    """The class with every character multiplied by `factor`, a character
+    of m.middle.
 
     The result skips the constructor's checks and coset reduction: its
     blocks are m's, so m's degrees are still least coset representatives
     and the twisted characters still live on m.middle.  Reducing them
     again would return them unchanged."""
-    if mu_left.domain != m.left or mu_right.domain != m.right:
-        raise DomainMismatch("twist characters must live on the blocks")
-    factor = restrict(mu_left, m.middle) * restrict(mu_right, m.middle)
     return _canonical_class(m.left, m.right, m.middle,
                             tuple((factor * chi, g) for chi, g in m.pairs))
 

@@ -29,13 +29,16 @@ not graded (the B_3 datum over Z/3 in the tests).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
+from . import abelian
 from .abelian import intersect, subgroup_sum
-from .bimodules import BimoduleClass, bimodule_iso, realizable, twist
-from .bimodules import _compose, _merge_state
+from .bimodules import BimoduleClass, bimodule_iso, realizable
+from .bimodules import _compose, _merge_state, _twist_by
 from .characters import dual_group, exponent_rows, extension_fiber, restrict
 from .cyclo import root_of_unity
 from .errors import (
@@ -48,7 +51,7 @@ from .errors import (
     NotValid,
 )
 from .incidence import IncidenceElement
-from .posets import Poset, poset_isomorphisms
+from .posets import Poset, connected_components, poset_isomorphisms
 
 # Largest conductor (lcm of the block exponents) validate_datum accepts,
 # so that validate refuses the data realize and verify cannot handle.  The
@@ -471,43 +474,126 @@ def grading_iso(d, d_prime):
     two data cover-wise: M_ij isomorphic to mu_i * M'_{alpha i, alpha j} * mu_j.
 
     Returns (True, (alpha, mu)) with one witness, or (False, None).  The
-    mu search is exhaustive over the product of the dual groups, pruned
-    cover-by-cover as soon as both endpoints are assigned.
+    search runs per connected component of the skeletons' cover graphs:
+    alpha maps components onto components and mu_i acts only on the covers
+    at i, so two data are isomorphic exactly when their components can be
+    paired off isomorphically.  Graded isomorphism of components is an
+    equivalence relation, so each component of d, in label order, may take
+    the first still-unmatched isomorphic component of d_prime: the greedy
+    pairing is exact, and the witness is the union of the component
+    witnesses.  Within a pair of components alpha runs over the block-
+    preserving poset isomorphisms and mu is a backtrack over the
+    components' vertices (see _component_iso).  The alpha and mu nodes of
+    the whole call count against abelian.ENUMERATION_BUDGET.
     """
     if d.ambient != d_prime.ambient:
         raise AmbientMismatch("data over different ambient groups")
+    if len(d.skeleton) != len(d_prime.skeleton):
+        return False, None
+    nodes = count(1)
 
-    skel = d.skeleton
-    order = list(skel.elements)
+    def node():
+        if next(nodes) > abelian.ENUMERATION_BUDGET:
+            raise BudgetExceeded(f"grading_iso search exceeds the enumeration "
+                                 f"budget of {abelian.ENUMERATION_BUDGET} nodes")
+
+    factors = {}  # (cover, image cover): _twist_factors, shared by all tests
+    unmatched = [(c, _shape(d_prime, c))
+                 for c in connected_components(d_prime.skeleton)]
+    alpha, mu = {}, {}
+    for comp in connected_components(d.skeleton):
+        shape = _shape(d, comp)
+        for n, (other, other_shape) in enumerate(unmatched):
+            if other_shape != shape:
+                continue
+            witness = _component_iso(d, d_prime, comp, other, factors, node)
+            if witness is not None:
+                del unmatched[n]
+                alpha.update(witness[0])
+                mu.update(witness[1])
+                break
+        else:
+            return False, None
+    order = d.skeleton.elements
+    return True, ({v: alpha[v] for v in order}, {v: mu[v] for v in order})
+
+
+def _shape(d, comp):
+    """What two isomorphic components share: their size, the multiset of
+    their blocks and the multiset over covers of (blocks, degrees), which
+    twists leave unchanged."""
+    return (len(comp), Counter(d.blocks[v] for v in comp.elements),
+            Counter((d.blocks[u], d.blocks[w],
+                     tuple(sorted(g.coords for _, g in d.cover_bimodules[(u, w)].pairs)))
+                    for u, w in comp.covers()))
+
+
+def _twist_factors(m, target):
+    """The characters f of the middle group with m isomorphic to target
+    twisted by f, as exponent tuples: empty or a coset of the stabilizer
+    of target.  f must carry some pair of target onto m's first pair, so
+    only the quotients of those two characters are tried."""
+    if len(m.pairs) != len(target.pairs):
+        return frozenset()
+    chi0, g0 = m.pairs[0]
+    tried, found = set(), set()
+    for chi, g in target.pairs:
+        f = chi0 * chi.inverse()
+        if g.coords == g0.coords and f.exps not in tried:
+            tried.add(f.exps)
+            if bimodule_iso(m, _twist_by(target, f))[0]:
+                found.add(f.exps)
+    return frozenset(found)
+
+
+def _component_iso(d, d_prime, comp, other, factors, node):
+    """A witness (alpha, mu) on the component comp of d's skeleton and the
+    component other of d_prime's, or None.
+
+    For each block-preserving isomorphism alpha the cover (u, w) matches
+    exactly when restrict(mu_u) * restrict(mu_w) on its middle group lies
+    in its factor set, so an empty set rejects alpha at once.  Otherwise
+    mu is a backtrack over the vertices in label order, each cover checked
+    at its later endpoint.
+    """
+    order = comp.elements
     position = {v: n for n, v in enumerate(order)}
+    covers = comp.covers()
     covers_at = {v: [] for v in order}
-    for (u, w) in skel.covers():
-        late = u if position[u] > position[w] else w
-        covers_at[late].append((u, w))
+    for u, w in covers:
+        covers_at[max(u, w, key=position.__getitem__)].append(
+            (u, w, d.cover_bimodules[(u, w)].middle))
 
     def constraint(x, y):
         return d.blocks[x] == d_prime.blocks[y]
 
-    for alpha in poset_isomorphisms(skel, d_prime.skeleton, constraint):
+    for alpha in poset_isomorphisms(comp, other, constraint):
+        node()
+        allowed = {}
+        for u, w in covers:
+            key = ((u, w), (alpha[u], alpha[w]))
+            if key not in factors:
+                factors[key] = _twist_factors(d.cover_bimodules[(u, w)],
+                                              d_prime.cover_bimodules[key[1]])
+            allowed[(u, w)] = factors[key]
+        if not all(allowed.values()):
+            continue
         assign = {}
-
-        def cover_ok(u, w):
-            target = d_prime.cover_bimodules[(alpha[u], alpha[w])]
-            return bimodule_iso(d.cover_bimodules[(u, w)],
-                                twist(target, assign[u], assign[w]))[0]
 
         def search(depth):
             if depth == len(order):
                 return True
             v = order[depth]
-            for mu in dual_group(d.blocks[v]):
-                assign[v] = mu
-                if all(cover_ok(u, w) for u, w in covers_at[v]):
+            for chi in dual_group(d.blocks[v]):
+                node()
+                assign[v] = chi
+                if all((restrict(assign[u], mid) * restrict(assign[w], mid)).exps
+                       in allowed[(u, w)] for u, w, mid in covers_at[v]):
                     if search(depth + 1):
                         return True
             del assign[v]
             return False
 
         if search(0):
-            return True, (dict(alpha), dict(assign))
-    return False, None
+            return alpha, assign
+    return None

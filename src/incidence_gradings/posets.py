@@ -1,4 +1,4 @@
-"""Finite posets: construction, covers, isomorphisms, link counts.
+"""Finite posets: construction, covers, components, isomorphisms, link counts.
 
 The order relation is stored densely (successor sets per element); posets
 here stay under a few hundred vertices, so O(1) comparability queries beat
@@ -141,6 +141,40 @@ def chain_poset(labels):
 
 def antichain_poset(labels):
     return poset_from_relation(list(labels), [])
+
+
+def connected_components(p):
+    """The connected components of p's comparability graph (the same as
+    its cover graph's), each a subposet with its elements in p's order,
+    listed by their first element.  A connected p is its own component."""
+    n = len(p.elements)
+    adjacent = [set(up) for up in p._up]
+    for i, up in enumerate(p._up):
+        for j in up:
+            adjacent[j].add(i)
+    seen = [False] * n
+    parts = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members, stack = [start], [start]
+        while stack:
+            for j in adjacent[stack.pop()]:
+                if not seen[j]:
+                    seen[j] = True
+                    members.append(j)
+                    stack.append(j)
+        parts.append(sorted(members))
+    if len(parts) == 1:
+        return [p]
+    out = []
+    for members in parts:
+        local = {i: k for k, i in enumerate(members)}
+        out.append(Poset([p.elements[i] for i in members],
+                         [{local[j] for j in p._up[i]} for i in members],
+                         _checked=True))
+    return out
 
 
 def poset_isomorphisms(p, q, constraint=None):

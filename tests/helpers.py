@@ -1,5 +1,6 @@
 """Shared builders for datum-level and acceptance tests."""
 
+import itertools
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -15,7 +16,7 @@ from incidence_gradings.abelian import (
     subgroup_sum,
     trivial_subgroup,
 )
-from incidence_gradings.bimodules import BimoduleClass
+from incidence_gradings.bimodules import BimoduleClass, bimodule_iso
 from incidence_gradings.characters import (
     dual_group,
     extension_fiber,
@@ -489,3 +490,56 @@ def reference_extension_fiber(chi, h):
     """The characters of h restricting to chi: a filter over dual_group(h)."""
     return [eta for eta in dual_group(h)
             if ReferenceCharacter.of(eta).restrict(chi.domain).values == chi.values]
+
+
+# ---------------------------------------------------------------------------
+# grading isomorphism by exhaustive search
+
+
+def _naive_grading_iso(d, d2):
+    """Independent exhaustive search: every label bijection, every mu tuple."""
+    labels = list(d.skeleton.elements)
+    labels2 = list(d2.skeleton.elements)
+    if len(labels) != len(labels2):
+        return False
+    covers = list(d.cover_bimodules)
+    for image in itertools.permutations(labels2):
+        alpha = dict(zip(labels, image))
+        if any(d.blocks[v] != d2.blocks[alpha[v]] for v in labels):
+            continue
+        if any(d.skeleton.leq(x, y) != d2.skeleton.leq(alpha[x], alpha[y])
+               for x in labels for y in labels):
+            continue
+        # cover matches depend on mu only through the product of the two
+        # restrictions; tabulate per cover before sweeping tuples
+        tables = []
+        for (u, w) in covers:
+            mid = d.cover_bimodules[(u, w)].middle
+            table = {}
+            for factor in dual_group(mid):
+                twisted = BimoduleClass(
+                    d2.blocks[alpha[u]], d2.blocks[alpha[w]],
+                    [(factor * chi, g) for chi, g in
+                     d2.cover_bimodules[(alpha[u], alpha[w])].pairs])
+                table[factor.values] = bimodule_iso(
+                    d.cover_bimodules[(u, w)], twisted)[0]
+            tables.append(((u, w), mid, table))
+        restriction = {}
+        for v in labels:
+            for mu in dual_group(d.blocks[v]):
+                for (u, w), mid, _ in tables:
+                    if v in (u, w):
+                        restriction[(v, mu.values, mid)] = restrict(mu, mid)
+        duals = [dual_group(d.blocks[v]) for v in labels]
+        for assignment in itertools.product(*duals):
+            chosen = dict(zip(labels, assignment))
+            ok = True
+            for (u, w), mid, table in tables:
+                f = (restriction[(u, chosen[u].values, mid)]
+                     * restriction[(w, chosen[w].values, mid)])
+                if not table[f.values]:
+                    ok = False
+                    break
+            if ok:
+                return True
+    return False

@@ -40,7 +40,13 @@ from incidence_gradings.oracle import (
 )
 from incidence_gradings.posets import poset_automorphisms, poset_from_relation
 
-from helpers import ACCEPTANCE_SHAPES, SWEEP_GROUPS, chain_datum, two_block_datum
+from helpers import (
+    ACCEPTANCE_SHAPES,
+    SWEEP_GROUPS,
+    _naive_grading_iso,
+    chain_datum,
+    two_block_datum,
+)
 
 
 def report_line(number, ok, detail):
@@ -233,55 +239,6 @@ def _twisted_relabelled(rng, d):
     covers2 = {(perm[u], perm[w]): twist(cls, mu[u], mu[w])
                for (u, w), cls in d.cover_bimodules.items()}
     return GradingDatum(d.ambient, d.skeleton, blocks2, covers2)
-
-
-def _naive_grading_iso(d, d2):
-    """Independent exhaustive search: every label bijection, every mu tuple."""
-    labels = list(d.skeleton.elements)
-    labels2 = list(d2.skeleton.elements)
-    if len(labels) != len(labels2):
-        return False
-    covers = list(d.cover_bimodules)
-    for image in itertools.permutations(labels2):
-        alpha = dict(zip(labels, image))
-        if any(d.blocks[v] != d2.blocks[alpha[v]] for v in labels):
-            continue
-        if any(d.skeleton.leq(x, y) != d2.skeleton.leq(alpha[x], alpha[y])
-               for x in labels for y in labels):
-            continue
-        # cover matches depend on mu only through the product of the two
-        # restrictions; tabulate per cover before sweeping tuples
-        tables = []
-        for (u, w) in covers:
-            mid = d.cover_bimodules[(u, w)].middle
-            table = {}
-            for factor in dual_group(mid):
-                twisted = BimoduleClass(
-                    d2.blocks[alpha[u]], d2.blocks[alpha[w]],
-                    [(factor * chi, g) for chi, g in
-                     d2.cover_bimodules[(alpha[u], alpha[w])].pairs])
-                table[factor.values] = bimodule_iso(
-                    d.cover_bimodules[(u, w)], twisted)[0]
-            tables.append(((u, w), mid, table))
-        restriction = {}
-        for v in labels:
-            for mu in dual_group(d.blocks[v]):
-                for (u, w), mid, _ in tables:
-                    if v in (u, w):
-                        restriction[(v, mu.values, mid)] = restrict(mu, mid)
-        duals = [dual_group(d.blocks[v]) for v in labels]
-        for assignment in itertools.product(*duals):
-            chosen = dict(zip(labels, assignment))
-            ok = True
-            for (u, w), mid, table in tables:
-                f = (restriction[(u, chosen[u].values, mid)]
-                     * restriction[(w, chosen[w].values, mid)])
-                if not table[f.values]:
-                    ok = False
-                    break
-            if ok:
-                return True
-    return False
 
 
 def test_criterion_6_isomorphism_roundtrips():

@@ -15,6 +15,7 @@ from incidence_gradings.abelian import (
 from incidence_gradings.bimodules import BimoduleClass
 from incidence_gradings.characters import dual_group, trivial_character
 from incidence_gradings.cli import main
+from incidence_gradings.posets import poset_from_relation
 
 from helpers import chain_datum, two_block_datum
 
@@ -462,6 +463,34 @@ def test_enumeration_budget_exits_1(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "validate", path)
     assert code == 0
     assert json.loads(out)["valid"] is True
+
+
+def test_iso_grading_search_budget_exits_1(tmp_path, capsys):
+    # a star of nine leaves over full Z/4 blocks: every cover carries two
+    # characters a character of order 4 apart, except one leaf of the
+    # partner, whose two lie an order-2 character apart.  Each of the 9!
+    # skeleton maps fails only at that leaf, so the search runs out of budget.
+    h = full_subgroup(Z4)
+    dual = dual_group(h)
+    labels = ["c"] + [f"l{i}" for i in range(9)]
+    skeleton = poset_from_relation(labels, [("c", leaf) for leaf in labels[1:]])
+
+    def star(apart):
+        return datum.GradingDatum(Z4, skeleton, {v: h for v in labels}, {
+            ("c", leaf): BimoduleClass(h, h, [(dual[0], Z4.zero()),
+                                              (dual[apart.get(leaf, 1)], Z4.zero())])
+            for leaf in labels[1:]})
+
+    d = write_json(tmp_path, "d.json", jsonio.encode_datum(star({})))
+    d2 = write_json(tmp_path, "d2.json", jsonio.encode_datum(star({"l0": 2})))
+    code, out, err = run(capsys, "iso-grading", d, d)
+    assert code == 0 and json.loads(out)["isomorphic"] is True
+    code, out, err = run(capsys, "iso-grading", d, d2)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": {
+        "type": "BudgetExceeded",
+        "message": "grading_iso search exceeds the enumeration budget of "
+                   f"{abelian.ENUMERATION_BUDGET} nodes"}}
 
 
 @pytest.mark.parametrize("ambient", [{"torsion": [2] * 65},

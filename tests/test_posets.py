@@ -4,6 +4,7 @@ from incidence_gradings.errors import CycleDetected, InvalidPartition
 from incidence_gradings.posets import (
     antichain_poset,
     chain_poset,
+    connected_components,
     link_counts,
     poset_automorphisms,
     poset_from_relation,
@@ -43,6 +44,18 @@ def test_diamond_structure():
     assert set(p.covers()) == {(1, 2), (1, 3), (2, 4), (3, 4)}
     assert p.leq(1, 4)
     assert p.strictly_between(1, 4) == [2, 3]
+
+
+def test_connected_components():
+    # "b" is comparable to "d" only through "c": one component, not two
+    p = poset_from_relation(["a", "b", "c", "d", "e"], [("b", "c"), ("d", "c")])
+    parts = connected_components(p)
+    assert [q.elements for q in parts] == [("a",), ("b", "c", "d"), ("e",)]
+    assert parts[1].covers() == [("b", "c"), ("d", "c")]
+    assert parts[1].leq("d", "c") and not parts[1].leq("b", "d")
+    diamond = poset_from_relation("wxyz", [("w", "x"), ("w", "y"), ("x", "z"), ("y", "z")])
+    assert connected_components(diamond) == [diamond]
+    assert connected_components(antichain_poset([])) == []
 
 
 def test_isomorphisms_chains_and_antichains():
