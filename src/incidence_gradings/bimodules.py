@@ -160,14 +160,13 @@ def _compose(left, right, h_mid, h_out):
     them, and contributes every extension of the product to h_out, with
     the sum of the two degrees (not coset-reduced).
     """
+    restricted = [(restrict(chi_b, h_mid), deg_b) for chi_b, deg_b in right]
     out = []
     for chi_a, deg_a in left:
         r_a = restrict(chi_a, h_mid)
-        for chi_b, deg_b in right:
-            target = r_a * restrict(chi_b, h_mid)
+        for r_b, deg_b in restricted:
             deg = deg_a + deg_b
-            for ext in extension_fiber(target, h_out):
-                out.append((ext, deg))
+            out += [(ext, deg) for ext in extension_fiber(r_a * r_b, h_out)]
     return out
 
 
@@ -176,15 +175,22 @@ def _merge_state(entries, reducer):
 
     Degrees are compared modulo the subgroup `reducer`.  Same character
     in two different cosets means the data cannot come from a grading:
-    the character's component would need two degrees.
+    the character's component would need two degrees.  Only a character
+    that occurs again has a degree to compare, so cosets are formed for
+    repeated characters only, the first degree's once.
     """
     merged = {}
+    cosets = {}
     for chi, deg in entries:
-        coset = reducer.least_coset_coords(deg).coords
-        if merged.setdefault(chi, (coset, deg))[0] != coset:
+        first = merged.setdefault(chi, deg)
+        if first is deg:
+            continue
+        if chi not in cosets:
+            cosets[chi] = reducer.least_coset_coords(first).coords
+        if reducer.least_coset_coords(deg).coords != cosets[chi]:
             raise DegreeConflict(
                 f"character {chi!r} forced into two distinct degree cosets")
-    return [(chi, deg) for chi, (_, deg) in merged.items()]
+    return list(merged.items())
 
 
 def bimodule_product(m12, m23):

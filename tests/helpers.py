@@ -307,7 +307,7 @@ def reference_derive(d, collect_issues=None):
 
 def reference_triple_issue(d, i, k, j, left, right, whole):
     """The triple check as written before the composition was shared:
-    same contract as datum._triple_issue."""
+    the issue message for the triple i < k < j, or None."""
     h_ij = intersect(d.blocks[i], d.blocks[j])
     h_ikj = intersect(h_ij, d.blocks[k])
     reducer = subgroup_sum(d.blocks[i], d.blocks[j])
@@ -326,6 +326,31 @@ def reference_triple_issue(d, i, k, j, left, right, whole):
             return (f"degree of {chi!r} differs between the two-step product "
                     f"and the derived class")
     return None
+
+
+def reference_validate(d):
+    """(issues, checked_triples) of validate_datum, each issue a
+    (condition, location, message) tuple, from the chain-by-chain
+    derivation and a triple check on every triple i < k < j whose three
+    pairs are derived."""
+    issues = [("2", f"cover ({i!r}, {j!r})",
+               "repeated character: not a submodule of the regular module")
+              for (i, j), cls in sorted(d.cover_bimodules.items(),
+                                        key=lambda kv: (str(kv[0][0]), str(kv[0][1])))
+              if len(set(cls.characters())) != len(cls.pairs)]
+    conflicts = []
+    raw = reference_derive(d, conflicts)
+    issues += [("3", f"pair ({i!r}, {j!r})", message) for (i, j), message in conflicts]
+    checked = 0
+    for i, j in d.comparable_block_pairs():
+        for k in d.skeleton.strictly_between(i, j):
+            checked += 1
+            parts = [raw.get(pair) for pair in ((i, k), (k, j), (i, j))]
+            if None not in parts:
+                issue = reference_triple_issue(d, i, k, j, *parts)
+                if issue is not None:
+                    issues.append(("3", f"triple ({i!r}, {k!r}, {j!r})", issue))
+    return issues, checked
 
 
 # ---------------------------------------------------------------------------

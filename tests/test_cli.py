@@ -1,10 +1,11 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
 
-from incidence_gradings import abelian, cli, cyclo, datum, jsonio, oracle
+from incidence_gradings import abelian, characters, cli, cyclo, datum, jsonio, oracle
 from incidence_gradings.abelian import (
     AbelianGroup,
     canonicalize,
@@ -141,6 +142,21 @@ def test_verify_matches_golden_output(capsys, name):
     assert code == 0
     assert err == ""
     assert out == (DATA / f"{name}.verify.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, code", [
+    ("boolean4-valid", 0),       # coboundary covers on B_4 over Z/4
+    ("boolean5-broken", 1),      # the same on B_5, one cover character moved
+    ("b3-over-z3", 1),           # chains disagree though every triple agrees
+    ("z6-triple", 1),            # refused by the triple check alone
+    ("repeated-character", 1),   # condition (2) fails, every triple still runs
+])
+def test_validate_matches_golden_output(capsys, name, code):
+    # validate/NAME.validate.json is the stdout of `validate NAME.json`
+    got = run(capsys, "validate", str(DATA / "validate" / f"{name}.json"))
+    want = (DATA / "validate" / f"{name}.validate.json").read_text(encoding="utf-8")
+    assert got == (code, want, "")
+    assert json.loads(want)["valid"] is (code == 0)
 
 
 def test_verify_corrupted_exits_1(tmp_path, capsys):
@@ -459,10 +475,44 @@ def test_enumeration_budget_exits_1(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "verify", path)
     assert code == 1
     assert json.loads(err)["error"]["type"] == "BudgetExceeded"
-    # validating a two-block datum asks only coset questions: no enumeration
+    # the realized poset would have 4 + 2 vertices: past a budget of 3
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"]["message"] == \
+        "6 realized vertices exceed the enumeration budget of 3"
+    # within it, validating a two-block datum asks only coset questions:
+    # no subgroup or dual group is listed
+    monkeypatch.setattr(abelian, "ENUMERATION_BUDGET", 6)
+    listed = []
+    for module in (abelian, characters):
+        monkeypatch.setattr(module, "check_enumeration_budget",
+                            lambda order, what: listed.append(what))
     code, out, err = run(capsys, "validate", path)
     assert code == 0
     assert json.loads(out)["valid"] is True
+    assert listed == []
+
+
+def test_vertex_budget_exits_1_in_every_command(tmp_path, capsys):
+    # three blocks of order 2^15 in (Z/2)^15: each is within the
+    # enumeration budget, the rank and the conductor within theirs, but the
+    # realized poset would have 3 * 2^15 vertices
+    rank = 15
+    whole = {"generators": [[int(a == b) for b in range(rank)] for a in range(rank)]}
+    doc = {"ambient": {"free_rank": 0, "torsion": [2] * rank},
+           "skeleton": {"elements": ["1", "2", "3"], "covers": []},
+           "blocks": {v: whole for v in "123"}, "bimodules": {}}
+    path = write_json(tmp_path, "d.json", doc)
+    for command in ("validate", "realize", "verify"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, path)
+        # refused before any character is listed
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {
+            "type": "BudgetExceeded",
+            "message": f"{3 * 2 ** rank} realized vertices exceed the "
+                       f"enumeration budget of {abelian.ENUMERATION_BUDGET}"}}
 
 
 def test_iso_grading_search_budget_exits_1(tmp_path, capsys):

@@ -3,11 +3,16 @@
 helpers.reference_derive composes along each chain separately; the
 package derives each distinct chain state once.  Both must report the
 same issues, in the same order with the same messages, and the same raw
-data, down to the key order of the result.  helpers.reference_triple_issue
-is the triple check with its own copy of the two-step composition.
+data, down to the key order of the result.  helpers.reference_validate
+runs the triple check, with its own copy of the two-step composition, on
+every triple whose three pairs are derived; validate_datum leaves out the
+triples the walk has already decided and must report the same issues.
 """
 
+import itertools
 import json
+import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,8 +20,8 @@ from hypothesis import example, given, settings
 
 from incidence_gradings import datum as datum_mod
 from incidence_gradings import jsonio
-from incidence_gradings.abelian import AbelianGroup, canonicalize
-from incidence_gradings.bimodules import BimoduleClass
+from incidence_gradings.abelian import AbelianGroup, Subgroup, canonicalize, full_subgroup
+from incidence_gradings.bimodules import BimoduleClass, _merge_state
 from incidence_gradings.characters import dual_group, trivial_character
 from incidence_gradings.cli import main
 from incidence_gradings.datum import GradingDatum, realize, validate_datum
@@ -29,9 +34,11 @@ from helpers import (
     b3_over_z3,
     grading_data,
     reference_derive,
-    reference_triple_issue,
+    reference_validate,
     saturated_chains,
 )
+
+DATA = Path(__file__).parent / "data"
 
 DIAMOND = [("1", "2"), ("1", "3"), ("2", "4"), ("3", "4")]
 
@@ -81,12 +88,8 @@ def _assert_same_derivation(d):
             errors.append((type(exc), str(exc)))
     assert errors[0] == errors[1]
     # and the full report, triple checks included, is unchanged
-    with mock.patch.object(datum_mod, "_derive", reference_derive), \
-            mock.patch.object(datum_mod, "_triple_issue", reference_triple_issue):
-        want_report = validate_datum(d)
     got_report = validate_datum(d)
-    assert _issue_form(got_report) == _issue_form(want_report)
-    assert got_report.checked_triples == want_report.checked_triples
+    assert (_issue_form(got_report), got_report.checked_triples) == reference_validate(d)
     return got_report
 
 
@@ -103,6 +106,33 @@ def _two_conflicts_diamond():
                         {v: h for v in "1234"}, dict(zip(DIAMOND, cls)))
 
 
+def _z6_datum():
+    """0 <. 1 <. {2, 3} <. 4 over Z/6, blocks <3>, <3>, <2>, <2>, <3>;
+    cover (0, 1) = {0 @ 1, 1/2 @ 0}, every other cover trivial @ 0.  Only
+    the triple (0, 1, 4) refuses it."""
+    doc = json.loads((DATA / "validate" / "z6-triple.json").read_text(encoding="utf-8"))
+    return jsonio.decode_datum(doc)
+
+
+def _boolean_coboundary(n, rng):
+    """Full Z/4 blocks on B_n; the cover u <. w carries mu_u / mu_w with
+    degree p_w - p_u, so every chain telescopes and the datum is valid."""
+    z4 = AbelianGroup(0, [4])
+    full = full_subgroup(z4)
+    labels = [frozenset(s) for r in range(n + 1)
+              for s in itertools.combinations(range(n), r)]
+    name = {s: "".join(map(str, sorted(s))) or "e" for s in labels}
+    covers = [(name[s], name[s | {x}]) for s in labels for x in range(n) if x not in s]
+    dual = dual_group(full)
+    mu = {name[s]: rng.choice(dual) for s in labels}
+    pot = {name[s]: z4.element([rng.randrange(4)]) for s in labels}
+    return GradingDatum(z4, poset_from_relation([name[s] for s in labels], covers),
+                        {name[s]: full for s in labels},
+                        {(u, w): BimoduleClass(full, full, [(mu[u] * mu[w].inverse(),
+                                                             pot[w] - pot[u])])
+                         for u, w in covers})
+
+
 def test_memoised_derivation_matches_chain_enumeration():
     tally = {"data": 0, "issues": 0, "valid": 0}
 
@@ -110,6 +140,7 @@ def test_memoised_derivation_matches_chain_enumeration():
               deadline=None)
     @given(grading_data(SHAPES, GROUPS))
     @example(_two_conflicts_diamond())
+    @example(_z6_datum())
     def check(d):
         report = _assert_same_derivation(d)
         tally["data"] += 1
@@ -157,3 +188,66 @@ def test_realize_and_verify_derive_once(tmp_path, capsys):
         assert spy.call_count == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["valid"] is True and doc["ok"] is True
+
+
+def test_z6_datum_is_refused_by_the_triple_check_alone():
+    d = _z6_datum()
+    assert _issue_form(validate_datum(d)) == [(
+        "3", "triple ('0', '1', '4')",
+        "degree of Character(0) differs between the two-step product and "
+        "the derived class")]
+    # the chains to 4 agree, so without the triple check the datum
+    # validates, and its realization is not graded
+    with mock.patch.object(datum_mod, "_triple_issue", return_value=None):
+        assert validate_datum(d).valid
+        report = verify_grading(realize(d))
+    assert [v.kind for v in report.violations] == ["product-escape"] * 32
+
+
+def _spy_triples(d):
+    with mock.patch.object(datum_mod, "_triple_issue",
+                           wraps=datum_mod._triple_issue) as spy:
+        report = validate_datum(d)
+    return report, spy.call_count
+
+
+def test_walk_decides_the_triples_below_a_cover():
+    d = _boolean_coboundary(4, random.Random(4))
+    report, calls = _spy_triples(d)
+    assert report.valid and report.checked_triples == 110
+    # only the triples i < k < j whose step k < j is not a cover are checked
+    assert calls == 34
+    # a repeated character on one cover: every triple with its three
+    # pairs derived is checked again
+    (u, w), cls = next(iter(d.cover_bimodules.items()))
+    covers = dict(d.cover_bimodules)
+    covers[(u, w)] = BimoduleClass(cls.left, cls.right, cls.pairs * 2)
+    d = GradingDatum(d.ambient, d.skeleton, d.blocks, covers)
+    report, calls = _spy_triples(d)
+    assert _issue_form(report) == [
+        ("2", f"cover ({u!r}, {w!r})",
+         "repeated character: not a submodule of the regular module")]
+    assert report.checked_triples == 110
+    derived = report.derived
+    assert calls == sum((i, k) in derived and (k, j) in derived and (i, j) in derived
+                        for i, j in d.comparable_block_pairs()
+                        for k in d.skeleton.strictly_between(i, j)) == 110
+
+
+def test_merge_state_forms_cosets_for_repeated_characters_only():
+    z8 = AbelianGroup(0, [8])
+    four = canonicalize([z8.element([4])], z8)
+    a, b = dual_group(four)
+    g = [z8.element([n]) for n in range(8)]
+    with mock.patch.object(Subgroup, "least_coset_coords", autospec=True,
+                           side_effect=Subgroup.least_coset_coords) as spy:
+        assert _merge_state([(a, g[1]), (b, g[2])], four) == [(a, g[1]), (b, g[2])]
+        assert spy.call_count == 0
+        # a repeat in the same coset of <4>: the first degree is kept
+        assert _merge_state([(a, g[1]), (b, g[2]), (a, g[5])], four) == \
+            [(a, g[1]), (b, g[2])]
+        assert spy.call_count == 2
+        # both characters conflict; the first conflicting entry is b's
+        with pytest.raises(DegreeConflict) as exc:
+            _merge_state([(a, g[0]), (b, g[0]), (b, g[1]), (a, g[1])], four)
+    assert str(exc.value) == f"character {b!r} forced into two distinct degree cosets"
