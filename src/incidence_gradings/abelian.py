@@ -6,7 +6,8 @@ coordinate sums here).  A subgroup is represented by the canonical Hermite
 basis of its preimage lattice in Z^n, which is unique and supports infinite
 ambient groups.  Reduction against that basis (`intlinalg.hnf_reduce`)
 answers membership, lattice coordinates and least coset representatives
-without enumerating H.  All arithmetic is on arbitrary-precision integers.
+without enumerating H, and an intersection is read off one Hermite form of
+stacked rows.  All arithmetic is on arbitrary-precision integers.
 
 Canonical form means a unique object: `AbelianGroup` and `canonicalize`
 return the one live group per (free_rank, torsion_factors) and the one live
@@ -26,13 +27,7 @@ import weakref
 from math import prod
 
 from .errors import AmbientMismatch, BudgetExceeded, InfiniteSubgroup, InvalidElement
-from .intlinalg import (
-    hnf_reduce,
-    left_kernel,
-    mat_mul,
-    row_hnf,
-    smith_normal_form,
-)
+from .intlinalg import hnf_reduce, mat_mul, row_hnf, smith_normal_form
 
 _PAIR_MEMO_SIZE = 512  # pairs for intersect and for sum; up to 110
 # Largest order Subgroup.elements and dual_group list: the tests, benchmark
@@ -387,18 +382,15 @@ def intersect(a, b):
 
 @functools.lru_cache(maxsize=_PAIR_MEMO_SIZE)
 def _intersect(a, b):
-    rows_a = [list(r) for r in a.lattice_basis]
-    rows_b = [list(r) for r in b.lattice_basis]
-    kernel = left_kernel(rows_a + rows_b, a.ambient.rank)
-    na = len(rows_a)
-    gens = []
-    for u in kernel:
-        coords = [0] * a.ambient.rank
-        for c, row in zip(u[:na], rows_a):
-            if c:
-                coords = [x + c * y for x, y in zip(coords, row)]
-        gens.append(GroupElement(a.ambient, coords))
-    return canonicalize(gens, a.ambient)
+    # Stacked Hermite form (Cohen, GTM 138, 2.4): the rows (x | x), x in a's
+    # basis, and (y | 0), y in b's, span {(x + y | x)}; its Hermite rows
+    # with zero first half are (0 | z), and those z span a /\ b.
+    n = a.ambient.rank
+    rows = ([list(x) + list(x) for x in a.lattice_basis]
+            + [list(y) + [0] * n for y in b.lattice_basis])
+    hnf, pivots = row_hnf(rows, 2 * n)
+    return canonicalize([GroupElement(a.ambient, row[n:])
+                         for row, pc in zip(hnf, pivots) if pc >= n], a.ambient)
 
 
 def subgroup_sum(a, b):

@@ -10,10 +10,12 @@ No multiplicative inverse is provided: nothing in the constructions needs
 division, and the oracle's linear algebra works coordinate-wise over the
 rationals instead.
 
-Phi_n, the power and embedding tables and the roots of unity are memoized
-in `functools.lru_cache`s bounded at several times the working sets of
-the tests and the benchmark; cached numbers are immutable and equality
-never compares identity, so eviction only costs a recomputation.
+Phi_n, the power table of zeta_n and the exponent lookup built on it
+(`_root_exponents`) are memoized per conductor in `functools.lru_cache`s
+bounded at several times the working sets of the tests and the benchmark;
+cached tables are immutable, so eviction only costs a recomputation.
+Roots of unity and embeddings into a larger field are rows of a power
+table, read without a memo of their own.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ import functools
 import math
 from fractions import Fraction
 
-_FIELD_MEMO_SIZE = 64  # conductors, or pairs for embeddings; up to 20
-_ROOT_MEMO_SIZE = 256  # distinct roots of unity; working sets up to 40
+_FIELD_MEMO_SIZE = 64  # conductors; up to 20
 
 
 def _poly_mul(a, b):
@@ -109,15 +110,6 @@ def euler_phi(n):
     return len(cyclotomic_polynomial(n)) - 1
 
 
-@functools.lru_cache(maxsize=_FIELD_MEMO_SIZE)
-def _embed_table(small, big):
-    """Power-basis images of zeta_small^k inside Q(zeta_big)."""
-    step = big // small
-    table_big = _power_table(big)
-    phi_small = euler_phi(small)
-    return tuple(table_big[(k * step) % big] for k in range(phi_small))
-
-
 def _normalize(nums, den):
     if den < 0:
         nums = tuple(-x for x in nums)
@@ -182,12 +174,13 @@ class CycloNumber:
             return self
         if conductor % self.conductor:
             raise ValueError("target conductor must be a multiple")
-        rows = _embed_table(self.conductor, conductor)
-        phi = euler_phi(conductor)
-        out = [0] * phi
-        for c, row in zip(self.nums, rows):
+        # zeta_small^k is zeta_big^(k * step), one row of the power table
+        step = conductor // self.conductor
+        table = _power_table(conductor)
+        out = [0] * euler_phi(conductor)
+        for k, c in enumerate(self.nums):
             if c:
-                for i, r in enumerate(row):
+                for i, r in enumerate(table[k * step]):
                     if r:
                         out[i] += c * r
         return CycloNumber._raw(conductor, out, self.den)
@@ -278,12 +271,7 @@ def root_of_unity(q):
     root_of_unity(q1) * root_of_unity(q2) == root_of_unity((q1+q2) % 1).
     """
     q = Fraction(q) % 1
-    return _root(q.numerator, q.denominator)
-
-
-@functools.lru_cache(maxsize=_ROOT_MEMO_SIZE)
-def _root(a, b):
-    return CycloNumber(b, _power_table(b)[a] if b > 1 else (1,))
+    return CycloNumber(q.denominator, _power_table(q.denominator)[q.numerator])
 
 
 def cyclo_zero(conductor=1):

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import count
 from math import lcm
 
@@ -53,7 +52,7 @@ from .abelian import intersect, subgroup_sum
 from .bimodules import BimoduleClass, bimodule_iso, realizable
 from .bimodules import _compose, _merge_state, _twist_by
 from .characters import dual_group, exponent_rows, extension_fiber, restrict
-from .cyclo import root_of_unity
+from .cyclo import CycloNumber, _power_table
 from .errors import (
     AmbientMismatch,
     BudgetExceeded,
@@ -415,13 +414,15 @@ def realize(d):
         raise NotValid(report)
     raw = report.derived
     conductor = report.conductor
+    powers = _power_table(conductor)
     roots = {}
 
     def root(e):
-        # zeta_N^e: one lifted number per exponent, shared by the basis
+        # zeta_N^e, row e of the power table: one number per exponent,
+        # shared by the basis
         c = roots.get(e)
         if c is None:
-            c = roots[e] = root_of_unity(Fraction(e, conductor)).lift(conductor)
+            c = roots[e] = CycloNumber(conductor, powers[e])
         return c
 
     skel = d.skeleton

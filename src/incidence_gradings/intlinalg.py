@@ -1,10 +1,11 @@
 """Exact integer linear algebra: Hermite and Smith normal forms.
 
 Everything here works on small dense matrices given as lists of rows of
-Python ints, so there is no overflow anywhere.  The Hermite normal form is
-the canonical representative used for subgroup identity, and reduction
-against it (`hnf_reduce`; Cohen, GTM 138, 2.4) picks coset representatives;
-the Smith normal form (with column transforms) produces invariant-factor
+Python ints, so there is no overflow anywhere.  The Hermite normal form
+(no row transform is tracked) is the canonical representative used for
+subgroup identity and, on stacked rows, for intersections; reduction
+against it (`hnf_reduce`; Cohen, GTM 138, 2.4) picks coset representatives.
+The Smith normal form (with column transforms) produces invariant-factor
 generators.
 """
 
@@ -13,19 +14,15 @@ def _identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def row_hnf_with_transform(rows, ncols):
-    """Row-style Hermite normal form with a unimodular row transform.
-
-    Returns (hnf_rows, pivot_cols, transform) where transform * rows stacks
-    hnf_rows on top of zero rows.  The form is canonical: pivots positive,
-    entries above a pivot reduced into [0, pivot).
-    """
+def row_hnf(rows, ncols):
+    """Canonical row-style Hermite normal form; returns (hnf_rows,
+    pivot_cols).  Pivots are positive and the entries above a pivot are
+    reduced into [0, pivot)."""
     A = [list(r) for r in rows]
     m = len(A)
     for r in A:
         if len(r) != ncols:
             raise ValueError("row length mismatch")
-    U = _identity(m)
     rank = 0
     for col in range(ncols):
         # Euclidean elimination below position `rank` in this column.
@@ -39,7 +36,6 @@ def row_hnf_with_transform(rows, ncols):
                 break
             if piv != rank:
                 A[rank], A[piv] = A[piv], A[rank]
-                U[rank], U[piv] = U[piv], U[rank]
             done = True
             p = A[rank][col]
             for i in range(rank + 1, m):
@@ -48,7 +44,6 @@ def row_hnf_with_transform(rows, ncols):
                     q = v // p
                     if q:
                         A[i] = [a - q * b for a, b in zip(A[i], A[rank])]
-                        U[i] = [a - q * b for a, b in zip(U[i], U[rank])]
                     if A[i][col]:
                         done = False
             if done:
@@ -56,13 +51,11 @@ def row_hnf_with_transform(rows, ncols):
         if rank < m and A[rank][col]:
             if A[rank][col] < 0:
                 A[rank] = [-a for a in A[rank]]
-                U[rank] = [-a for a in U[rank]]
             p = A[rank][col]
             for i in range(rank):
                 q = A[i][col] // p
                 if q:
                     A[i] = [a - q * b for a, b in zip(A[i], A[rank])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[rank])]
             rank += 1
     pivots = []
     for i in range(rank):
@@ -70,19 +63,7 @@ def row_hnf_with_transform(rows, ncols):
             if A[i][j]:
                 pivots.append(j)
                 break
-    return A[:rank], pivots, U
-
-
-def row_hnf(rows, ncols):
-    """Canonical Hermite normal form; returns (hnf_rows, pivot_cols)."""
-    hnf, pivots, _ = row_hnf_with_transform(rows, ncols)
-    return hnf, pivots
-
-
-def left_kernel(rows, ncols):
-    """Basis of the integer left kernel: all u with u * rows == 0."""
-    hnf, _, transform = row_hnf_with_transform(rows, ncols)
-    return transform[len(hnf):]
+    return A[:rank], pivots
 
 
 def hnf_reduce(hnf_rows, pivot_cols, target):

@@ -45,9 +45,14 @@ and each member is one coefficient times one root of unity per pair: V_g
 is then the direct sum of the lines they span, and w lies in it exactly
 when w vanishes off their supports and, on each member's support, w_p *
 zeta^(-e_p) is the same number at every pair p, e_p the member's exponent
-at p.  That is decided on the preimage when w has one monomial per pair,
-and otherwise on the reduced values.  Another shape of basis, or any
-failed step, proves nothing, and the dim^2 loop below decides.
+at p.  That is decided on the preimage alone: on each member's support
+that w touches, every pair must hold one monomial, the member's term times
+one common c * x^a.  In a realized product the terms of one pair either
+share an exponent, and merge into one monomial, or form a nontrivial
+character sum over a coset, which vanishes; such a pair on a touched
+support makes the certificate give up (none did on the data tried).
+Another shape of basis, or any failed step, proves nothing, and the dim^2
+loop below decides.
 
 Without the certificate, membership of a product in the span of its
 degree is decided over Q in the zeta-closed form, because no modular
@@ -327,57 +332,37 @@ def _generating_set(r):
             or (b.tag[0] == "cross" and b.tag[4] == b.tag[5] == zero)]
 
 
-def _pair_value(terms, conductor):
-    """The power-basis vector of sum c * zeta_N^e over the (e, c) terms."""
-    _, rows = _root_exponents(conductor)
-    vec = {}
-    for e, c in terms:
-        for q, t in rows[e]:
-            vec[q] = vec.get(q, 0) + c * t
-    return frozenset((q, v) for q, v in vec.items() if v)
-
-
-def _split(w, owner, shape, conductor):
+def _split(w, owner, shape, pair_index, conductor):
     """The members whose multiples sum to the element w of the group ring,
-    or None when w is not in the span of the members `owner` lists.
+    or None when that is not shown: w must vanish off the supports of the
+    members `owner` lists, and on each support it touches be one member's
+    preimage times one monomial c * x^a.
 
     owner maps each pair to the one member whose support holds it, and
     shape[m] maps each pair of member m to its one exponent; every member
-    has one coefficient, so w = c * b_m on m's support exactly when
-    w_p * zeta^(-e_p) is the same number on every pair p of it."""
-    by_pair = {}
+    has one coefficient, so w is c * x^a times b_m on m's support when each
+    pair p holds the single term c * x^(e_p + a)."""
+    by_pair, off = {}, {}
     for (x, y, e), c in w.items():
         if c:
-            by_pair.setdefault((x, y), []).append((e, c))
-    touched = {}
-    for pair, terms in by_pair.items():
-        m = owner.get(pair)
-        if m is not None:
-            touched[m] = True
-        elif len(terms) == 1 or _pair_value(terms, conductor):
-            return None  # nonzero off the supports
+            if (x, y) in owner:
+                by_pair.setdefault((x, y), []).append((e, c))
+            else:
+                off[(x, y, e)] = c
+    if _reduce(off, pair_index, conductor):
+        return None  # nonzero off the supports
     out = []
-    for m in touched:
-        # first on the preimage: one monomial per pair, each the member's
-        # term times one constant c * x^a
+    for m in {owner[pair] for pair in by_pair}:
         keys = set()
         for pair, e in shape[m].items():
             terms = by_pair.get(pair, ())
             if len(terms) != 1:
-                break
+                return None
             (ew, cw), = terms
             keys.add((cw, (ew - e) % conductor))
-        else:
-            if len(keys) == 1:
-                out.append(m)
-                continue
-        values = {_pair_value([((ew - e) % conductor, cw)
-                               for ew, cw in by_pair.get(pair, ())], conductor)
-                  for pair, e in shape[m].items()}
-        if len(values) != 1:
+        if len(keys) != 1:
             return None
-        if values != {frozenset()}:
-            out.append(m)
+        out.append(m)
     return out
 
 
@@ -426,7 +411,7 @@ def _components(preimages, degrees):
     return shape, owners
 
 
-def _certified(r, preimages, product, degrees, conductor):
+def _certified(r, preimages, product, degrees, pair_index, conductor):
     """True when the certificate of the module docstring shows that the
     basis (already known to be one) is graded; False proves nothing.
     product(u, v) is the group-ring product of members u and v, or None
@@ -437,7 +422,7 @@ def _certified(r, preimages, product, degrees, conductor):
     shape, owners = found
     one = _split({(x, x, 0): 1 for x in r.poset.elements},
                  owners.get(degrees.number.get(r.ambient.zero()), {}),
-                 shape, conductor)
+                 shape, pair_index, conductor)
     if one is None:
         return False
     splits = [(None, one)]
@@ -448,7 +433,8 @@ def _certified(r, preimages, product, degrees, conductor):
             if w is None:
                 continue
             target = degrees.plus(degrees.ids[s], degrees.ids[iv])
-            members = _split(w, owners.get(target, {}), shape, conductor)
+            members = _split(w, owners.get(target, {}), shape, pair_index,
+                             conductor)
             if members is None:
                 return False
             splits.append((iv, members))
@@ -493,7 +479,8 @@ def verify_grading(r):
 
     full_rank = len(r.basis) == dim and _full_rank_mod_p(
         preimages, scale, pair_index, conductor)
-    if full_rank and _certified(r, preimages, product, degrees, conductor):
+    if full_rank and _certified(r, preimages, product, degrees, pair_index,
+                                conductor):
         report.checked_products = dim * dim
         return report
 

@@ -192,6 +192,32 @@ def test_intersect_matches_set_intersection():
                 assert got == want
 
 
+@pytest.mark.parametrize("group", [AbelianGroup(1, [4]), AbelianGroup(2, []),
+                                   AbelianGroup(1, [2, 6])],
+                         ids=["ZxZ4", "Z2", "ZxZ2xZ6"])
+def test_intersect_over_free_rank_ambients(group):
+    rng = random.Random(f"intersect {group!r}")
+    box = list(itertools.product(
+        *[range(-6, 7)] * group.free_rank,
+        *(range(d) for d in group.torsion_factors)))
+
+    def random_subgroup():
+        gens = [[rng.randint(-4, 4) for _ in range(group.rank)]
+                for _ in range(rng.randint(1, 3))]
+        return sub(group, *gens)
+
+    for _ in range(25):
+        a, b = random_subgroup(), random_subgroup()
+        meet = intersect(a, b)
+        assert meet is intersect(b, a)
+        for g in meet.generators:
+            assert g in a and g in b
+        for coords in box:
+            g = group.element(coords)
+            if g in a and g in b:
+                assert g in meet
+
+
 def test_sum_examples_and_set_check():
     a = sub(Z2xZ2, [1, 0])
     b = sub(Z2xZ2, [0, 1])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import time
@@ -23,6 +24,8 @@ from helpers import chain_datum, two_block_datum
 Z2 = AbelianGroup(0, [2])
 Z4 = AbelianGroup(0, [4])
 DATA = Path(__file__).parent / "data"
+GOLDEN = ["z12-chain2", "z24-wedge", "z16-chain3", "z32-full-trivial",
+          "empty-skeleton"]
 
 
 def write_json(tmp_path, name, doc):
@@ -134,8 +137,7 @@ def test_verify_clean(tmp_path, capsys):
     assert doc["radical_products"] == [{"pair": ["1", "3"], "agree": True}]
 
 
-@pytest.mark.parametrize("name", ["z12-chain2", "z24-wedge", "z16-chain3",
-                                  "z32-full-trivial", "empty-skeleton"])
+@pytest.mark.parametrize("name", GOLDEN)
 def test_verify_matches_golden_output(capsys, name):
     # NAME.verify.json is the stdout of `verify NAME.json`, byte for byte
     code, out, err = run(capsys, "verify", str(DATA / f"{name}.json"))
@@ -157,6 +159,15 @@ def test_validate_matches_golden_output(capsys, name, code):
     want = (DATA / "validate" / f"{name}.validate.json").read_text(encoding="utf-8")
     assert got == (code, want, "")
     assert json.loads(want)["valid"] is (code == 0)
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_realize_matches_golden_hash(capsys, name):
+    # NAME.realize.sha256 holds the sha256 of `realize NAME.json` stdout
+    code, out, err = run(capsys, "realize", str(DATA / f"{name}.json"))
+    assert (code, err) == (0, "")
+    want = (DATA / f"{name}.realize.sha256").read_text(encoding="utf-8").strip()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
 
 
 def test_verify_corrupted_exits_1(tmp_path, capsys):
@@ -349,7 +360,7 @@ def test_memo_eviction_changes_nothing(capsys):
     # by name: oracle holds cyclo's memos too
     memos = {name: f for module in (abelian, cyclo, oracle)
              for name, f in vars(module).items() if hasattr(f, "cache_clear")}
-    assert len(memos) == 8
+    assert len(memos) == 6
     for memo in memos.values():
         memo.cache_clear()
     after = jsonio.decode_datum(doc)
@@ -462,6 +473,57 @@ def test_unknown_key_in_dual_subgroup_exits_2(tmp_path, capsys):
     assert error["message"] == "subgroup: unknown key 'gens'"
 
 
+def _one_error_line(err):
+    assert err.endswith("\n") and err.count("\n") == 1
+    return json.loads(err)["error"]
+
+
+def test_realize_invalid_datum_exits_1_with_the_report(capsys):
+    path = DATA / "validate" / "boolean5-broken.json"
+    code, out, err = run(capsys, "realize", str(path))
+    assert (code, out) == (1, "")
+    report = json.loads((DATA / "validate" / "boolean5-broken.validate.json")
+                        .read_text(encoding="utf-8"))
+    assert _one_error_line(err) == {"type": "NotValid",
+                                    "message": "datum fails validation",
+                                    "report": report}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "subgroup: expected an object"),
+    ({"ambient": {"free_rank": 1}, "generators": [[1]]},
+     "subgroup: dual group requires a finite subgroup"),
+], ids=["not-an-object", "infinite"])
+def test_dual_refuses_exits_2(tmp_path, capsys, doc, message):
+    code, out, err = run(capsys, "dual", write_json(tmp_path, "sub.json", doc))
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) == {"type": "MalformedInput", "message": message}
+
+
+def test_infinite_block_exits_2(tmp_path, capsys):
+    doc = {"ambient": {"free_rank": 1},
+           "skeleton": {"elements": ["1"], "covers": []},
+           "blocks": {"1": {"generators": [[1]]}}, "bimodules": {}}
+    code, out, err = run(capsys, "validate", write_json(tmp_path, "d.json", doc))
+    assert (code, out) == (2, "")
+    assert _one_error_line(err) == {
+        "type": "MalformedInput",
+        "message": "datum: block '1' must be a finite subgroup"}
+
+
+def test_iso_grading_over_different_ambients_exits_1(tmp_path, capsys):
+    def one_vertex(torsion):
+        doc = {"ambient": {"torsion": torsion},
+               "skeleton": {"elements": ["1"], "covers": []},
+               "blocks": {"1": {"generators": []}}, "bimodules": {}}
+        return write_json(tmp_path, f"z{torsion[0]}.json", doc)
+
+    code, out, err = run(capsys, "iso-grading", one_vertex([2]), one_vertex([3]))
+    assert (code, out) == (1, "")
+    assert _one_error_line(err) == {"type": "AmbientMismatch",
+                                    "message": "data over different ambient groups"}
+
+
 def test_enumeration_budget_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(abelian, "ENUMERATION_BUDGET", 3)
     doc = {"ambient": jsonio.encode_group(Z4), "generators": [[1]]}
@@ -542,6 +604,31 @@ def test_iso_grading_search_budget_exits_1(tmp_path, capsys):
         "message": "grading_iso search exceeds the enumeration budget of "
                    f"{abelian.ENUMERATION_BUDGET} nodes"}}
 
+
+def test_iso_grading_refuses_unequal_cover_degrees_without_search(tmp_path, capsys):
+    # a star of nine leaves over the blocks 2Z/8, every cover in degree 0
+    # but, in the partner, one leaf's in degree 1: the skeletons, blocks and
+    # characters admit all 9! skeleton maps, and only the multiset of cover
+    # degrees tells the data apart, before any of them is tried
+    z8 = AbelianGroup(0, [8])
+    h = canonicalize([z8.element([2])], z8)
+    dual = dual_group(h)
+    labels = ["c"] + [f"l{i}" for i in range(9)]
+    skeleton = poset_from_relation(labels, [("c", leaf) for leaf in labels[1:]])
+
+    def star(degree):
+        return datum.GradingDatum(z8, skeleton, {v: h for v in labels}, {
+            ("c", leaf): BimoduleClass(h, h, [(dual[0], degree.get(leaf, z8.zero())),
+                                              (dual[1], degree.get(leaf, z8.zero()))])
+            for leaf in labels[1:]})
+
+    d2 = star({"l0": z8.element([1])})
+    assert datum.grading_iso(star({}), d2) == (False, None)
+    code, out, err = run(capsys, "iso-grading",
+                         write_json(tmp_path, "d.json", jsonio.encode_datum(star({}))),
+                         write_json(tmp_path, "d2.json", jsonio.encode_datum(d2)))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["isomorphic"] is False
 
 @pytest.mark.parametrize("ambient", [{"torsion": [2] * 65},
                                      {"free_rank": 10 ** 18, "torsion": []}],

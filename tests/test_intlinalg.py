@@ -4,10 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from incidence_gradings.intlinalg import (
     hnf_reduce,
-    left_kernel,
     mat_mul,
     row_hnf,
-    row_hnf_with_transform,
     smith_normal_form,
 )
 
@@ -35,27 +33,6 @@ def test_hnf_generator_order_independent():
         shuffled = rows[:]
         rng.shuffle(shuffled)
         assert row_hnf(rows, n) == row_hnf(shuffled, n)
-
-
-def test_hnf_transform_reconstructs():
-    rng = random.Random(11)
-    for _ in range(40):
-        m, n = rng.randint(1, 5), rng.randint(1, 4)
-        rows = random_matrix(rng, m, n)
-        hnf, _, U = row_hnf_with_transform(rows, n)
-        product = mat_mul(U, rows)
-        assert product[: len(hnf)] == hnf
-        assert all(all(v == 0 for v in r) for r in product[len(hnf):])
-
-
-def test_left_kernel_annihilates():
-    rng = random.Random(13)
-    for _ in range(40):
-        m, n = rng.randint(1, 5), rng.randint(1, 4)
-        rows = random_matrix(rng, m, n)
-        for u in left_kernel(rows, n):
-            out = [sum(c * row[j] for c, row in zip(u, rows)) for j in range(n)]
-            assert all(v == 0 for v in out)
 
 
 def combine(coeffs, rows, n):

@@ -46,7 +46,7 @@ from incidence_gradings.oracle import (
     radical_square_component,
     verify_grading,
 )
-from incidence_gradings.posets import chain_poset, poset_from_relation
+from incidence_gradings.posets import Poset, chain_poset, poset_from_relation
 from incidence_gradings.rowspan import RationalRowSpace
 
 from helpers import (
@@ -344,6 +344,32 @@ def test_link_equation_reports():
                       {"a": whole, "b": whole}, {})
     report3 = check_link_equation(realize(d3))
     assert report3.ok and report3.checked_pairs == 0
+
+
+def test_link_equation_flags_a_missing_relation():
+    # blocks of orders 4 and 2: each lower vertex lies below one upper
+    # vertex, each upper vertex above two lower ones, 4 links in all
+    whole = full_subgroup(Z4)
+    two = sub(Z4, [2])
+    r = realize(two_block_datum(Z4, whole, two, dual_group(two)[1], Z4.zero()))
+    assert check_link_equation(r).ok
+    # drop the cover 1|0 < 2|1/2: nothing lies between, so the relation
+    # stays transitive, and 3 links break both sides of the identity
+    elements = r.poset.elements
+    dropped = ("1|0", "2|1/2")
+    assert dropped in r.poset.covers()
+    up = [{n for n, y in enumerate(elements)
+           if r.poset.leq(x, y) and (x, y) != dropped} for x in elements]
+    poset = Poset(elements, up)
+    report = check_link_equation(
+        RealizedGrading(r.datum, poset, r.vertex_data, r.basis, r.full_raw))
+    left, right = ("left link count breaks the identity",
+                   "right link count breaks the identity")
+    assert report.checked_pairs == 1
+    assert report.violations == [
+        ("1", "2", "1|0", left), ("1", "2", "1|1/4", left),
+        ("1", "2", "1|1/2", left), ("1", "2", "1|3/4", left),
+        ("1", "2", "2|0", right), ("1", "2", "2|1/2", right)]
 
 
 # ---------------------------------------------------------------------------

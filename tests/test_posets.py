@@ -2,6 +2,7 @@ import pytest
 
 from incidence_gradings.errors import CycleDetected, InvalidPartition
 from incidence_gradings.posets import (
+    Poset,
     antichain_poset,
     chain_poset,
     connected_components,
@@ -36,6 +37,19 @@ def test_cycle_detected():
         poset_from_relation([1, 2], [(1, 2), (2, 1)])
     with pytest.raises(CycleDetected):
         poset_from_relation([1, 2, 3], [(1, 2), (2, 3), (3, 1)])
+
+
+def test_public_constructor_validates_the_relation():
+    # up sets hold element indices; [{0, 1}, {1}] is the chain 1 < 2
+    assert Poset([1, 2], [{0, 1}, {1}]).covers() == [(1, 2)]
+    with pytest.raises(ValueError, match="duplicate poset elements"):
+        Poset([1, 1], [{0}, {1}])
+    with pytest.raises(ValueError, match="not reflexive"):
+        Poset([1, 2], [{1}, {1}])
+    with pytest.raises(CycleDetected, match="not antisymmetric"):
+        Poset([1, 2], [{0, 1}, {0, 1}])
+    with pytest.raises(ValueError, match="not transitive"):
+        Poset([1, 2, 3], [{0, 1}, {1, 2}, {2}])
 
 
 def test_diamond_structure():
