@@ -75,9 +75,7 @@ from .incidence import (
 from .oracle import (
     LinkEquationReport,
     VerificationReport,
-    apply_twist_projector,
     check_link_equation,
-    isotypic_rank_table,
     radical_square_component,
     verify_grading,
 )

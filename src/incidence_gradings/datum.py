@@ -67,10 +67,10 @@ from .posets import Poset, connected_components, poset_isomorphisms
 
 # Largest conductor (lcm of the block exponents) validate_datum accepts,
 # so that validate refuses the data realize and verify cannot handle.  The
-# tests, benchmark and probes use at most 32.  Up to the budget the
-# costliest fields are Q(zeta_p) for the primes 1019 and 1021: their tables
-# (cyclo._power_table and _root_exponents, oracle._modular_root) build in
-# 0.12-0.18 s from cold on a 2-vCPU Xeon with Python 3.11.7.
+# tests and golden data use at most 64, the benchmark 24.  Up to the
+# budget the costliest fields are Q(zeta_p) for the primes 1019 and 1021:
+# their tables (cyclo._power_table and _root_exponents) build in about
+# 0.19 s from cold on a 2-vCPU Xeon with Python 3.11.7.
 CONDUCTOR_BUDGET = 2 ** 10
 
 

