@@ -66,12 +66,7 @@ from .errors import (
     NotValid,
     PosetMismatch,
 )
-from .incidence import (
-    IncidenceElement,
-    identity_element,
-    incidence_dimension,
-    matrix_unit,
-)
+from .incidence import IncidenceElement
 from .oracle import (
     LinkEquationReport,
     VerificationReport,

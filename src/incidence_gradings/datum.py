@@ -52,7 +52,6 @@ from .abelian import intersect, subgroup_sum
 from .bimodules import BimoduleClass, bimodule_iso, realizable
 from .bimodules import _compose, _merge_state, _twist_by
 from .characters import dual_group, exponent_rows, extension_fiber, restrict
-from .cyclo import CycloNumber, _power_table
 from .errors import (
     AmbientMismatch,
     BudgetExceeded,
@@ -405,25 +404,19 @@ def realize(d):
     character chi of degree g, the images of h*m_chi*k over twist-orbit
     representatives (h, k), with degree h + g + k.
 
-    Every coefficient is a root of unity written in one field,
-    Q(zeta_N) with N = report.conductor, the lcm of the block exponents,
-    so products inside the realized algebra never align conductors.
+    Every coefficient is a root of unity in one field, Q(zeta_N) with
+    N = report.conductor, the lcm of the block exponents.  Each basis
+    vector is written as its exponents, zeta_N^e at pair p for {p: e}
+    (`IncidenceElement.from_roots`, which checks nothing: only related
+    pairs are written); the oracle reads the exponents, and the
+    `CycloNumber` coefficients are formed only where something reads
+    `coeffs`, as JSON output does.
     """
     report = validate_datum(d)
     if not report.valid:
         raise NotValid(report)
     raw = report.derived
     conductor = report.conductor
-    powers = _power_table(conductor)
-    roots = {}
-
-    def root(e):
-        # zeta_N^e, row e of the power table: one number per exponent,
-        # shared by the basis
-        c = roots.get(e)
-        if c is None:
-            c = roots[e] = CycloNumber(conductor, powers[e])
-        return c
 
     skel = d.skeleton
     verts = []
@@ -439,16 +432,16 @@ def realize(d):
             vertex_data[lab] = (block, eta)
     vert_index = {v: n for n, v in enumerate(verts)}
 
-    # N * eta(h) mod N for every vertex and every h of its block (N is a
-    # multiple of every block exponent)
+    # exponent[h][vertex] = N * eta(h) mod N for every vertex and every h
+    # of its block (N is a multiple of every block exponent)
     exponent = {}
     for block in skel.elements:
         h_block = d.blocks[block]
-        elements = h_block.elements()
+        at = [exponent.setdefault(h.coords, {}) for h in h_block.elements()]
         for lab, row in zip(labels[block].values(),
                             exponent_rows(h_block, conductor)):
-            for h, e in zip(elements, row):
-                exponent[(lab, h.coords)] = e
+            for of_h, e in zip(at, row):
+                of_h[lab] = e
 
     # eta_i relates to eta_j when eta_i restricts to chi * eta_j on H_ij:
     # the eta_i are an extension fiber, listed in dual-group order
@@ -478,11 +471,11 @@ def realize(d):
     for block in skel.elements:
         h_block = d.blocks[block]
         for h in h_block.elements():
-            coeffs = {}
-            for lab in labels[block].values():
-                coeffs[(lab, lab)] = root(exponent[(lab, h.coords)])
+            at = exponent[h.coords]
+            roots = {(lab, lab): at[lab] for lab in labels[block].values()}
             basis.append(BasisVector(
-                IncidenceElement(poset, coeffs), h, ("diag", block, h.coords)))
+                IncidenceElement.from_roots(poset, conductor, roots), h,
+                ("diag", block, h.coords)))
     for (i, j), state in sorted(raw.items(),
                                 key=lambda kv: (skel.index(kv[0][0]),
                                                 skel.index(kv[0][1]))):
@@ -492,13 +485,12 @@ def realize(d):
             related = cross_pairs[(i, j, chi)]
             values = chi.values
             for h, k in _twist_orbit_representatives(h_i, h_j, h_ij):
-                coeffs = {}
-                for vi, vj in related:
-                    coeffs[(vi, vj)] = root(
-                        (exponent[(vi, h.coords)] + exponent[(vj, k.coords)])
-                        % conductor)
+                left, right = exponent[h.coords], exponent[k.coords]
+                roots = {(vi, vj): (left[vi] + right[vj]) % conductor
+                         for vi, vj in related}
                 basis.append(BasisVector(
-                    IncidenceElement(poset, coeffs), h + deg + k,
+                    IncidenceElement.from_roots(poset, conductor, roots),
+                    h + deg + k,
                     ("cross", i, j, values, h.coords, k.coords)))
     return RealizedGrading(d, poset, vertex_data, basis, raw)
 

@@ -10,7 +10,8 @@ class IncidenceGradingsError(Exception):
 
 
 class InvalidElement(IncidenceGradingsError):
-    """Coordinates do not describe an element of the given group."""
+    """Coordinates do not describe an element of the given group, or an
+    incidence element has a support pair that is not comparable."""
 
 
 class AmbientMismatch(IncidenceGradingsError):

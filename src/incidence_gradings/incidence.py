@@ -4,14 +4,16 @@ Elements are sparse maps from comparable pairs (x, y) to CycloNumber
 coefficients; the product is the usual convolution
 (f*g)(x, y) = sum over z of f(x, z) g(z, y).
 Products skip the comparability check of the constructor: x <= z <= y
-gives x <= y.
+gives x <= y.  `IncidenceElement.from_roots` writes an element as one
+root of unity per pair, {pair: exponent} in one field Q(zeta_N), and checks
+nothing; its coefficients are formed only when `coeffs` is read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclo import CycloNumber, cyclo_one
+from .cyclo import CycloNumber, _power_table
 from .errors import PosetMismatch
 
 
@@ -40,6 +42,19 @@ class IncidenceElement:
         self = object.__new__(cls)
         object.__setattr__(self, "poset", poset)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_by_first", None)
+        return self
+
+    @classmethod
+    def from_roots(cls, poset, conductor, roots):
+        """zeta_N^e at each pair of the {pair: e} map roots, N = conductor,
+        as a `RootElement`.  Nothing is checked: the caller writes only
+        comparable pairs, and the oracle re-checks them."""
+        self = object.__new__(RootElement)
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "conductor", conductor)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "_coeffs", None)
         object.__setattr__(self, "_by_first", None)
         return self
 
@@ -125,17 +140,19 @@ class IncidenceElement:
         return f"IncidenceElement({len(self.coeffs)} terms)"
 
 
-def matrix_unit(poset, x, y):
-    """The basis element e_xy (requires x <= y)."""
-    return IncidenceElement(poset, {(x, y): cyclo_one()})
+class RootElement(IncidenceElement):
+    """An element of `IncidenceElement.from_roots`: zeta_N^e at each pair of
+    `roots`, N = `conductor`.  The oracle reads the exponents directly;
+    `coeffs` are formed on first access, for JSON output and arithmetic."""
 
+    __slots__ = ("conductor", "roots", "_coeffs")
 
-def identity_element(poset):
-    """The two-sided unit: sum of all e_xx."""
-    return IncidenceElement(poset,
-                            {(x, x): cyclo_one() for x in poset.elements})
-
-
-def incidence_dimension(poset):
-    """dim I(X): the number of comparable pairs."""
-    return len(poset.comparable_pairs())
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            n = self.conductor
+            powers = _power_table(n)
+            object.__setattr__(self, "_coeffs", {
+                pair: CycloNumber._raw(n, powers[e % n], 1)
+                for pair, e in self.roots.items()})
+        return self._coeffs

@@ -22,7 +22,6 @@ from .characters import Character
 from .cyclo import CycloNumber
 from .datum import GradingDatum, ValidationReport
 from .errors import IncidenceGradingsError, InvalidDatum, MalformedInput
-from .incidence import IncidenceElement
 from .posets import poset_from_relation
 
 
@@ -174,23 +173,6 @@ def encode_incidence_element(elem):
         entries.append({"from": x, "to": y,
                         "coeff": encode_cyclo(elem.coeffs[(x, y)])})
     return entries
-
-
-def decode_incidence_element(data, poset, path="incidence"):
-    _expect(data, list, path)
-    coeffs = {}
-    for n, entry in enumerate(data):
-        _expect_object(entry, ("from", "to", "coeff"), f"{path}[{n}]")
-        x, y = entry.get("from"), entry.get("to")
-        c = decode_cyclo(entry.get("coeff", {}), f"{path}[{n}].coeff")
-        try:
-            coeffs[(x, y)] = c
-        except TypeError:
-            _fail(f"{path}[{n}]", "unhashable pair")
-    try:
-        return IncidenceElement(poset, coeffs)
-    except (ValueError, KeyError) as exc:
-        _fail(path, str(exc))
 
 
 # -- posets --------------------------------------------------------------------

@@ -7,8 +7,14 @@ pair by pair through the entries of the diagonal images in I(X), and
 the link-count identity is recounted on the realized poset.
 
 Elements.  Each element is written once as a preimage in the group ring
-Z[x]/(x^N - 1): a coefficient equal to zeta_N^e becomes the monomial x^e,
-any other its power-basis numerators, all at one common integer scale.
+Z[x]/(x^N - 1), all at one common integer scale.  A member `realize`
+wrote is read from its exponents (`IncidenceElement.from_roots`):
+zeta_M^e becomes the monomial x^(e * N / M), and no coefficient is formed.
+Any other element is read coefficient by coefficient: q * zeta_N^e, q
+rational, becomes q times x^e, any other coefficient its power-basis
+numerators.  Members written as exponents are built unchecked, so their
+support pairs are checked first: a pair that is not comparable is the violation
+`incomparable-support`, and nothing else is decided.
 Products then only add exponents mod N, and zeta_N^a times an element
 shifts every exponent by a.  A preimage is reduced to an integer vector
 in the power basis of Q(zeta_N) only where a zero test or a row space
@@ -43,8 +49,10 @@ lies in V_h, so ab lies in V_(g+h), and ab * V_k = a(b * V_k) lies in
 V_(g+h+k).  The basis B is graded exactly when B lies in T.
 `verify_grading` shows that without forming all products: (a) B is a
 basis (the count and the full-rank argument above); (b) 1 lies in V_0,
-so 1 is in T_0; (c) for a set S of members read from the tags, s * v lies
-in V_(deg s + deg v) for every s in S and v in B, so S lies in T (|S| * dim
+so 1 is in T_0; (c) for a set S of members read from the tags (the images
+of each block's generators, or of its unit for a trivial block, and the
+cross vectors with h = k = 0; see `_generating_set`), s * v lies in
+V_(deg s + deg v) for every s in S and v in B, so S lies in T (|S| * dim
 products instead of dim^2); (d) starting from S, each element of T formed
 so far (1, and s * v for a member v already reached) is split into one
 multiple of a member per support component, and when exactly one of
@@ -73,13 +81,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from math import lcm
+from math import gcd, lcm
 
 from .abelian import intersect, subgroup_sum
 from .bimodules import BimoduleClass
 from .characters import dual_group, exponent_rows
 from .cyclo import _root_exponents, euler_phi
-from .errors import NoIntermediateBlock
+from .errors import InvalidElement, NoIntermediateBlock
+from .incidence import RootElement
 from .posets import link_counts
 from .rowspan import RationalRowSpace
 
@@ -91,33 +100,60 @@ from .rowspan import RationalRowSpace
 def _conductor_of(elements):
     n = 1
     for elem in elements:
-        for c in elem.coeffs.values():
-            n = lcm(n, c.conductor)
+        if isinstance(elem, RootElement):
+            n = lcm(n, elem.conductor)
+        else:
+            for c in elem.coeffs.values():
+                n = lcm(n, c.conductor)
     return n
+
+
+def _incomparable(elems, pair_index):
+    """The indices of the `RootElement`s with a support pair that is not
+    comparable: `IncidenceElement.from_roots` checks nothing, and every
+    other element was checked when it was built."""
+    pairs = pair_index.keys()
+    return [n for n, elem in enumerate(elems)
+            if isinstance(elem, RootElement) and not elem.roots.keys() <= pairs]
 
 
 def _ring_preimages(elems, conductor):
     """Each element as a sparse {(x, y, exponent): int}, a preimage in
     Z[x]/(x^N - 1) of all its coefficients at one common scale that
-    clears every denominator: a coefficient equal to zeta_N^e becomes
-    the monomial scale * x^e, any other its power-basis numerators.
+    clears every denominator.  A `RootElement` over Q(zeta_M) is read from
+    its exponents, zeta_M^e becoming the monomial scale * x^(e * N / M).
+    Any other coefficient q * zeta_N^e (its numerators over their gcd are
+    the power-basis row of zeta_N^e or of its negative) becomes the
+    monomial q * scale * x^e, and a coefficient of no such form its
+    power-basis numerators.
 
     x -> zeta_N is a ring homomorphism, so a product formed here and then
     reduced (`_reduce`) is exactly scale^2 times the product of the
     elements."""
     exponent_of, _ = _root_exponents(conductor)
-    lifted = [[(pair, c.lift(conductor)) for pair, c in elem.coeffs.items()]
+    lifted = [None if isinstance(elem, RootElement)
+              else [(pair, c.lift(conductor)) for pair, c in elem.coeffs.items()]
               for elem in elems]
-    scale = reduce(lcm, (c.den for terms in lifted for _, c in terms), 1)
+    scale = reduce(lcm, (c.den for terms in lifted if terms for _, c in terms), 1)
     out = []
-    for terms in lifted:
+    for elem, terms in zip(elems, lifted):
+        if terms is None:
+            step = conductor // elem.conductor
+            out.append({(x, y, e * step % conductor): scale
+                        for (x, y), e in elem.roots.items()})
+            continue
         pre = {}
         for (x, y), c in terms:
-            e = exponent_of.get(c.nums) if c.den == 1 else None
+            factor = scale // c.den
+            g = gcd(*c.nums)
+            row = tuple([num // g for num in c.nums])
+            e = exponent_of.get(row)
+            if e is None:
+                e = exponent_of.get(tuple([-num for num in row]))
+                g = -g
             if e is not None:
-                pre[(x, y, e)] = scale
+                pre[(x, y, e)] = g * factor
             else:
-                factor = scale // c.den
                 for p, num in enumerate(c.nums):
                     if num:
                         pre[(x, y, p)] = num * factor
@@ -228,17 +264,22 @@ class _Degrees:
 
 
 def _generating_set(r):
-    """S for the certificate, read from the tags: per block the h = 0
-    diagonal image and the images of the block's generators, per pair of
-    comparable blocks the cross vectors with h = k = 0.  The certificate's
-    verdict does not depend on this choice, only whether it gets one.
+    """S for the certificate, read from the tags: per block the images of
+    the block's generators, or the h = 0 diagonal image eps_i for a block
+    with none, and per pair of comparable blocks the cross vectors with
+    h = k = 0.  The certificate's verdict does not depend on this choice,
+    only whether it gets one.
 
-    The cross vectors of the covers alone generate the algebra, but not
-    one member at a time: through a trivial middle block a product of
-    cover vectors is a sum over every character of the outer pair."""
+    eps_i is left out where the block has generators: eps_i * v = v for
+    every v that starts in block i, so its products reach nothing new, and
+    the products of generator images reach it (the image of g times that
+    of h is the image of g + h).  The
+    cross vectors of the covers alone generate the algebra, but not one
+    member at a time: through a trivial middle block a product of cover
+    vectors is a sum over every character of the outer pair."""
     zero = r.ambient.zero().coords
     diagonal = {(block, g.coords) for block, h in r.datum.blocks.items()
-                for g in [r.ambient.zero(), *h.generators]}
+                for g in (h.generators or [r.ambient.zero()])}
     return [idx for idx, b in enumerate(r.basis)
             if (b.tag[0] == "diag" and b.tag[1:] in diagonal)
             or (b.tag[0] == "cross" and b.tag[4] == b.tag[5] == zero)]
@@ -435,6 +476,11 @@ def verify_grading(r):
     report.basis_size = len(r.basis)
 
     elems = [b.element for b in r.basis]
+    for idx in _incomparable(elems, pair_index):
+        report.flag("incomparable-support", f"basis[{idx}]",
+                    "support pair that is not comparable in the poset")
+    if report.violations:
+        return report  # members outside I(X): nothing more is decided
     conductor = _conductor_of(elems)
     phi = euler_phi(conductor)
     preimages = _ring_preimages(elems, conductor)
@@ -559,6 +605,9 @@ def _isotypic_flats(r, i, k):
              + [diag[(k, (-h).coords)] for h in elements]
              + [b.element for us, vs in factors for b in us + vs])
     pair_index = {p: n for n, p in enumerate(r.poset.comparable_pairs())}
+    if _incomparable(elems, pair_index):
+        raise InvalidElement("a basis member has a support pair that is not "
+                             "comparable in the poset")
     conductor = lcm(_conductor_of(elems), h_ik.exponent())
     _, power_rows = _root_exponents(conductor)
 

@@ -23,10 +23,11 @@ from incidence_gradings.characters import (
     restrict,
     trivial_character,
 )
-from incidence_gradings.cyclo import _power_table, euler_phi, root_of_unity
-from incidence_gradings.datum import GradingDatum
+from incidence_gradings.cyclo import _power_table, cyclo_one, euler_phi, root_of_unity
+from incidence_gradings.datum import BasisVector, GradingDatum, RealizedGrading
 from incidence_gradings.errors import ChainInconsistency, DegreeConflict
-from incidence_gradings.incidence import IncidenceElement, identity_element
+from incidence_gradings.incidence import IncidenceElement
+from incidence_gradings.jsonio import _expect, _expect_object, _fail, decode_cyclo
 from incidence_gradings.oracle import (
     VerificationReport,
     _conductor_of,
@@ -36,6 +37,46 @@ from incidence_gradings.oracle import (
 )
 from incidence_gradings.posets import chain_poset, poset_from_relation
 from incidence_gradings.rowspan import RationalRowSpace
+
+
+# ---------------------------------------------------------------------------
+# reference elements of I(X)
+
+
+def matrix_unit(poset, x, y):
+    """The basis element e_xy (requires x <= y)."""
+    return IncidenceElement(poset, {(x, y): cyclo_one()})
+
+
+def identity_element(poset):
+    """The two-sided unit: sum of all e_xx."""
+    return IncidenceElement(poset,
+                            {(x, x): cyclo_one() for x in poset.elements})
+
+
+def incidence_dimension(poset):
+    """dim I(X): the number of comparable pairs."""
+    return len(poset.comparable_pairs())
+
+
+def decode_incidence_element(data, poset, path="incidence"):
+    """The inverse of `jsonio.encode_incidence_element`, with its
+    MalformedInput paths."""
+    _expect(data, list, path)
+    coeffs = {}
+    for n, entry in enumerate(data):
+        _expect_object(entry, ("from", "to", "coeff"), f"{path}[{n}]")
+        x, y = entry.get("from"), entry.get("to")
+        c = decode_cyclo(entry.get("coeff", {}), f"{path}[{n}].coeff")
+        try:
+            coeffs[(x, y)] = c
+        except TypeError:
+            _fail(f"{path}[{n}]", "unhashable pair")
+    try:
+        return IncidenceElement(poset, coeffs)
+    except (ValueError, KeyError) as exc:
+        _fail(path, str(exc))
+
 
 # the ambient groups every sweep runs over
 SWEEP_GROUPS = [
@@ -608,3 +649,19 @@ def _naive_grading_iso(d, d2):
             if ok:
                 return True
     return False
+
+
+def with_reversed_cross_pair(r):
+    """(realization, idx): r with its first cross member written over one
+    reversed, incomparable pair, which `IncidenceElement.from_roots`
+    accepts unchecked, and that member's index."""
+    basis = list(r.basis)
+    idx = next(n for n, b in enumerate(basis) if b.tag[0] == "cross")
+    old = basis[idx]
+    roots = dict(old.element.roots)
+    x, y = next(iter(roots))
+    roots[(y, x)] = roots.pop((x, y))
+    basis[idx] = BasisVector(
+        IncidenceElement.from_roots(r.poset, old.element.conductor, roots),
+        old.degree, old.tag)
+    return RealizedGrading(r.datum, r.poset, r.vertex_data, basis, r.full_raw), idx

@@ -32,7 +32,7 @@ from incidence_gradings.datum import (
     realize,
     validate_datum,
 )
-from incidence_gradings.incidence import IncidenceElement, matrix_unit
+from incidence_gradings.incidence import IncidenceElement
 from incidence_gradings.oracle import (
     check_link_equation,
     radical_square_component,
@@ -45,6 +45,7 @@ from helpers import (
     SWEEP_GROUPS,
     _naive_grading_iso,
     chain_datum,
+    matrix_unit,
     two_block_datum,
 )
 

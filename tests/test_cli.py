@@ -19,7 +19,7 @@ from incidence_gradings.characters import dual_group, trivial_character
 from incidence_gradings.cli import main
 from incidence_gradings.posets import poset_from_relation
 
-from helpers import chain_datum, two_block_datum
+from helpers import chain_datum, two_block_datum, with_reversed_cross_pair
 
 Z2 = AbelianGroup(0, [2])
 Z4 = AbelianGroup(0, [4])
@@ -180,6 +180,30 @@ def test_verify_corrupted_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, "verify", path)
     assert code == 1
     assert json.loads(out)["valid"] is False
+
+
+def test_verify_names_an_incomparable_root_member(capsys, monkeypatch):
+    # realize writes members unchecked; one planted over a reversed pair is
+    # a named violation of the grading, or a named error of the projectors
+    # where the datum has a two-step product, never a traceback
+    planted = []
+
+    def realize_planted(d):
+        r, idx = with_reversed_cross_pair(datum.realize(d))
+        planted.append(idx)
+        return r
+
+    monkeypatch.setattr(cli, "realize", realize_planted)
+    code, out, err = run(capsys, "verify", str(DATA / "z12-chain2.json"))
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    assert (doc["valid"], doc["ok"]) == (True, False)
+    assert doc["grading"]["violations"] == [{
+        "kind": "incomparable-support", "location": f"basis[{planted[0]}]",
+        "message": "support pair that is not comparable in the poset"}]
+    code, out, err = run(capsys, "verify", str(DATA / "z16-chain3.json"))
+    assert (code, out) == (1, "")
+    assert _one_error_line(err)["type"] == "InvalidElement"
 
 
 def test_product_command(tmp_path, capsys):

@@ -29,7 +29,6 @@ from incidence_gradings.errors import (
     InvalidDatum,
     NotValid,
 )
-from incidence_gradings.incidence import incidence_dimension
 from incidence_gradings.jsonio import encode_datum, encode_validation_report
 from incidence_gradings.oracle import verify_grading
 from incidence_gradings.posets import antichain_poset, chain_poset, poset_from_relation
@@ -41,6 +40,7 @@ from helpers import (
     chain_over_z8,
     diamond_datum,
     diamond_over_z2,
+    incidence_dimension,
     two_block_datum,
 )
 

@@ -6,13 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from incidence_gradings.cyclo import cyclo_zero, root_of_unity
 from incidence_gradings.errors import PosetMismatch
-from incidence_gradings.incidence import (
-    IncidenceElement,
-    identity_element,
-    incidence_dimension,
-    matrix_unit,
-)
+from incidence_gradings.incidence import IncidenceElement
 from incidence_gradings.posets import chain_poset, poset_from_relation
+
+from helpers import identity_element, incidence_dimension, matrix_unit
 
 
 def test_matrix_unit_relations():

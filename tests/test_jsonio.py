@@ -21,7 +21,7 @@ from incidence_gradings.errors import InvalidDatum, MalformedInput
 from incidence_gradings.incidence import IncidenceElement
 from incidence_gradings.posets import chain_poset, poset_from_relation
 
-from helpers import two_block_datum
+from helpers import decode_incidence_element, two_block_datum
 
 Z4 = AbelianGroup(0, [4])
 Z2xZ4 = AbelianGroup(0, [2, 4])
@@ -97,7 +97,7 @@ def test_incidence_element_roundtrip():
         ("y", "z"): CycloNumber.from_rational(Fraction(5, 6)),
     })
     doc = jsonio.encode_incidence_element(elem)
-    assert jsonio.decode_incidence_element(doc, p) == elem
+    assert decode_incidence_element(doc, p) == elem
 
 
 def test_bimodule_roundtrip():
@@ -161,7 +161,7 @@ def test_realized_export_shape():
     assert len(doc["basis"]) == 3
     parsed_poset = jsonio.decode_poset(doc["poset"])
     for entry in doc["basis"]:
-        elem = jsonio.decode_incidence_element(entry["element"], parsed_poset)
+        elem = decode_incidence_element(entry["element"], parsed_poset)
         assert not elem.is_zero()
     report = jsonio.encode_validation_report(validate_datum(d))
     assert report["valid"] is True
@@ -206,7 +206,7 @@ def test_decoders_outside_the_cli_reject_unknown_keys():
         jsonio.decode_cyclo({"conductor": 1, "coef": ["1/1"]})
     p = chain_poset(["x", "y"])
     entry = {"from": "x", "to": "y", "coeff": {"conductor": 1, "coeffs": ["1/1"]}}
-    assert not jsonio.decode_incidence_element([entry], p).is_zero()
+    assert not decode_incidence_element([entry], p).is_zero()
     with pytest.raises(MalformedInput,
                        match=r"incidence\[0\]: unknown key 'weight'"):
-        jsonio.decode_incidence_element([dict(entry, weight=1)], p)
+        decode_incidence_element([dict(entry, weight=1)], p)

@@ -34,13 +34,14 @@ from incidence_gradings.datum import (
     realize,
     validate_datum,
 )
-from incidence_gradings.errors import NoIntermediateBlock
-from incidence_gradings.incidence import IncidenceElement
+from incidence_gradings.errors import InvalidElement, NoIntermediateBlock
+from incidence_gradings.incidence import IncidenceElement, RootElement
 from incidence_gradings.oracle import (
     _components,
     _conductor_of,
     _Degrees,
     _full_rank,
+    _generating_set,
     _isotypic_flats,
     _reduce,
     _ring_preimages,
@@ -69,6 +70,7 @@ from helpers import (
     reference_zeta_closed_space,
     saturated_chains,
     two_block_datum,
+    with_reversed_cross_pair,
 )
 
 Z2 = AbelianGroup(0, [2])
@@ -714,13 +716,17 @@ def _check_accepts(r):
     return found is not None and _full_rank(found[0], conductor)
 
 
-def test_full_rank_check_falls_back_to_exact_flags():
+def test_full_rank_check_falls_back_to_exact_flags(monkeypatch):
     r = _z12_realization()
     assert _check_accepts(r)
-    # a member times a nonzero rational is still a basis member, whether
-    # the check reads it as one root of unity per pair or not
-    for factor in (13, Fraction(1, 13), 2 ** 64 + 13):
-        assert _assert_same_report(_times(r, 3, factor)).ok
+    # a member times a nonzero rational is still one coefficient times one
+    # root of unity per pair: the check and the certificate read it so
+    verdicts = _spy_certificate(monkeypatch)
+    for factor in (13, Fraction(1, 13), 2 ** 64 + 13, -13):
+        scaled = _times(r, 3, factor)
+        assert _check_accepts(scaled), factor
+        assert _assert_same_report(scaled).ok
+        assert verdicts.pop() is True, factor
     # times 1 + zeta_12, a member is no longer one root of unity per pair:
     # the check refuses a basis that still has full rank, and the exact
     # path says so
@@ -775,10 +781,18 @@ def _coboundary_datum(ambient, labels, covers, rng):
             return d
 
 
-def _certified_data():
+def _golden(name):
+    return jsonio.decode_datum(json.loads((DATA / f"{name}.json").read_text()))
+
+
+def _golden_data():
     for path in sorted(DATA.glob("*.json")):
         if not path.name.endswith(".verify.json"):
-            yield path.stem, jsonio.decode_datum(json.loads(path.read_text()))
+            yield path.stem, _golden(path.stem)
+
+
+def _certified_data():
+    yield from _golden_data()
     rng = random.Random("certificate")
     for ambient in SWEEP_GROUPS[:4]:
         for name, labels, covers in ACCEPTANCE_SHAPES:
@@ -894,3 +908,82 @@ def test_certificate_gives_up_on_shared_supports(monkeypatch):
     assert _assert_same_report(r).ok
     # the full-rank step already refuses, so the certificate is not reached
     assert verdicts == []
+
+
+# ---------------------------------------------------------------------------
+# members written as root exponents
+
+
+def _assert_exponent_path_agrees(r):
+    # each member rebuilt from its coefficients takes the general branch
+    # of _ring_preimages; both give one preimage, alone or mixed, in the
+    # realization's field and in a larger one (as _isotypic_flats reads it)
+    elems = [b.element for b in r.basis]
+    assert all(isinstance(e, RootElement) for e in elems)
+    general = [IncidenceElement(r.poset, e.coeffs) for e in elems]
+    conductor = _conductor_of(elems)
+    assert _conductor_of(general) == conductor
+    mixed = [e if n % 2 else g for n, (e, g) in enumerate(zip(elems, general))]
+    for n in (conductor, 2 * conductor):
+        want = _ring_preimages(general, n)
+        assert _ring_preimages(elems, n) == want
+        assert _ring_preimages(mixed, n) == want
+
+
+def test_exponent_path_matches_the_general_branch():
+    for name, d in _golden_data():
+        _assert_exponent_path_agrees(realize(d))
+    tally = {"valid": 0}
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None, suppress_health_check=list(HealthCheck))
+    @given(grading_data([(labels, covers) for _, labels, covers in ACCEPTANCE_SHAPES],
+                        SWEEP_GROUPS))
+    def check(d):
+        if validate_datum(d).valid:
+            tally["valid"] += 1
+            _assert_exponent_path_agrees(realize(d))
+
+    check()
+    assert tally["valid"] >= 150
+
+
+def test_incomparable_root_member_is_a_named_violation():
+    bad, idx = with_reversed_cross_pair(_z12_realization())
+    report = verify_grading(bad)
+    assert [(v.kind, v.location) for v in report.violations] == [
+        ("incomparable-support", f"basis[{idx}]")]
+    assert report.checked_products == 0
+    # the projectors read the same members, and refuse them by name
+    bad, _ = with_reversed_cross_pair(realize(_golden("z16-chain3")))
+    with pytest.raises(InvalidElement):
+        radical_square_component(bad, "1", "3")
+    assert {v.kind for v in verify_grading(bad).violations} == {"incomparable-support"}
+
+
+def test_generating_set_keeps_the_diagonal_unit_only_for_trivial_blocks():
+    trivial_blocks = 0
+    for name, d in _golden_data():
+        r = realize(d)
+        seeds = {r.basis[n].tag for n in _generating_set(r)}
+        zero = d.ambient.zero().coords
+        for block, h in d.blocks.items():
+            assert (("diag", block, zero) in seeds) == (h.order == 1), (name, block)
+            assert all(("diag", block, g.coords) in seeds for g in h.generators)
+            trivial_blocks += h.order == 1
+        if name == "z64-trivial-full-trivial":
+            assert sorted(b for b, h in d.blocks.items() if h.order == 1) == ["1", "3"]
+    assert trivial_blocks >= 2
+
+
+@pytest.mark.parametrize("name, splits", [("z12-chain2", 37), ("z24-wedge", 147)])
+def test_certificate_split_counts(monkeypatch, name, splits):
+    # one split for the identity and one per nonzero product of a seed
+    # with a member; a seed eps_i would add one per member starting in i
+    calls = []
+    split = oracle._split
+    monkeypatch.setattr(oracle, "_split", lambda *a: calls.append(1) or split(*a))
+    verdicts = _spy_certificate(monkeypatch)
+    assert verify_grading(realize(_golden(name))).ok
+    assert verdicts == [True]
+    assert len(calls) == splits
