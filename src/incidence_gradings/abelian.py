@@ -327,6 +327,13 @@ class Subgroup:
             self._elements = tuple(elems)
         return self._elements
 
+    def coset_key(self, coords):
+        """The Hermite remainder of a coordinate tuple of the ambient group,
+        torsion coordinates reduced or not: two tuples have equal keys
+        exactly when they lie in one coset of H, and members have key
+        zero.  For finite H it is least_coset_coords(g).coords."""
+        return tuple(hnf_reduce(self.lattice_basis, self._pivots, coords)[1])
+
     def least_coset_coords(self, g):
         """Lexicographically least element of the coset g + H (H finite).
 

@@ -10,14 +10,22 @@ The two-step product: a character chi of H1 /\\ H3 belongs to the product
 class exactly when its restriction to H1 /\\ H2 /\\ H3 factors as the
 product of restrictions of one character from each factor, and then its
 degree is forced to be the sum of the factor degrees.  This module holds
-the one implementation of that rule, `_compose` then `_merge_state`; the
-chain derivation in `datum` runs it on raw degrees.
+the one implementation of that rule, `_compose` then `_merge_state`, on
+integer rows: a (character, degree) pair is the row (character exponents,
+degree coordinates).  `_compose` looks each pair of factor rows up in a
+`_ProductRule` memo, which fills a miss through restrict, * and
+extension_fiber, and adds the degree coordinates; `_merge_state` compares
+degrees by their Hermite remainders against the reducer's rows
+(`Subgroup.coset_key`).  The chain derivation and the triple check in
+`datum` run the rule on raw degrees with one memo per validation;
+`bimodule_product` converts its pairs to rows, runs the same two steps
+and builds the class from the result.
 """
 
 from __future__ import annotations
 
-from .abelian import intersect, subgroup_sum
-from .characters import extension_fiber, restrict
+from .abelian import _element, intersect, subgroup_sum
+from .characters import _character, extension_fiber, restrict
 from .errors import (
     AmbientMismatch,
     BlockMismatch,
@@ -153,44 +161,107 @@ def _twist_by(m, factor):
                             tuple((factor * chi, g) for chi, g in m.pairs))
 
 
-def _compose(left, right, h_mid, h_out):
-    """Two-step composition of (character, degree) data.
+def _rows(pairs):
+    """(character, degree) pairs as (exponents, coordinates) rows."""
+    return tuple((chi.exps, g.coords) for chi, g in pairs)
 
-    Each pair of entries restricts both characters to h_mid, multiplies
-    them, and contributes every extension of the product to h_out, with
-    the sum of the two degrees (not coset-reduced).
+
+def _pairs(rows, domain, ambient):
+    """Rows as (Character, GroupElement) pairs, characters on `domain`."""
+    return [(_character(domain, exps), _element(ambient, coords))
+            for exps, coords in rows]
+
+
+class _Fibers(dict):
+    """(exps_a, exps_b) -> the exponents of every extension to `out` of
+    the product of the restrictions to `mid` of the characters exps_a on
+    `left` and exps_b on `right`, in extension_fiber order.  A miss is
+    filled through restrict, * and extension_fiber."""
+
+    __slots__ = ("left", "right", "mid", "out")
+
+    def __init__(self, left, right, mid, out):
+        super().__init__()
+        self.left, self.right, self.mid, self.out = left, right, mid, out
+
+    def __missing__(self, key):
+        exps_a, exps_b = key
+        product = (restrict(_character(self.left, exps_a), self.mid)
+                   * restrict(_character(self.right, exps_b), self.mid))
+        fiber = self[key] = tuple(eta.exps for eta in
+                                  extension_fiber(product, self.out))
+        return fiber
+
+
+class _ProductRule:
+    """The two-step rule on rows over one ambient group, memoised.
+
+    `fibers(left, right, mid, out)` is the one _Fibers table per (left
+    domain, right domain, middle, output); `add` sums two degree
+    coordinate tuples, torsion coordinates reduced and free ones not.
     """
-    restricted = [(restrict(chi_b, h_mid), deg_b) for chi_b, deg_b in right]
+
+    __slots__ = ("tables", "add")
+
+    def __init__(self, ambient):
+        self.tables = {}
+        f, moduli = ambient.free_rank, ambient.torsion_factors
+        if f:
+            self.add = lambda a, b: tuple(
+                [x + y for x, y in zip(a[:f], b[:f])]
+                + [(x + y) % m for x, y, m in zip(a[f:], b[f:], moduli)])
+        else:
+            self.add = lambda a, b: tuple(
+                [(x + y) % m for x, y, m in zip(a, b, moduli)])
+
+    def fibers(self, left, right, mid, out):
+        key = (left, right, mid, out)
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = _Fibers(*key)
+        return table
+
+
+def _compose(left, right, fibers, add):
+    """Two-step composition of (exponents, coordinates) rows.
+
+    Each pair of rows contributes every extension its fibers table lists,
+    with the sum of the two degrees (not coset-reduced).
+    """
     out = []
-    for chi_a, deg_a in left:
-        r_a = restrict(chi_a, h_mid)
-        for r_b, deg_b in restricted:
-            deg = deg_a + deg_b
-            out += [(ext, deg) for ext in extension_fiber(r_a * r_b, h_out)]
+    for exps_a, deg_a in left:
+        for exps_b, deg_b in right:
+            deg = add(deg_a, deg_b)
+            out += [(ext, deg) for ext in fibers[exps_a, exps_b]]
     return out
 
 
-def _merge_state(entries, reducer):
+def _merge_state(entries, reducer, domain):
     """Keep each character once, with its first degree.
 
-    Degrees are compared modulo the subgroup `reducer`.  Same character
-    in two different cosets means the data cannot come from a grading:
-    the character's component would need two degrees.  Only a character
-    that occurs again has a degree to compare, so cosets are formed for
-    repeated characters only, the first degree's once.
+    Degrees are compared modulo the subgroup `reducer` by their coset
+    keys, Hermite remainders against its rows.  Same character in two
+    different cosets means the data cannot come from a grading: the
+    character's component would need two degrees.  Only a character that
+    occurs again has a degree to compare, so cosets are formed for
+    repeated characters only, the first degree's once.  `domain`, where
+    the characters live, only names a conflicting character.
     """
     merged = {}
     cosets = {}
-    for chi, deg in entries:
-        first = merged.setdefault(chi, deg)
-        if first is deg:
+    for exps, deg in entries:
+        first = merged.get(exps)
+        if first is None:
+            merged[exps] = deg
             continue
-        if chi not in cosets:
-            cosets[chi] = reducer.least_coset_coords(first).coords
-        if reducer.least_coset_coords(deg).coords != cosets[chi]:
+        coset = cosets.get(exps)
+        if coset is None:
+            coset = cosets[exps] = reducer.coset_key(first)
+        if reducer.coset_key(deg) != coset:
             raise DegreeConflict(
-                f"character {chi!r} forced into two distinct degree cosets")
-    return list(merged.items())
+                f"character {_character(domain, exps)!r} forced into two "
+                f"distinct degree cosets")
+    return tuple(merged.items())
 
 
 def bimodule_product(m12, m23):
@@ -206,8 +277,10 @@ def bimodule_product(m12, m23):
         raise ChainMismatch("middle blocks differ")
     h1, h3 = m12.left, m23.right
     h13 = intersect(h1, h3)
-    pairs = _merge_state(
-        _compose(m12.pairs, m23.pairs, intersect(h13, m12.right), h13),
-        subgroup_sum(h1, h3))
-    pairs.sort(key=lambda p: p[0].exps)
-    return BimoduleClass(h1, h3, pairs)
+    rule = _ProductRule(h1.ambient)
+    rows = _merge_state(
+        _compose(_rows(m12.pairs), _rows(m23.pairs),
+                 rule.fibers(m12.middle, m23.middle,
+                             intersect(h13, m12.right), h13), rule.add),
+        subgroup_sum(h1, h3), h13)
+    return BimoduleClass(h1, h3, _pairs(sorted(rows), h13, h1.ambient))

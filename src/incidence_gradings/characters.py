@@ -142,13 +142,21 @@ def exponent_rows(h, n):
 
     One row per character in dual_group order, one entry per element in
     h.elements() order; n must be a multiple of h's exponent.  The
-    generator coordinates of each element are found once.
+    generator coordinates of each element are found once, as one base row
+    per generator: n / s_i times that generator's coordinate of each
+    element, s_i its order.  A character's row is sum_i exps_i * base_i
+    mod n, formed over whole rows.
     """
     coords = [_carried(h, h.generator_coords(g)) for g in h.elements()]
+    bases = [[n // s * cs[i] % n for cs in coords]
+             for i, s in enumerate(h.structure)]
     rows = []
     for chi in dual_group(h):
-        weights = _scaled(chi, n)
-        rows.append([sum(c * w for c, w in zip(cs, weights)) % n for cs in coords])
+        row = [0] * len(coords)
+        for e, base in zip(chi.exps, bases):
+            if e:
+                row = [r + e * b for r, b in zip(row, base)]
+        rows.append([r % n for r in row])
     return rows
 
 

@@ -16,21 +16,32 @@ algebra carries, so realize() reuses them.  Each step applies the two-step
 product rule that `bimodules` owns (its `_compose` and `_merge_state`,
 which `bimodule_product` also runs) to the raw degrees.
 
+Condition (3) runs on integer rows.  A state is a tuple of (character
+exponents, degree coordinates) rows; degrees add as coordinate tuples,
+torsion coordinates reduced and free ones not, and cosets are compared by
+Hermite remainders against the reducer's rows (`Subgroup.coset_key`).
+Every composition of one validate_datum call, walk and triple check
+alike, looks its factor rows up in one `bimodules._ProductRule` memo,
+which fills a miss through restrict, * and extension_fiber.  Character and GroupElement objects are
+built only at the edges: a Character names the character of a conflict
+or triple message, and realize() and derive_full_bimodules() turn each
+derived pair's rows into (Character, GroupElement) pairs once.
+
 Chains are never listed.  From each source i the derivation walks the
-interval above i once, keeping per vertex the distinct raw states (ordered
-(character, degree) lists) its chains arrive with.  A chain's next step
-depends only on its state and the next cover, so each distinct state meets
-each upper cover once and every result, conflict and disagreement of the
-chains is still found.  The chains themselves are compared, not only the
-triples i < k < j: raw composition ignores the coset reduction, so data can
-pass every triple check while two chains disagree and the realization is
-not graded (the B_3 datum over Z/3 in the tests).
+interval above i once, keeping per vertex the distinct raw states its
+chains arrive with.  A chain's next step depends only on its state and
+the next cover, so each distinct state meets each upper cover once and
+every result, conflict and disagreement of the chains is still found.
+The chains themselves are compared, not only the triples i < k < j: raw
+composition ignores the coset reduction, so data can pass every triple
+check while two chains disagree and the realization is not graded (the
+B_3 datum over Z/3 in the tests).
 
 The triple check skips only what the walk has already decided.  Take
 i < k <. j with every cover class realizable.  The walk from i composed
 each state at k, raw[(i, k)] among them, with the cover (k, j): the same
 H_i /\\ H_k /\\ H_j and H_i /\\ H_j as the triple check, and the cover's
-pairs, which with no repeated character are raw[(k, j)].  It merged the
+rows, which with no repeated character are raw[(k, j)].  It merged the
 result modulo H_i + H_j and found its class equal to that of
 raw[(i, j)], or the pair carries an issue and none of its triples is
 checked.  So the triple check would find nothing: the triple is counted
@@ -50,8 +61,8 @@ from math import lcm
 from . import abelian
 from .abelian import intersect, subgroup_sum
 from .bimodules import BimoduleClass, bimodule_iso, realizable
-from .bimodules import _compose, _merge_state, _twist_by
-from .characters import dual_group, exponent_rows, extension_fiber, restrict
+from .bimodules import _ProductRule, _compose, _merge_state, _pairs, _rows, _twist_by
+from .characters import _character, dual_group, exponent_rows, extension_fiber, restrict
 from .errors import (
     AmbientMismatch,
     BudgetExceeded,
@@ -122,7 +133,7 @@ class GradingDatum:
 # chain derivation
 
 
-def _walk_chains(d, i, cover_up, above):
+def _walk_chains(d, i, cover_up, above, cover_rows, rule):
     """Derive along the saturated chains from i, each distinct state once.
 
     Chains run in depth-first order over covers in label order.  Returns
@@ -130,11 +141,13 @@ def _walk_chains(d, i, cover_up, above):
     order chains first reach them; conflicts[j] is the message of the first
     chain to j that forces a degree conflict.
     """
-    h_i = d.blocks[i]
+    blocks = d.blocks
+    h_i = blocks[i]
     # per target j: H_i /\ H_j, where the characters live, and the reducer
     # H_i + H_j
-    ends = {j: (intersect(h_i, d.blocks[j]), subgroup_sum(h_i, d.blocks[j]))
+    ends = {j: (intersect(h_i, blocks[j]), subgroup_sum(h_i, blocks[j]))
             for j in above}
+    steps = {}  # cover (v, nxt): its fibers table from i
     results = {}
     conflicts = {}
     seen = set()
@@ -142,18 +155,22 @@ def _walk_chains(d, i, cover_up, above):
     def visit(v, state):
         for nxt in cover_up.get(v, ()):
             h_out, reducer = ends[nxt]
+            fibers = steps.get((v, nxt))
+            if fibers is None:
+                fibers = steps[(v, nxt)] = rule.fibers(
+                    ends[v][0], d.cover_bimodules[(v, nxt)].middle,
+                    intersect(h_out, blocks[v]), h_out)
             try:
                 new = _merge_state(
-                    _compose(state, d.cover_bimodules[(v, nxt)].pairs,
-                             intersect(h_out, d.blocks[v]), h_out),
-                    reducer)
+                    _compose(state, cover_rows[(v, nxt)], fibers, rule.add),
+                    reducer, h_out)
             except DegreeConflict as exc:
                 # every chain through this prefix fails the same way
                 for j in above:
                     if d.skeleton.leq(nxt, j):
                         conflicts.setdefault(j, str(exc))
                 continue
-            key = (nxt, tuple((chi.exps, deg.coords) for chi, deg in new))
+            key = (nxt, new)
             if key not in seen:
                 seen.add(key)
                 results.setdefault(nxt, []).append(new)
@@ -161,24 +178,35 @@ def _walk_chains(d, i, cover_up, above):
 
     for v in cover_up.get(i, ()):
         # a cover is the only chain to its top; later steps compose its
-        # pairs as given, so only the result at v is merged
-        pairs = d.cover_bimodules[(i, v)].pairs
+        # rows as given, so only the result at v is merged
+        rows = cover_rows[(i, v)]
         try:
-            results[v] = [_merge_state(pairs, ends[v][1])]
+            results[v] = [_merge_state(rows, ends[v][1], ends[v][0])]
         except DegreeConflict as exc:
             conflicts[v] = str(exc)
-        visit(v, pairs)
+        visit(v, rows)
     return results, conflicts
 
 
-def _derive(d, collect_issues=None):
+def _class_key(state, reducer):
+    """Order-free form of a state as a class: the sorted rows, degrees
+    reduced modulo `reducer` (BimoduleClass.sorted_key on rows)."""
+    return tuple(sorted((exps, reducer.coset_key(coords)) for exps, coords in state))
+
+
+def _derive(d, collect_issues=None, rule=None):
     """Raw derived data for every comparable pair.
 
-    Returns {pair: [(character, raw degree)]}, each pair holding the data
-    of its first chain.  With collect_issues given, conflicts are appended
+    Returns {pair: state}, each pair holding the state of its first
+    chain: a tuple of (character exponents on H_i /\\ H_j, raw degree
+    coordinates) rows.  With collect_issues given, conflicts are appended
     there (as (pair, message)) instead of raised, and the offending pair
-    is left out of the result.
+    is left out of the result.  `rule`, a _ProductRule over d.ambient,
+    lets the caller share its memo.
     """
+    if rule is None:
+        rule = _ProductRule(d.ambient)
+    cover_rows = {c: _rows(cls.pairs) for c, cls in d.cover_bimodules.items()}
     cover_up = {}
     for x, y in d.skeleton.covers():
         cover_up.setdefault(x, []).append(y)
@@ -188,7 +216,8 @@ def _derive(d, collect_issues=None):
     raw = {}
     for i, targets in above.items():
         # the memo lives for one source only, which bounds its memory
-        results, conflicts = _walk_chains(d, i, cover_up, targets)
+        results, conflicts = _walk_chains(d, i, cover_up, targets,
+                                          cover_rows, rule)
         for j in targets:
             if j in conflicts:
                 error = DegreeConflict(conflicts[j])
@@ -197,7 +226,7 @@ def _derive(d, collect_issues=None):
                 # one state agrees with itself; several are compared as
                 # classes, degrees reduced modulo H_i + H_j
                 if len(states) == 1 or len({
-                        BimoduleClass(d.blocks[i], d.blocks[j], s).sorted_key()
+                        _class_key(s, subgroup_sum(d.blocks[i], d.blocks[j]))
                         for s in states}) == 1:
                     raw[(i, j)] = states[0]
                     continue
@@ -210,6 +239,12 @@ def _derive(d, collect_issues=None):
     return raw
 
 
+def _derived_pairs(d, raw):
+    """The rows of _derive as (Character, GroupElement) pairs, per pair."""
+    return {(i, j): _pairs(state, intersect(d.blocks[i], d.blocks[j]), d.ambient)
+            for (i, j), state in raw.items()}
+
+
 def derive_full_bimodules(d):
     """Bimodule classes for every comparable pair i < j of the skeleton.
 
@@ -217,9 +252,8 @@ def derive_full_bimodules(d):
     saturated chains.  Raises DegreeConflict / ChainInconsistency when the
     chains disagree.
     """
-    raw = _derive(d)
     out = {}
-    for pair, state in raw.items():
+    for pair, state in _derived_pairs(d, _derive(d)).items():
         if pair in d.cover_bimodules:
             out[pair] = d.cover_bimodules[pair]
         else:
@@ -246,8 +280,10 @@ class ValidationReport:
     field condition (1) (characteristic and roots of unity) always holds
     and is reported for information only.
 
-    derived: the raw data {pair: [(character, raw degree)]} of every pair
-    without a conflict, which realize() reuses; it is never encoded.
+    derived: the raw data of every pair without a conflict, in row form:
+    {pair: ((character exponents on H_i /\\ H_j, raw degree coordinates),
+    ...)}.  realize() turns each pair's rows into (Character,
+    GroupElement) pairs once; it is never encoded.
     """
 
     conductor: int = 1
@@ -289,49 +325,59 @@ def validate_datum(d):
 
     # condition (3): derived data must be chain-independent ...
     conflicts = []
-    raw = report.derived = _derive(d, collect_issues=conflicts)
+    rule = _ProductRule(d.ambient)
+    raw = report.derived = _derive(d, conflicts, rule)
     for pair, message in conflicts:
         report.issues.append(ValidationIssue(
             "3", f"pair ({pair[0]!r}, {pair[1]!r})", message))
 
     # ... and every two-step product must land exactly on the derived class
     skel = d.skeleton
+    blocks = d.blocks
     for i, j in d.comparable_block_pairs():
+        between = skel.strictly_between(i, j)
+        report.checked_triples += len(between)
         whole = raw.get((i, j))
-        h_ij = intersect(d.blocks[i], d.blocks[j])
-        reducer = subgroup_sum(d.blocks[i], d.blocks[j])
-        for k in skel.strictly_between(i, j):
-            report.checked_triples += 1
-            if whole is None or (walk_decides_covers
-                                 and (k, j) in d.cover_bimodules):
+        if whole is None:
+            continue
+        h_ij = reducer = None  # formed at the first checked triple
+        for k in between:
+            if walk_decides_covers and (k, j) in d.cover_bimodules:
                 continue
             left = raw.get((i, k))
             right = raw.get((k, j))
             if left is None or right is None:
                 continue  # already reported as a conflict
-            issue = _triple_issue(left, right, whole,
-                                  intersect(h_ij, d.blocks[k]), h_ij, reducer)
+            if h_ij is None:
+                h_ij = intersect(blocks[i], blocks[j])
+                reducer = subgroup_sum(blocks[i], blocks[j])
+            fibers = rule.fibers(intersect(blocks[i], blocks[k]),
+                                 intersect(blocks[k], blocks[j]),
+                                 intersect(h_ij, blocks[k]), h_ij)
+            issue = _triple_issue(left, right, whole, fibers, rule.add,
+                                  h_ij, reducer)
             if issue is not None:
                 report.issues.append(ValidationIssue(
                     "3", f"triple ({i!r}, {k!r}, {j!r})", issue))
     return report
 
 
-def _triple_issue(left, right, whole, h_mid, h_out, reducer):
+def _triple_issue(left, right, whole, fibers, add, h_out, reducer):
     """Check [M_ij] == [M_ik] * [M_kj] with degree congruence mod H_i+H_j.
 
-    h_mid is H_i /\\ H_k /\\ H_j, h_out is H_i /\\ H_j and reducer is
-    H_i + H_j.
+    left, right and whole are rows; fibers is the _ProductRule table from
+    H_i /\\ H_k and H_k /\\ H_j through H_i /\\ H_k /\\ H_j to h_out,
+    which is H_i /\\ H_j; reducer is H_i + H_j.
     """
     # a character produced twice keeps the degree of its last production
-    produced = dict(_compose(left, right, h_mid, h_out))
-    have = {chi: deg for chi, deg in whole}
-    if set(produced) != set(have):
+    produced = dict(_compose(left, right, fibers, add))
+    have = dict(whole)
+    if produced.keys() != have.keys():
         return "character sets of the two-step product and the derived class differ"
-    for chi, deg in produced.items():
-        if (deg - have[chi]) not in reducer:
-            return (f"degree of {chi!r} differs between the two-step product "
-                    f"and the derived class")
+    for exps, deg in produced.items():
+        if any(reducer.coset_key([a - b for a, b in zip(deg, have[exps])])):
+            return (f"degree of {_character(h_out, exps)!r} differs between "
+                    f"the two-step product and the derived class")
     return None
 
 
@@ -415,7 +461,7 @@ def realize(d):
     report = validate_datum(d)
     if not report.valid:
         raise NotValid(report)
-    raw = report.derived
+    raw = _derived_pairs(d, report.derived)
     conductor = report.conductor
 
     skel = d.skeleton

@@ -18,6 +18,7 @@ from incidence_gradings.abelian import (
 )
 from incidence_gradings.bimodules import BimoduleClass, bimodule_iso
 from incidence_gradings.characters import (
+    _carried,
     dual_group,
     extension_fiber,
     restrict,
@@ -157,14 +158,27 @@ def subgroup_pool(ambient):
     return all_subgroups(ambient)
 
 
+def _degree_window(ambient):
+    """Every element of a finite ambient group; with free rank, those
+    whose free coordinates lie in [-2, 2]."""
+    if ambient.is_finite:
+        return list(ambient.elements())
+    torsion = AbelianGroup(0, ambient.torsion_factors)
+    return [ambient.element(free + g.coords)
+            for free in itertools.product(range(-2, 3), repeat=ambient.free_rank)
+            for g in torsion.elements()]
+
+
 def grading_data(shapes, groups):
     """A hypothesis strategy for random data over the (labels, covers)
     shapes and the ambient groups.  In half the data nine covers in ten
     are coboundaries (the cover on u <. w is mu_u / mu_w with degree
     p_w - p_u), so chains mostly agree and most data validate; the other
     half have free covers, where conflicts and disagreeing chains are
-    common."""
-    subgroups = {g: all_subgroups(g) for g in groups}
+    common.  Over an ambient group with free rank the blocks are its
+    finite subgroups and the degrees have free coordinates in [-2, 2]."""
+    subgroups = {g: finite_subgroups(g) for g in groups}
+    degrees = {g: _degree_window(g) for g in groups}
 
     @st.composite
     def data(draw):
@@ -175,7 +189,7 @@ def grading_data(shapes, groups):
         subs = [h for h in subgroups[ambient] if h.order > 1] * 3 + subgroups[ambient]
         blocks = {v: draw(st.sampled_from(subs)) for v in labels}
         skeleton = poset_from_relation(labels, relation)
-        elems = list(ambient.elements())
+        elems = degrees[ambient]
         coboundary = draw(st.booleans())
         mu = {v: draw(st.sampled_from(dual_group(blocks[v]))) for v in labels}
         pot = {v: draw(st.sampled_from(elems)) for v in labels}
@@ -350,6 +364,31 @@ def reference_derive(d, collect_issues=None):
             continue
         raw[(i, j)] = results[0]
     return raw
+
+
+def reference_derive_rows(d, collect_issues=None, rule=None):
+    """reference_derive in the row form of datum._derive, for which it
+    can stand in: {pair: ((character exponents, degree coordinates), ...)}.
+    `rule` is datum._derive's memo argument, which the reference needs
+    not."""
+    return {pair: tuple((chi.exps, deg.coords) for chi, deg in state)
+            for pair, state in reference_derive(d, collect_issues).items()}
+
+
+def reference_product(m12, m23):
+    """bimodule_product by the object-form rule: restrict, multiply and
+    extend Character objects, add GroupElement degrees, merge with
+    _merge_state above.  Raises DegreeConflict as the package does."""
+    h1, h2, h3 = m12.left, m12.right, m23.right
+    h13 = intersect(h1, h3)
+    h_mid = intersect(h13, h2)
+    entries = []
+    for chi_a, deg_a in m12.pairs:
+        for chi_b, deg_b in m23.pairs:
+            target = restrict(chi_a, h_mid) * restrict(chi_b, h_mid)
+            entries += [(ext, deg_a + deg_b) for ext in extension_fiber(target, h13)]
+    merged = _merge_state(entries, subgroup_sum(h1, h3))
+    return BimoduleClass(h1, h3, sorted(merged, key=lambda p: p[0].exps))
 
 
 def reference_triple_issue(d, i, k, j, left, right, whole):
@@ -590,6 +629,18 @@ class ReferenceCharacter:
 
     def restrict(self, k):
         return ReferenceCharacter(k, (self(g) for g in k.torsion_generators))
+
+
+def reference_exponent_rows(h, n):
+    """characters.exponent_rows by its former formula: each entry a sum
+    over the element's generator coordinates, weighted by n / s_i times
+    the character's exponents."""
+    coords = [_carried(h, h.generator_coords(g)) for g in h.elements()]
+    rows = []
+    for chi in dual_group(h):
+        weights = [e * (n // d) for e, d in zip(chi.exps, h.structure)]
+        rows.append([sum(c * w for c, w in zip(cs, weights)) % n for cs in coords])
+    return rows
 
 
 def reference_extension_fiber(chi, h):

@@ -359,6 +359,11 @@ def test_least_coset_coords_matches_enumeration_with_free_rank(case):
     # a finite subgroup moves only the torsion coordinates
     free = g.group.free_rank
     assert rep.coords[:free] == g.coords[:free]
+    # coset_key reads raw coordinates: torsion coordinates off by multiples
+    # of their orders have the same key, the least coset element's
+    raw = g.coords[:free] + tuple(c - 3 * d for c, d in
+                                  zip(g.coords[free:], g.group.torsion_factors))
+    assert h.coset_key(raw) == h.coset_key(g.coords) == rep.coords
 
 
 def test_least_coset_coords_errors():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,13 @@ from incidence_gradings.errors import (
     DomainMismatch,
 )
 
-from helpers import CHARACTER_GROUPS, ReferenceCharacter, finite_subgroups
+from helpers import (
+    CHARACTER_GROUPS,
+    SWEEP_GROUPS,
+    ReferenceCharacter,
+    finite_subgroups,
+    reference_product,
+)
 
 Z2 = AbelianGroup(0, [2])
 Z4 = AbelianGroup(0, [4])
@@ -310,6 +317,51 @@ def test_product_associative_on_classes():
             rdeg = dict(right.pairs)
             for chi in ldeg:
                 assert (ldeg[chi] - rdeg[chi]).coords in coset
+
+
+@st.composite
+def product_factors(draw):
+    """(m12, m23) over a subgroup triple of SWEEP_GROUPS.  Each factor has
+    one to three pairs whose characters come from at most two drawn
+    ones, so characters often repeat."""
+    ambient = draw(st.sampled_from(SWEEP_GROUPS))
+    subs = all_subgroups(ambient)
+    h1, h2, h3 = (draw(st.sampled_from(subs)) for _ in range(3))
+    elems = list(ambient.elements())
+
+    def factor(left, right):
+        chars = dual_group(intersect(left, right))
+        few = draw(st.lists(st.sampled_from(chars), min_size=1, max_size=2))
+        return BimoduleClass(left, right, draw(st.lists(
+            st.tuples(st.sampled_from(few), st.sampled_from(elems)),
+            min_size=1, max_size=3)))
+
+    return factor(h1, h2), factor(h2, h3)
+
+
+def test_product_matches_the_object_form_rule():
+    # the row rule against restrict, * and extension_fiber on Character
+    # objects and GroupElement sums: the same class, pair for pair, or
+    # the same DegreeConflict message
+    tally = Counter()
+
+    @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+    @given(product_factors())
+    def check(factors):
+        outcomes = []
+        for product in (bimodule_product, reference_product):
+            try:
+                m = product(*factors)
+                outcomes.append((m, m.pairs))
+            except DegreeConflict as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        tally["conflict" if isinstance(outcomes[0], str) else "class"] += 1
+        tally["repeated"] += not all(realizable(m) for m in factors)
+
+    check()
+    assert tally["class"] >= 300 and tally["conflict"] >= 100
+    assert tally["repeated"] >= 300
 
 
 @st.composite

@@ -13,6 +13,7 @@ from incidence_gradings.abelian import (
 from incidence_gradings.characters import (
     Character,
     dual_group,
+    exponent_rows,
     extension_fiber,
     restrict,
     trivial_character,
@@ -27,6 +28,7 @@ from helpers import (
     CHARACTER_GROUPS,
     ReferenceCharacter,
     finite_subgroups,
+    reference_exponent_rows,
     reference_extension_fiber,
 )
 
@@ -228,6 +230,16 @@ def test_unary_operations_match_reference_on_every_subgroup():
             assert res == Character(k, ref.restrict(k).values)
         for chi in dual_group(k):
             assert extension_fiber(chi, h) == reference_extension_fiber(chi, h)
+
+
+def test_exponent_rows_match_the_per_entry_sums_on_every_subgroup():
+    seen = 0
+    for g in CHARACTER_GROUPS:
+        for h in finite_subgroups(g):
+            for n in (h.exponent(), 2 * h.exponent()):
+                assert exponent_rows(h, n) == reference_exponent_rows(h, n), (h, n)
+                seen += 1
+    assert seen > 100
 
 
 @st.composite

@@ -152,6 +152,10 @@ def test_verify_matches_golden_output(capsys, name):
     ("b3-over-z3", 1),           # chains disagree though every triple agrees
     ("z6-triple", 1),            # refused by the triple check alone
     ("repeated-character", 1),   # condition (2) fails, every triple still runs
+    # over Z x Z/2: degrees (1, 0) and (0, 0) of one character, and two
+    # chains, differ only in the free coordinate
+    ("zxz2-degree-conflict", 1),
+    ("zxz2-chains-disagree", 1),
 ])
 def test_validate_matches_golden_output(capsys, name, code):
     # validate/NAME.validate.json is the stdout of `validate NAME.json`
@@ -159,6 +163,26 @@ def test_validate_matches_golden_output(capsys, name, code):
     want = (DATA / "validate" / f"{name}.validate.json").read_text(encoding="utf-8")
     assert got == (code, want, "")
     assert json.loads(want)["valid"] is (code == 0)
+
+
+@pytest.mark.parametrize("name, code", [
+    ("z2xz4-fibers", 0),   # every product character has two extensions
+    ("zxz2-free", 0),      # degrees keep their free coordinates
+    ("zxz2-conflict", 1),  # 1/2 produced at (2, 0) and at (0, 0)
+])
+def test_product_matches_golden_output(capsys, name, code):
+    # product/NAME.product.json is the stdout of `product NAME.m12.json
+    # NAME.m23.json`, empty when the product fails
+    stem = DATA / "product" / name
+    out_code, out, err = run(capsys, "product", f"{stem}.m12.json", f"{stem}.m23.json")
+    want = Path(f"{stem}.product.json").read_text(encoding="utf-8")
+    assert (out_code, out) == (code, want)
+    if code:
+        assert json.loads(err) == {"error": {
+            "type": "DegreeConflict",
+            "message": "character Character(1/2) forced into two distinct degree cosets"}}
+    else:
+        assert err == ""
 
 
 @pytest.mark.parametrize("name", GOLDEN)

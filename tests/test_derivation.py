@@ -1,22 +1,25 @@
 """The memoised chain derivation against listing every saturated chain.
 
-helpers.reference_derive composes along each chain separately; the
-package derives each distinct chain state once.  Both must report the
-same issues, in the same order with the same messages, and the same raw
-data, down to the key order of the result.  helpers.reference_validate
-runs the triple check, with its own copy of the two-step composition, on
-every triple whose three pairs are derived; validate_datum leaves out the
-triples the walk has already decided and must report the same issues.
+helpers.reference_derive composes along each chain separately, on
+Character and GroupElement objects; the package derives each distinct
+chain state once, on integer rows.  Both must report the same issues, in
+the same order with the same messages, and the same raw data, down to the
+key order of the result (helpers.reference_derive_rows writes the
+reference's data as rows).  helpers.reference_validate runs the triple
+check, with its own copy of the two-step composition, on every triple
+whose three pairs are derived; validate_datum leaves out the triples the
+walk has already decided and must report the same issues.
 """
 
 import itertools
 import json
 import random
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from incidence_gradings import datum as datum_mod
 from incidence_gradings import jsonio
@@ -31,9 +34,11 @@ from incidence_gradings.posets import poset_from_relation
 
 from helpers import (
     BOOLEAN3,
+    CHARACTER_GROUPS,
     b3_over_z3,
     grading_data,
     reference_derive,
+    reference_derive_rows,
     reference_validate,
     saturated_chains,
 )
@@ -60,12 +65,10 @@ SHAPES = [
     (["t", "bc", "c", "ab", "0", "ac", "b", "a"], BOOLEAN3),
 ]
 
-GROUPS = [AbelianGroup(0, t) for t in ([2], [3], [4], [2, 2], [6])]
-
-
-def _raw_form(raw):
-    return [(pair, [(chi.values, deg.coords) for chi, deg in state])
-            for pair, state in raw.items()]
+# five finite groups and Z x Z/2 x Z/4, whose free coordinates the
+# degree sums must leave unreduced
+GROUPS = ([AbelianGroup(0, t) for t in ([2], [3], [4], [2, 2], [6])]
+          + [g for g in CHARACTER_GROUPS if not g.is_finite])
 
 
 def _issue_form(report):
@@ -74,10 +77,10 @@ def _issue_form(report):
 
 def _assert_same_derivation(d):
     want_issues, got_issues = [], []
-    want = reference_derive(d, want_issues)
+    want = reference_derive_rows(d, want_issues)
     got = datum_mod._derive(d, got_issues)
     assert got_issues == want_issues
-    assert _raw_form(got) == _raw_form(want)
+    assert list(got.items()) == list(want.items())
     # the raising form stops at the same first issue
     errors = []
     for derive in (reference_derive, datum_mod._derive):
@@ -114,9 +117,11 @@ def _z6_datum():
     return jsonio.decode_datum(doc)
 
 
-def _boolean_coboundary(n, rng):
+def _boolean_coboundary(n, rng, broken=False):
     """Full Z/4 blocks on B_n; the cover u <. w carries mu_u / mu_w with
-    degree p_w - p_u, so every chain telescopes and the datum is valid."""
+    degree p_w - p_u, so every chain telescopes and the datum is valid.
+    broken multiplies one cover character by a nontrivial character, as
+    the classify benchmark does, which breaks the squares through it."""
     z4 = AbelianGroup(0, [4])
     full = full_subgroup(z4)
     labels = [frozenset(s) for r in range(n + 1)
@@ -126,19 +131,33 @@ def _boolean_coboundary(n, rng):
     dual = dual_group(full)
     mu = {name[s]: rng.choice(dual) for s in labels}
     pot = {name[s]: z4.element([rng.randrange(4)]) for s in labels}
+    chars = {(u, w): mu[u] * mu[w].inverse() for u, w in covers}
+    if broken:
+        bad = rng.choice(covers)
+        chars[bad] = chars[bad] * rng.choice(dual[1:])
     return GradingDatum(z4, poset_from_relation([name[s] for s in labels], covers),
                         {name[s]: full for s in labels},
-                        {(u, w): BimoduleClass(full, full, [(mu[u] * mu[w].inverse(),
+                        {(u, w): BimoduleClass(full, full, [(chars[(u, w)],
                                                              pot[w] - pot[u])])
                          for u, w in covers})
 
 
+@st.composite
+def _derivation_data(draw):
+    """grading_data over SHAPES and GROUPS; about one draw in ten is instead
+    a Boolean B_4 coboundary datum with one broken cover."""
+    if draw(st.integers(0, 9)) == 0:
+        return _boolean_coboundary(4, draw(st.randoms(use_true_random=False)),
+                                   broken=True)
+    return draw(grading_data(SHAPES, GROUPS))
+
+
 def test_memoised_derivation_matches_chain_enumeration():
-    tally = {"data": 0, "issues": 0, "valid": 0}
+    tally = Counter()
 
     @settings(max_examples=2000, derandomize=True, database=None,
               deadline=None)
-    @given(grading_data(SHAPES, GROUPS))
+    @given(_derivation_data())
     @example(_two_conflicts_diamond())
     @example(_z6_datum())
     def check(d):
@@ -146,11 +165,17 @@ def test_memoised_derivation_matches_chain_enumeration():
         tally["data"] += 1
         tally["issues"] += not report.valid
         tally["valid"] += report.valid
+        kind = ("boolean" if len(d.skeleton) == 16
+                else "free" if not d.ambient.is_finite else "finite")
+        tally[kind, report.valid] += 1
 
     check()
     assert tally["data"] >= 2000
-    # both outcomes are well represented
+    # both outcomes are well represented, over the free-rank ambient too
     assert tally["issues"] >= 200 and tally["valid"] >= 200
+    assert tally["free", False] >= 50 and tally["free", True] >= 50
+    # a broken cover is refused, usually through the squares above it
+    assert tally["boolean", False] >= 30
 
 
 def test_b3_over_z3_chains_disagree():
@@ -166,7 +191,7 @@ def test_b3_over_z3_chains_disagree():
         return saturated_chains(skeleton, i, j)[:1]
 
     with mock.patch("helpers.saturated_chains", first_chain), \
-            mock.patch.object(datum_mod, "_derive", reference_derive):
+            mock.patch.object(datum_mod, "_derive", reference_derive_rows):
         assert validate_datum(d).valid
         assert not verify_grading(realize(d)).ok
 
@@ -237,17 +262,20 @@ def test_walk_decides_the_triples_below_a_cover():
 def test_merge_state_forms_cosets_for_repeated_characters_only():
     z8 = AbelianGroup(0, [8])
     four = canonicalize([z8.element([4])], z8)
-    a, b = dual_group(four)
-    g = [z8.element([n]) for n in range(8)]
-    with mock.patch.object(Subgroup, "least_coset_coords", autospec=True,
-                           side_effect=Subgroup.least_coset_coords) as spy:
-        assert _merge_state([(a, g[1]), (b, g[2])], four) == [(a, g[1]), (b, g[2])]
+    a, b = (chi.exps for chi in dual_group(four))
+    g = [(n,) for n in range(8)]
+    with mock.patch.object(Subgroup, "coset_key", autospec=True,
+                           side_effect=Subgroup.coset_key) as spy:
+        assert _merge_state([(a, g[1]), (b, g[2])], four, four) == \
+            ((a, g[1]), (b, g[2]))
         assert spy.call_count == 0
         # a repeat in the same coset of <4>: the first degree is kept
-        assert _merge_state([(a, g[1]), (b, g[2]), (a, g[5])], four) == \
-            [(a, g[1]), (b, g[2])]
+        assert _merge_state([(a, g[1]), (b, g[2]), (a, g[5])], four, four) == \
+            ((a, g[1]), (b, g[2]))
         assert spy.call_count == 2
-        # both characters conflict; the first conflicting entry is b's
+        # both characters conflict; the first conflicting entry is b's,
+        # named as a Character on the domain
         with pytest.raises(DegreeConflict) as exc:
-            _merge_state([(a, g[0]), (b, g[0]), (b, g[1]), (a, g[1])], four)
-    assert str(exc.value) == f"character {b!r} forced into two distinct degree cosets"
+            _merge_state([(a, g[0]), (b, g[0]), (b, g[1]), (a, g[1])], four, four)
+    assert str(exc.value) == \
+        "character Character(1/2) forced into two distinct degree cosets"

@@ -64,7 +64,7 @@ from helpers import (
     chain_over_z8,
     diamond_over_z2,
     isotypic_rank_table,
-    reference_derive,
+    reference_derive_rows,
     reference_flatten,
     reference_verify_grading,
     reference_zeta_closed_space,
@@ -533,7 +533,7 @@ def _realized_along_first_chains(d):
         return saturated_chains(skeleton, i, j)[:1]
 
     with mock.patch("helpers.saturated_chains", first_chain), \
-            mock.patch.object(datum_mod, "_derive", reference_derive):
+            mock.patch.object(datum_mod, "_derive", reference_derive_rows):
         return realize(d)
 
 
