@@ -17,9 +17,11 @@ degree coordinates).  `_compose` looks each pair of factor rows up in a
 extension_fiber, and adds the degree coordinates; `_merge_state` compares
 degrees by their Hermite remainders against the reducer's rows
 (`Subgroup.coset_key`).  The chain derivation and the triple check in
-`datum` run the rule on raw degrees with one memo per validation;
+`datum` run the rule on raw degrees with one memo per validation, and
+`realize` reads the relation of the realized poset off its fibers tables.
 `bimodule_product` converts its pairs to rows, runs the same two steps
-and builds the class from the result.
+and converts the result back; `_class_of_rows` is the one way back from
+rows to a class.
 """
 
 from __future__ import annotations
@@ -166,10 +168,13 @@ def _rows(pairs):
     return tuple((chi.exps, g.coords) for chi, g in pairs)
 
 
-def _pairs(rows, domain, ambient):
-    """Rows as (Character, GroupElement) pairs, characters on `domain`."""
-    return [(_character(domain, exps), _element(ambient, coords))
-            for exps, coords in rows]
+def _class_of_rows(left, right, rows):
+    """The class over (left, right) of (exponents, coordinates) rows, the
+    characters on left /\\ right."""
+    middle = intersect(left, right)
+    return BimoduleClass(left, right, [
+        (_character(middle, exps), _element(left.ambient, coords))
+        for exps, coords in rows])
 
 
 class _Fibers(dict):
@@ -283,4 +288,4 @@ def bimodule_product(m12, m23):
                  rule.fibers(m12.middle, m23.middle,
                              intersect(h13, m12.right), h13), rule.add),
         subgroup_sum(h1, h3), h13)
-    return BimoduleClass(h1, h3, _pairs(sorted(rows), h13, h1.ambient))
+    return _class_of_rows(h1, h3, sorted(rows))

@@ -215,8 +215,8 @@ class CycloNumber:
         return (-self) + other
 
     def __mul__(self, other):
-        # CycloNumber is tested first: the Fraction test is an ABC instance
-        # check, slow in the oracle's loops where both operands are numbers
+        # CycloNumber is tested first, so a product of two numbers skips
+        # the Fraction test, an ABC instance check
         if not isinstance(other, CycloNumber):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented

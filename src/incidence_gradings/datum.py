@@ -22,10 +22,13 @@ torsion coordinates reduced and free ones not, and cosets are compared by
 Hermite remainders against the reducer's rows (`Subgroup.coset_key`).
 Every composition of one validate_datum call, walk and triple check
 alike, looks its factor rows up in one `bimodules._ProductRule` memo,
-which fills a miss through restrict, * and extension_fiber.  Character and GroupElement objects are
-built only at the edges: a Character names the character of a conflict
-or triple message, and realize() and derive_full_bimodules() turn each
-derived pair's rows into (Character, GroupElement) pairs once.
+which fills a miss through restrict, * and extension_fiber.  realize()
+reads the derived rows through the same rule: eta_i lies below eta_j
+when it restricts on H_i /\\ H_j to chi * eta_j, the two-step product of
+a row with the diagonal.  Character and GroupElement objects are built
+only at the edges: for messages, for the realized vertices, tags and
+degrees, and where derive_full_bimodules() or the CLI's `verify` builds
+a derived pair's class (`bimodules._class_of_rows`).
 
 Chains are never listed.  From each source i the derivation walks the
 interval above i once, keeping per vertex the distinct raw states its
@@ -59,10 +62,10 @@ from itertools import count
 from math import lcm
 
 from . import abelian
-from .abelian import intersect, subgroup_sum
-from .bimodules import BimoduleClass, bimodule_iso, realizable
-from .bimodules import _ProductRule, _compose, _merge_state, _pairs, _rows, _twist_by
-from .characters import _character, dual_group, exponent_rows, extension_fiber, restrict
+from .abelian import _element, intersect, subgroup_sum
+from .bimodules import bimodule_iso, realizable
+from .bimodules import _ProductRule, _class_of_rows, _compose, _merge_state, _rows, _twist_by
+from .characters import _character, dual_group, exponent_rows, restrict
 from .errors import (
     AmbientMismatch,
     BudgetExceeded,
@@ -215,7 +218,7 @@ def _derive(d, collect_issues=None, rule=None):
         above.setdefault(i, []).append(j)
     raw = {}
     for i, targets in above.items():
-        # the memo lives for one source only, which bounds its memory
+        # one rule memo serves every source; seen, steps and ends are per source
         results, conflicts = _walk_chains(d, i, cover_up, targets,
                                           cover_rows, rule)
         for j in targets:
@@ -239,12 +242,6 @@ def _derive(d, collect_issues=None, rule=None):
     return raw
 
 
-def _derived_pairs(d, raw):
-    """The rows of _derive as (Character, GroupElement) pairs, per pair."""
-    return {(i, j): _pairs(state, intersect(d.blocks[i], d.blocks[j]), d.ambient)
-            for (i, j), state in raw.items()}
-
-
 def derive_full_bimodules(d):
     """Bimodule classes for every comparable pair i < j of the skeleton.
 
@@ -253,11 +250,11 @@ def derive_full_bimodules(d):
     chains disagree.
     """
     out = {}
-    for pair, state in _derived_pairs(d, _derive(d)).items():
-        if pair in d.cover_bimodules:
-            out[pair] = d.cover_bimodules[pair]
+    for (i, j), state in _derive(d).items():
+        if (i, j) in d.cover_bimodules:
+            out[(i, j)] = d.cover_bimodules[(i, j)]
         else:
-            out[pair] = BimoduleClass(d.blocks[pair[0]], d.blocks[pair[1]], state)
+            out[(i, j)] = _class_of_rows(d.blocks[i], d.blocks[j], state)
     return out
 
 
@@ -282,8 +279,8 @@ class ValidationReport:
 
     derived: the raw data of every pair without a conflict, in row form:
     {pair: ((character exponents on H_i /\\ H_j, raw degree coordinates),
-    ...)}.  realize() turns each pair's rows into (Character,
-    GroupElement) pairs once; it is never encoded.
+    ...)}.  realize() reads the rows as they are and keeps them as
+    `RealizedGrading.full_raw`; they are never encoded.
     """
 
     conductor: int = 1
@@ -400,7 +397,9 @@ class BasisVector:
 
 
 class RealizedGrading:
-    """A concrete graded incidence algebra produced from a datum."""
+    """A concrete graded incidence algebra produced from a datum.
+
+    full_raw is the validation report's `derived`, in rows."""
 
     __slots__ = ("datum", "poset", "vertex_data", "basis", "full_raw")
 
@@ -461,18 +460,16 @@ def realize(d):
     report = validate_datum(d)
     if not report.valid:
         raise NotValid(report)
-    raw = _derived_pairs(d, report.derived)
+    raw = report.derived
     conductor = report.conductor
 
     skel = d.skeleton
     verts = []
     vertex_data = {}
-    duals = {}
-    labels = {}  # block: {eta.exps: label}, each vertex labelled once
+    labels = {}  # block: {eta.exps: label} in dual-group order
     for block in skel.elements:
-        duals[block] = dual_group(d.blocks[block])
         labels[block] = {}
-        for eta in duals[block]:
+        for eta in dual_group(d.blocks[block]):
             lab = labels[block][eta.exps] = vertex_label(block, eta)
             verts.append(lab)
             vertex_data[lab] = (block, eta)
@@ -489,21 +486,23 @@ def realize(d):
             for of_h, e in zip(at, row):
                 of_h[lab] = e
 
-    # eta_i relates to eta_j when eta_i restricts to chi * eta_j on H_ij:
-    # the eta_i are an extension fiber, listed in dual-group order
+    # eta_i relates to eta_j when eta_i restricts on H_ij to chi * eta_j:
+    # the two-step rule against the diagonal, whose fibers table lists
+    # those eta_i in dual-group order
+    rule = _ProductRule(d.ambient)
     up = [{n} for n in range(len(verts))]
     cross_pairs = {}
     for (i, j), state in raw.items():
         h_ij = intersect(d.blocks[i], d.blocks[j])
-        for chi, deg in state:
+        fibers = rule.fibers(h_ij, d.blocks[j], h_ij, d.blocks[i])
+        for exps, _ in state:
             related = []
-            for eta_j, vj in zip(duals[j], labels[j].values()):
-                want = chi * restrict(eta_j, h_ij)
-                for eta_i in extension_fiber(want, d.blocks[i]):
-                    vi = labels[i][eta_i.exps]
+            for exps_j, vj in labels[j].items():
+                for exps_i in fibers[exps, exps_j]:
+                    vi = labels[i][exps_i]
                     up[vert_index[vi]].add(vert_index[vj])
                     related.append((vi, vj))
-            cross_pairs[(i, j, chi)] = related
+            cross_pairs[(i, j, exps)] = related
 
     # the relation is transitive by condition (3); re-check defensively
     for n in range(len(verts)):
@@ -527,9 +526,10 @@ def realize(d):
                                                 skel.index(kv[0][1]))):
         h_i, h_j = d.blocks[i], d.blocks[j]
         h_ij = intersect(h_i, h_j)
-        for chi, deg in state:
-            related = cross_pairs[(i, j, chi)]
-            values = chi.values
+        for exps, coords in state:
+            related = cross_pairs[(i, j, exps)]
+            values = _character(h_ij, exps).values
+            deg = _element(d.ambient, coords)
             for h, k in _twist_orbit_representatives(h_i, h_j, h_ij):
                 left, right = exponent[h.coords], exponent[k.coords]
                 roots = {(vi, vj): (left[vi] + right[vj]) % conductor

@@ -180,20 +180,26 @@ def _ring_product(a, b_by_first, conductor):
     return out
 
 
-def _reduce(elem, pair_index, conductor):
-    """The integer vector of a group-ring element: one block of phi(N)
-    power-basis columns per comparable pair, each (pair, exponent) term
-    reduced through its `_power_table` row; zero entries are dropped."""
-    phi = euler_phi(conductor)
+def _reduced(pre, conductor):
+    """The preimage of pre's power-basis numerators: each (pair, exponent)
+    term reduced through its `_power_table` row, so a sum of products
+    shrinks to at most phi(N) terms x^q, q < phi(N), per pair (x^q maps to
+    zeta_N^q); zero terms are dropped, so a zero element reduces to {}."""
     _, rows = _root_exponents(conductor)
-    flat = {}
-    for (x, y, e), c in elem.items():
-        if c:
-            base = pair_index[(x, y)] * phi
-            for q, t in rows[e]:
-                col = base + q
-                flat[col] = flat.get(col, 0) + c * t
-    return {col: v for col, v in flat.items() if v}
+    out = {}
+    for (x, y, e), c in pre.items():
+        for q, t in rows[e]:
+            key = (x, y, q)
+            out[key] = out.get(key, 0) + c * t
+    return {key: v for key, v in out.items() if v}
+
+
+def _reduce(elem, pair_index, conductor):
+    """The integer vector of a group-ring element: `_reduced`, one block of
+    phi(N) power-basis columns per comparable pair."""
+    phi = euler_phi(conductor)
+    return {pair_index[(x, y)] * phi + q: v
+            for (x, y, q), v in _reduced(elem, conductor).items()}
 
 
 def _zeta_multiples(pre, pair_index, conductor):
@@ -285,7 +291,7 @@ def _generating_set(r):
             or (b.tag[0] == "cross" and b.tag[4] == b.tag[5] == zero)]
 
 
-def _split(w, owner, shape, pair_index, conductor):
+def _split(w, owner, shape, conductor):
     """The members whose multiples sum to the element w of the group ring,
     or None when that is not shown: w must vanish off the supports of the
     members `owner` lists, and on each support it touches be one member's
@@ -302,7 +308,7 @@ def _split(w, owner, shape, pair_index, conductor):
                 by_pair.setdefault((x, y), []).append((e, c))
             else:
                 off[(x, y, e)] = c
-    if _reduce(off, pair_index, conductor):
+    if _reduced(off, conductor):
         return None  # nonzero off the supports
     out = []
     for m in {owner[pair] for pair in by_pair}:
@@ -425,7 +431,7 @@ def _full_rank(shape, conductor):
     return True
 
 
-def _certified(r, found, product, degrees, pair_index, conductor):
+def _certified(r, found, product, degrees, conductor):
     """True when the certificate of the module docstring shows that the
     basis (already known to be one) is graded; False proves nothing.
     found is `_components`' (shape, owners); product(u, v) is the
@@ -434,7 +440,7 @@ def _certified(r, found, product, degrees, pair_index, conductor):
     shape, owners = found
     one = _split({(x, x, 0): 1 for x in r.poset.elements},
                  owners.get(degrees.number.get(r.ambient.zero()), {}),
-                 shape, pair_index, conductor)
+                 shape, conductor)
     if one is None:
         return False
     splits = [(None, one)]
@@ -445,8 +451,7 @@ def _certified(r, found, product, degrees, pair_index, conductor):
             if w is None:
                 continue
             target = degrees.plus(degrees.ids[s], degrees.ids[iv])
-            members = _split(w, owners.get(target, {}), shape, pair_index,
-                             conductor)
+            members = _split(w, owners.get(target, {}), shape, conductor)
             if members is None:
                 return False
             splits.append((iv, members))
@@ -497,8 +502,7 @@ def verify_grading(r):
     found = _components(preimages, degrees)
     full_rank = (len(r.basis) == dim and found is not None
                  and _full_rank(found[0], conductor))
-    if full_rank and _certified(r, found, product, degrees, pair_index,
-                                conductor):
+    if full_rank and _certified(r, found, product, degrees, conductor):
         report.checked_products = dim * dim
         return report
 
@@ -563,19 +567,6 @@ def verify_grading(r):
 # radical-square decomposition by character projectors
 
 
-def _diagonal_images(r):
-    out = {}
-    for b in r.basis:
-        if b.tag[0] == "diag":
-            out[(b.tag[1], b.tag[2])] = b.element
-    return out
-
-
-def _cross_basis(r, i, j):
-    return [b for b in r.basis
-            if b.tag[0] == "cross" and b.tag[1] == i and b.tag[2] == j]
-
-
 def _isotypic_flats(r, i, k):
     """The nonzero two-step products w = u * v of M_ij * M_jk between i and
     k, and their pi_chi images, all as group-ring preimages.
@@ -596,32 +587,28 @@ def _isotypic_flats(r, i, k):
     mids = r.datum.skeleton.strictly_between(i, k)
     if not mids:
         raise NoIntermediateBlock(f"no block strictly between {i!r} and {k!r}")
-    factors = [(_cross_basis(r, i, j), _cross_basis(r, j, k)) for j in mids]
-    diag = _diagonal_images(r)
+    # one read of the basis: the diagonal images, and per middle block j
+    # the cross members of (i, j) and of (j, k)
+    diag, factors = {}, {j: ([], []) for j in mids}
+    for b in r.basis:
+        tag = b.tag
+        if tag[0] == "diag":
+            diag[(tag[1], tag[2])] = b.element
+        elif tag[0] == "cross" and tag[1] == i and tag[2] in factors:
+            factors[tag[2]][0].append(b)
+        elif tag[0] == "cross" and tag[2] == k and tag[1] in factors:
+            factors[tag[1]][1].append(b)
     h_ik = intersect(r.datum.blocks[i], r.datum.blocks[k])
     elements = list(h_ik.elements())
     m = len(elements)
     elems = ([diag[(i, h.coords)] for h in elements]
              + [diag[(k, (-h).coords)] for h in elements]
-             + [b.element for us, vs in factors for b in us + vs])
+             + [b.element for us, vs in factors.values() for b in us + vs])
     pair_index = {p: n for n, p in enumerate(r.poset.comparable_pairs())}
     if _incomparable(elems, pair_index):
         raise InvalidElement("a basis member has a support pair that is not "
                              "comparable in the poset")
     conductor = lcm(_conductor_of(elems), h_ik.exponent())
-    _, power_rows = _root_exponents(conductor)
-
-    def reduced(pre):
-        # the preimage of pre's power-basis numerators (x^q with q < phi
-        # maps to zeta_N^q, so both reduce to one vector, as in `_reduce`):
-        # a sum of products shrinks to at most phi terms per pair
-        out = {}
-        for (x, y, e), c in pre.items():
-            for q, t in power_rows[e]:
-                key = (x, y, q)
-                out[key] = out.get(key, 0) + c * t
-        return {key: v for key, v in out.items() if v}
-
     pres = _ring_preimages(elems, conductor)
     entries = []  # per diagonal image, {vertex: [(exponent, coefficient)]}
     for pre in pres[:2 * m]:
@@ -633,12 +620,12 @@ def _isotypic_flats(r, i, k):
     lefts, rights = entries[:m], entries[m:]
     rest = iter(pres[2 * m:])
     products = []
-    for us, vs in factors:
+    for us, vs in factors.values():
         u_pres = [next(rest) for _ in us]
         v_pres = [_by_first(next(rest)) for _ in vs]
         for u, u_pre in zip(us, u_pres):
             for v, v_pre in zip(vs, v_pres):
-                w = reduced(_ring_product(u_pre, v_pre, conductor))
+                w = _reduced(_ring_product(u_pre, v_pre, conductor), conductor)
                 if w:
                     products.append((w, u.degree + v.degree))
 
@@ -662,7 +649,8 @@ def _isotypic_flats(r, i, k):
             terms = [(e, c) for e, c in acc.items() if c]
             if len(terms) > 1:
                 terms = [(q, v) for (_, _, q), v in
-                         reduced({(x, y, e): c for e, c in terms}).items()]
+                         _reduced({(x, y, e): c for e, c in terms},
+                                  conductor).items()]
             if terms:
                 found.append((n, terms))
         return found
@@ -683,7 +671,7 @@ def _isotypic_flats(r, i, k):
                     key = (x, y, (e + em) % conductor)
                     acc[key] = acc.get(key, 0) + c * cm
         for n, acc in accs.items():
-            piece = reduced(acc)
+            piece = _reduced(acc, conductor)
             if piece:
                 projected[chars[n]].append((piece, deg))
     return products, pair_index, conductor, projected

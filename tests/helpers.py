@@ -25,14 +25,18 @@ from incidence_gradings.characters import (
     trivial_character,
 )
 from incidence_gradings.cyclo import _power_table, cyclo_one, euler_phi, root_of_unity
-from incidence_gradings.datum import BasisVector, GradingDatum, RealizedGrading
+from incidence_gradings.datum import (
+    BasisVector,
+    GradingDatum,
+    RealizedGrading,
+    vertex_label,
+)
 from incidence_gradings.errors import ChainInconsistency, DegreeConflict
 from incidence_gradings.incidence import IncidenceElement
 from incidence_gradings.jsonio import _expect, _expect_object, _fail, decode_cyclo
 from incidence_gradings.oracle import (
     VerificationReport,
     _conductor_of,
-    _diagonal_images,
     _isotypic_flats,
     _zeta_closed_space,
 )
@@ -375,6 +379,23 @@ def reference_derive_rows(d, collect_issues=None, rule=None):
             for pair, state in reference_derive(d, collect_issues).items()}
 
 
+def reference_relation(d):
+    """The comparable (vertex, vertex) pairs of realize(d).poset for a valid
+    datum, by the object-form rule: eta_i lies below eta_j when eta_i
+    restricts on H_i /\\ H_j to chi * eta_j for a character chi that the
+    chain-by-chain derivation gives the pair (i, j)."""
+    pairs = {(vertex_label(v, eta), vertex_label(v, eta))
+             for v, h in d.blocks.items() for eta in dual_group(h)}
+    for (i, j), state in reference_derive(d).items():
+        h_ij = intersect(d.blocks[i], d.blocks[j])
+        for chi, _ in state:
+            for eta_j in dual_group(d.blocks[j]):
+                want = chi * restrict(eta_j, h_ij)
+                for eta_i in extension_fiber(want, d.blocks[i]):
+                    pairs.add((vertex_label(i, eta_i), vertex_label(j, eta_j)))
+    return pairs
+
+
 def reference_product(m12, m23):
     """bimodule_product by the object-form rule: restrict, multiply and
     extend Character objects, add GroupElement degrees, merge with
@@ -560,7 +581,7 @@ def reference_verify_grading(r):
 def apply_twist_projector(r, i, k, chi, elem):
     """pi_chi(v) = (1/|H_ik|) sum over h of chi(h)^{-1} * psi_i(h) v psi_k(-h),
     the honest projector of the twist action on the (i, k) strip."""
-    diag = _diagonal_images(r)
+    diag = {(b.tag[1], b.tag[2]): b.element for b in r.basis if b.tag[0] == "diag"}
     h_ik = intersect(r.datum.blocks[i], r.datum.blocks[k])
     total = IncidenceElement(r.poset, {})
     for h in h_ik.elements():

@@ -194,6 +194,31 @@ def test_realize_matches_golden_hash(capsys, name):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
 
 
+@pytest.mark.parametrize("name", GOLDEN)
+def test_iso_grading_golden_is_self_isomorphic(capsys, name):
+    path = str(DATA / f"{name}.json")
+    code, out, err = run(capsys, "iso-grading", path, path)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["isomorphic"] is True
+
+
+def _names(test):
+    """The names a golden test is parametrized over."""
+    (mark,) = test.pytestmark
+    return sorted(case[0] for case in mark.args[1])
+
+
+def test_golden_cases_name_every_data_file():
+    # a data file that no golden case names would go unchecked
+    assert sorted(GOLDEN) == sorted(
+        p.stem for p in DATA.glob("*.json") if not p.name.endswith(".verify.json"))
+    assert _names(test_validate_matches_golden_output) == sorted(
+        p.stem for p in (DATA / "validate").glob("*.json")
+        if not p.name.endswith(".validate.json"))
+    assert _names(test_product_matches_golden_output) == sorted(
+        p.name[:-len(".m12.json")] for p in (DATA / "product").glob("*.m12.json"))
+
+
 def test_verify_corrupted_exits_1(tmp_path, capsys):
     h = canonicalize([Z4.element([2])], Z4)
     chi = dual_group(h)[1]

@@ -3,6 +3,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from incidence_gradings.abelian import (
     AbelianGroup,
@@ -40,7 +41,9 @@ from helpers import (
     chain_over_z8,
     diamond_datum,
     diamond_over_z2,
+    grading_data,
     incidence_dimension,
+    reference_relation,
     two_block_datum,
 )
 
@@ -235,6 +238,27 @@ def test_realize_antichain_is_diagonal():
     assert incidence_dimension(r.poset) == 8
     assert len(r.basis) == 8
     assert all(b.tag[0] == "diag" for b in r.basis)
+
+
+def test_realized_relation_matches_the_object_form_rule():
+    # realize reads the relation off the fibers tables of the row rule;
+    # the reference restricts, multiplies and extends Character objects
+    tally = {"valid": 0, "free": 0}
+
+    @settings(max_examples=1000, derandomize=True, database=None,
+              deadline=None, suppress_health_check=list(HealthCheck))
+    @given(grading_data([(labels, covers) for _, labels, covers in ACCEPTANCE_SHAPES],
+                        SWEEP_GROUPS + [AbelianGroup(1, [2])]))
+    def check(d):
+        if not validate_datum(d).valid:
+            return
+        tally["valid"] += 1
+        tally["free"] += not d.ambient.is_finite
+        poset = realize(d).poset
+        assert set(poset.comparable_pairs()) == reference_relation(d)
+
+    check()
+    assert tally["valid"] >= 500 and tally["free"] >= 50
 
 
 def test_realize_cross_degrees():

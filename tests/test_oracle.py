@@ -60,6 +60,7 @@ from helpers import (
     apply_twist_projector,
     b3_over_z3,
     chain_datum,
+    diamond_datum,
     grading_data,
     chain_over_z8,
     diamond_over_z2,
@@ -213,6 +214,12 @@ def test_radical_square_requires_middle_block():
     r = realize(d)
     with pytest.raises(NoIntermediateBlock):
         radical_square_component(r, "1", "2")
+
+
+def test_radical_square_requires_comparable_blocks():
+    r = realize(_golden("z16-chain3"))
+    with pytest.raises(NoIntermediateBlock, match="not comparable"):
+        radical_square_component(r, "2", "1")
 
 
 def test_projector_algebra():
@@ -908,6 +915,57 @@ def test_certificate_gives_up_on_shared_supports(monkeypatch):
     assert _assert_same_report(r).ok
     # the full-rank step already refuses, so the certificate is not reached
     assert verdicts == []
+
+
+def _diamond_by_hand():
+    """A basis of I(x < y1, y2 < z) over Q(zeta_4), degrees in Z/8: the
+    vertex idempotents of degree 0, e_xy1 + e_xy2 of degree 1, e_xy1 -
+    e_xy2 of degree 2, e_y1z + zeta e_y2z of degree 3, e_y1z - zeta e_y2z
+    and e_xz of degree 4.  A realized diamond supplies the poset."""
+    z8 = AbelianGroup(0, [8])
+    t = trivial_subgroup(z8)
+    r = realize(diamond_datum(z8, [t] * 4, [trivial_class(t, t, z8.zero())] * 4))
+    x, y1, y2, z = (f"{v}|" for v in "1234")
+    entries = [({(v, v): 0}, 0) for v in (x, y1, y2, z)] + [
+        ({(x, y1): 0, (x, y2): 0}, 1),
+        ({(x, y1): 0, (x, y2): 2}, 2),
+        ({(y1, z): 0, (y2, z): 1}, 3),
+        ({(y1, z): 0, (y2, z): 3}, 4),
+        ({(x, z): 0}, 4)]
+    return _with_basis(r, [
+        BasisVector(IncidenceElement.from_roots(r.poset, 4, roots),
+                    z8.element([deg]), ("by-hand",))
+        for roots, deg in entries])
+
+
+def test_certificate_gives_up_on_a_pair_without_one_term(monkeypatch):
+    # the basis has full rank and single-member support components, but is
+    # not graded: e_xy1 + e_xy2 times e_y1 is e_xy1, of degree 1, on the
+    # support of the one degree-1 member and not a multiple of it.  The
+    # split that gives up finds every term on a member's support and some
+    # pair of that support holding other than one term
+    r = _diamond_by_hand()
+    assert _check_accepts(r)
+    gave_up = []
+    split = oracle._split
+
+    def spy(w, owner, shape, conductor):
+        members = split(w, owner, shape, conductor)
+        if members is None:
+            gave_up.append((w, owner, shape))
+        return members
+
+    monkeypatch.setattr(oracle, "_split", spy)
+    verdicts = _spy_certificate(monkeypatch)
+    monkeypatch.setattr(oracle, "_generating_set", lambda r: list(range(len(r.basis))))
+    report = _assert_same_report(r)
+    assert verdicts == [False]
+    assert report.violations and {v.kind for v in report.violations} == {"product-escape"}
+    (w, owner, shape), = gave_up
+    touched = {owner.get((x, y)) for x, y, _ in w}
+    assert None not in touched
+    assert any(sum((x, y) == pair for x, y, _ in w) != 1
+               for m in touched for pair in shape[m])
 
 
 # ---------------------------------------------------------------------------
