@@ -202,6 +202,18 @@ def _element(group, coords):
     return g
 
 
+def _coordinate_sum(group):
+    """The sum of two coordinate tuples of `group`, as a function: the
+    coordinates of GroupElement `+`, torsion coordinates reduced and free
+    ones not, with no element built."""
+    f, moduli = group.free_rank, group.torsion_factors
+    if f:
+        return lambda a, b: tuple(
+            [x + y for x, y in zip(a[:f], b[:f])]
+            + [(x + y) % m for x, y, m in zip(a[f:], b[f:], moduli)])
+    return lambda a, b: tuple([(x + y) % m for x, y, m in zip(a, b, moduli)])
+
+
 class Subgroup:
     """A subgroup of an ambient AbelianGroup in canonical form.
 
@@ -216,7 +228,8 @@ class Subgroup:
 
     __slots__ = ("ambient", "lattice_basis", "_pivots", "structure",
                  "sub_free_rank", "_gen_rows", "_gen_orders", "_gen_coord_matrix",
-                 "_elements", "_dual", "_restrict_cache", "_fibers", "__weakref__")
+                 "_elements", "_dual", "_exponent_rows", "_coset_leasts",
+                 "_restrict_cache", "_fibers", "__weakref__")
 
     def __init__(self, ambient, lattice_basis, pivots):
         self.ambient = ambient
@@ -236,11 +249,13 @@ class Subgroup:
         self._gen_coord_matrix = V
         self.structure = tuple(d for d in diag if d > 1)
         self.sub_free_rank = m - len(diag)
-        # Per-object memos, freed with the subgroup, bounded by |H| or the
-        # number of subgroups of H; an lru_cache on characters.restrict
+        # Per-object memos, freed with the subgroup, bounded by |H| per
+        # conductor or subgroup of H; an lru_cache on characters.restrict
         # would hash a Character in Python on every hit.
         self._elements = None
         self._dual = None
+        self._exponent_rows = {}  # conductor: characters.exponent_rows
+        self._coset_leasts = {}  # subgroup K: the elements least in their K-cosets
         self._restrict_cache = {}
         self._fibers = {}
 

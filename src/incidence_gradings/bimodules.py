@@ -26,7 +26,7 @@ rows to a class.
 
 from __future__ import annotations
 
-from .abelian import _element, intersect, subgroup_sum
+from .abelian import _coordinate_sum, _element, intersect, subgroup_sum
 from .characters import _character, extension_fiber, restrict
 from .errors import (
     AmbientMismatch,
@@ -210,14 +210,7 @@ class _ProductRule:
 
     def __init__(self, ambient):
         self.tables = {}
-        f, moduli = ambient.free_rank, ambient.torsion_factors
-        if f:
-            self.add = lambda a, b: tuple(
-                [x + y for x, y in zip(a[:f], b[:f])]
-                + [(x + y) % m for x, y, m in zip(a[f:], b[f:], moduli)])
-        else:
-            self.add = lambda a, b: tuple(
-                [(x + y) % m for x, y, m in zip(a, b, moduli)])
+        self.add = _coordinate_sum(ambient)
 
     def fibers(self, left, right, mid, out):
         key = (left, right, mid, out)

@@ -141,12 +141,15 @@ def exponent_rows(h, n):
     """n * chi(g) mod n for every character chi of h and element g of h.
 
     One row per character in dual_group order, one entry per element in
-    h.elements() order; n must be a multiple of h's exponent.  The
-    generator coordinates of each element are found once, as one base row
-    per generator: n / s_i times that generator's coordinate of each
-    element, s_i its order.  A character's row is sum_i exps_i * base_i
-    mod n, formed over whole rows.
+    h.elements() order, as tuples held on h per n; n must be a multiple of
+    h's exponent.  The generator coordinates of each element are found
+    once, as one base row per generator: n / s_i times that generator's
+    coordinate of each element, s_i its order.  A character's row is
+    sum_i exps_i * base_i mod n, formed over whole rows.
     """
+    rows = h._exponent_rows.get(n)
+    if rows is not None:
+        return rows
     coords = [_carried(h, h.generator_coords(g)) for g in h.elements()]
     bases = [[n // s * cs[i] % n for cs in coords]
              for i, s in enumerate(h.structure)]
@@ -156,7 +159,8 @@ def exponent_rows(h, n):
         for e, base in zip(chi.exps, bases):
             if e:
                 row = [r + e * b for r, b in zip(row, base)]
-        rows.append([r % n for r in row])
+        rows.append(tuple([r % n for r in row]))
+    rows = h._exponent_rows[n] = tuple(rows)
     return rows
 
 

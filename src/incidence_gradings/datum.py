@@ -433,10 +433,13 @@ def vertex_label(block, chi):
 def _twist_orbit_representatives(h_left, h_right, h_mid):
     """Deterministic orbit representatives of H_i x H_j under
     (h, k) ~ (h + t, k - t) for t in the intersection: in element order an
-    orbit is first reached at the least h of its coset h + H_ij, any k."""
-    return [(h, k) for h in h_left.elements()
-            if h_mid.least_coset_coords(h) == h
-            for k in h_right.elements()]
+    orbit is first reached at the least h of its coset h + H_ij, any k.
+    Those h are held on h_left per h_mid."""
+    lefts = h_left._coset_leasts.get(h_mid)
+    if lefts is None:
+        lefts = h_left._coset_leasts[h_mid] = tuple(
+            h for h in h_left.elements() if h_mid.least_coset_coords(h) == h)
+    return [(h, k) for h in lefts for k in h_right.elements()]
 
 
 def realize(d):
@@ -512,6 +515,7 @@ def realize(d):
                     "derived relation failed transitivity")
     poset = Poset(verts, up, _checked=True)
 
+    add = rule.add  # h + g + k on coordinates
     basis = []
     for block in skel.elements:
         h_block = d.blocks[block]
@@ -529,14 +533,13 @@ def realize(d):
         for exps, coords in state:
             related = cross_pairs[(i, j, exps)]
             values = _character(h_ij, exps).values
-            deg = _element(d.ambient, coords)
             for h, k in _twist_orbit_representatives(h_i, h_j, h_ij):
                 left, right = exponent[h.coords], exponent[k.coords]
                 roots = {(vi, vj): (left[vi] + right[vj]) % conductor
                          for vi, vj in related}
                 basis.append(BasisVector(
                     IncidenceElement.from_roots(poset, conductor, roots),
-                    h + deg + k,
+                    _element(d.ambient, add(add(h.coords, coords), k.coords)),
                     ("cross", i, j, values, h.coords, k.coords)))
     return RealizedGrading(d, poset, vertex_data, basis, raw)
 

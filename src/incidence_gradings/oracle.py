@@ -6,21 +6,21 @@ decomposed with the character projectors of the twist action, applied
 pair by pair through the entries of the diagonal images in I(X), and
 the link-count identity is recounted on the realized poset.
 
-Elements.  Each element is written once as a preimage in the group ring
-Z[x]/(x^N - 1), all at one common integer scale.  A member `realize`
-wrote is read from its exponents (`IncidenceElement.from_roots`):
-zeta_M^e becomes the monomial x^(e * N / M), and no coefficient is formed.
-Any other element is read coefficient by coefficient: q * zeta_N^e, q
-rational, becomes q times x^e, any other coefficient its power-basis
-numerators.  Members written as exponents are built unchecked, so their
-support pairs are checked first: a pair that is not comparable is the violation
-`incomparable-support`, and nothing else is decided.
-Products then only add exponents mod N, and zeta_N^a times an element
-shifts every exponent by a.  A preimage is reduced to an integer vector
-in the power basis of Q(zeta_N) only where a zero test or a row space
-takes it.  x -> zeta_N is a ring homomorphism, so the reduced vector is
-exactly a positive multiple of the element's; zero tests and spans do
-not see the multiple.
+Elements.  Members written as exponents (`IncidenceElement.from_roots`)
+are built unchecked, so their support pairs are checked first: a pair
+that is not comparable is the violation `incomparable-support`, and
+nothing else is decided.  The full-rank step and the certificate read
+each member's shape, one exponent of zeta_N per pair (`_components`): a
+member over Q(zeta_M) gives its own exponents times N / M.  Only the
+exact Q rank, the dim^2 loop and the radical-square products form
+preimages in the group ring Z[x]/(x^N - 1), at one common integer scale:
+zeta_M^e becomes x^(e * N / M), q * zeta_N^e (q rational) q times x^e,
+any other coefficient its power-basis numerators.  Products then only
+add exponents mod N, and zeta_N^a times an element shifts every exponent
+by a.  A preimage is reduced to an integer vector in the power basis of
+Q(zeta_N) only where a zero test or a row space takes it.  x -> zeta_N is
+a ring homomorphism, so the reduced vector is exactly a positive multiple
+of the element's; zero tests and spans do not see the multiple.
 
 Full rank.  It is shown without elimination when there are as many
 members as pairs and each member is one coefficient times one root of
@@ -64,14 +64,18 @@ and each member is one coefficient times one root of unity per pair: V_g
 is then the direct sum of the lines they span, and w lies in it exactly
 when w vanishes off their supports and, on each member's support, w_p *
 zeta^(-e_p) is the same number at every pair p, e_p the member's exponent
-at p.  That is decided on the preimage alone: on each member's support
-that w touches, every pair must hold one monomial, the member's term times
-one common c * x^a.  In a realized product the terms of one pair either
-share an exponent, and merge into one monomial, or form a nontrivial
-character sum over a coset, which vanishes; such a pair on a touched
-support makes the certificate give up (none did on the data tried).
-Another shape of basis, or any failed step, proves nothing, and the dim^2
-loop below decides.
+at p.  s * v is formed from the shapes and grouped per pair as it is
+formed: {pair: {exponent: count}}, counting the paths x <= z <= y whose
+exponents sum to it (`_shape_product`).  c_s * c_v is left out: a nonzero
+factor of the whole product changes neither whether w vanishes off the
+supports nor whether it is one multiple of a member on each.  So on each
+member's support that w touches, every pair must hold one term, the
+member's exponent shifted by one common a, with one common count.  In a
+realized product the terms of one pair either share an exponent and
+merge, or form a nontrivial character sum over a coset, which vanishes;
+such a pair on a touched support makes the certificate give up (none did
+on the data tried).  Another shape of basis, or any failed step, proves
+nothing, and the dim^2 loop below decides.
 
 Without the certificate, membership of a product in the span of its
 degree is decided over Q in the zeta-closed form.
@@ -83,7 +87,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd, lcm
 
-from .abelian import intersect, subgroup_sum
+from .abelian import _coordinate_sum, intersect, subgroup_sum
 from .bimodules import BimoduleClass
 from .characters import dual_group, exponent_rows
 from .cyclo import _root_exponents, euler_phi
@@ -247,25 +251,28 @@ class VerificationReport:
 
 
 class _Degrees:
-    """The basis degrees numbered once per call: `ids[n]` numbers the
-    degree of basis[n], `members[d]` lists the basis indices of degree d,
-    and `plus(a, b)` is the number of degree a + degree b, or None when no
-    basis element has it (each sum is formed once)."""
+    """The basis degrees of one call, numbered by their coordinate tuples
+    in `ambient`: `ids[n]` numbers the degree of basis[n], `members[d]`
+    lists the basis indices of degree d, and `plus(a, b)` is the number of
+    degree a + degree b, or None when no basis element has it.  Each sum is
+    formed once, on the coordinates (`abelian._coordinate_sum`)."""
 
-    def __init__(self, basis):
+    def __init__(self, basis, ambient):
         self.number = {}
-        self.ids = [self.number.setdefault(b.degree, len(self.number))
+        self.ids = [self.number.setdefault(b.degree.coords, len(self.number))
                     for b in basis]
         self.degrees = list(self.number)
         self.members = [[] for _ in self.degrees]
         for idx, d in enumerate(self.ids):
             self.members[d].append(idx)
+        self._add = _coordinate_sum(ambient)
         self._sums = {}
 
     def plus(self, a, b):
         key = (a, b)
         if key not in self._sums:
-            self._sums[key] = self.number.get(self.degrees[a] + self.degrees[b])
+            self._sums[key] = self.number.get(self._add(self.degrees[a],
+                                                        self.degrees[b]))
         return self._sums[key]
 
 
@@ -291,38 +298,51 @@ def _generating_set(r):
             or (b.tag[0] == "cross" and b.tag[4] == b.tag[5] == zero)]
 
 
+def _shape_product(a, b_by_first, conductor):
+    """The product of members a and b from their shapes (`_components`),
+    without the factor c_a * c_b: {pair: {exponent: count}}.  b_by_first
+    lists b's (y, exponent) per first vertex z."""
+    out = {}
+    for (x, z), ea in a.items():
+        for y, eb in b_by_first.get(z, ()):
+            terms = out.setdefault((x, y), {})
+            e = (ea + eb) % conductor
+            terms[e] = terms.get(e, 0) + 1
+    return out
+
+
 def _split(w, owner, shape, conductor):
-    """The members whose multiples sum to the element w of the group ring,
-    or None when that is not shown: w must vanish off the supports of the
-    members `owner` lists, and on each support it touches be one member's
-    preimage times one monomial c * x^a.
+    """The members whose multiples sum to w, a `_shape_product` (or the
+    identity, {(x, x): {0: 1}}), or None when that is not shown: w must
+    vanish off the supports of the members `owner` lists, and on each
+    support it touches be one member's shape times one monomial c * x^a.
 
     owner maps each pair to the one member whose support holds it, and
     shape[m] maps each pair of member m to its one exponent; every member
     has one coefficient, so w is c * x^a times b_m on m's support when each
-    pair p holds the single term c * x^(e_p + a)."""
-    by_pair, off = {}, {}
-    for (x, y, e), c in w.items():
-        if c:
-            if (x, y) in owner:
-                by_pair.setdefault((x, y), []).append((e, c))
-            else:
-                off[(x, y, e)] = c
-    if _reduced(off, conductor):
+    pair p holds the single term c * x^(e_p + a), as {e_p + a: c}.  The
+    off-support part goes to `_reduced` only when there is one."""
+    members, off = set(), {}
+    for pair, terms in w.items():
+        m = owner.get(pair)
+        if m is None:
+            off[pair] = terms
+        else:
+            members.add(m)
+    if off and _reduced({(x, y, e): c for (x, y), terms in off.items()
+                         for e, c in terms.items()}, conductor):
         return None  # nonzero off the supports
-    out = []
-    for m in {owner[pair] for pair in by_pair}:
+    for m in members:
         keys = set()
         for pair, e in shape[m].items():
-            terms = by_pair.get(pair, ())
+            terms = w.get(pair, ())
             if len(terms) != 1:
                 return None
-            (ew, cw), = terms
+            (ew, cw), = terms.items()
             keys.add((cw, (ew - e) % conductor))
         if len(keys) != 1:
             return None
-        out.append(m)
-    return out
+    return list(members)
 
 
 def _all_reached(n, seeds, splits):
@@ -342,19 +362,27 @@ def _all_reached(n, seeds, splits):
     return len(reached) == n
 
 
-def _components(preimages, degrees):
+def _components(elems, degrees, conductor):
     """(shape, owners) for `_full_rank` and `_split`, or None when some
     member is not one coefficient times one root of unity per pair, or
     when two members of one degree share a pair (a support component with
     several members).
 
-    shape[m] maps each pair of member m to its exponent; owners[d] maps
-    each pair of a degree-d member to that member (no key for a degree no
-    member has)."""
+    shape[m] maps each pair of member m to its exponent mod N: a
+    `RootElement` over Q(zeta_M) gives its `roots` times N / M, any other
+    member its preimage (`_ring_preimages`).  owners[d] maps each pair of a
+    degree-d member to that member (no key for a degree no member has)."""
+    planted = [elem for elem in elems if not isinstance(elem, RootElement)]
+    pres = iter(_ring_preimages(planted, conductor))
     shape = []
-    for pre in preimages:
+    for elem in elems:
+        if isinstance(elem, RootElement):
+            step = conductor // elem.conductor
+            shape.append(elem.roots if step == 1 else
+                         {pair: e * step for pair, e in elem.roots.items()})
+            continue
         exps, coeffs = {}, set()
-        for (x, y, e), c in pre.items():
+        for (x, y, e), c in next(pres).items():
             if (x, y) in exps:
                 return None
             exps[(x, y)] = e
@@ -431,25 +459,29 @@ def _full_rank(shape, conductor):
     return True
 
 
-def _certified(r, found, product, degrees, conductor):
+def _certified(r, found, degrees, conductor):
     """True when the certificate of the module docstring shows that the
     basis (already known to be one) is graded; False proves nothing.
-    found is `_components`' (shape, owners); product(u, v) is the
-    group-ring product of members u and v, or None when it is zero by
-    support."""
+    found is `_components`' (shape, owners); each product s * v is formed
+    from the shapes (`_shape_product`)."""
     shape, owners = found
-    one = _split({(x, x, 0): 1 for x in r.poset.elements},
-                 owners.get(degrees.number.get(r.ambient.zero()), {}),
+    one = _split({(x, x): {0: 1} for x in r.poset.elements},
+                 owners.get(degrees.number.get(r.ambient.zero().coords), {}),
                  shape, conductor)
     if one is None:
         return False
     splits = [(None, one)]
     seeds = _generating_set(r)
-    for iv in range(len(shape)):
+    ends = {s: {z for _, z in shape[s]} for s in seeds}
+    for iv, exps in enumerate(shape):
+        by_first = {}
+        for (z, y), e in exps.items():
+            by_first.setdefault(z, []).append((y, e))
         for s in seeds:
-            w = product(s, iv)
-            if w is None:
+            # zero unless some pair of s ends where one of v starts
+            if ends[s].isdisjoint(by_first):
                 continue
+            w = _shape_product(shape[s], by_first, conductor)
             target = degrees.plus(degrees.ids[s], degrees.ids[iv])
             members = _split(w, owners.get(target, {}), shape, conductor)
             if members is None:
@@ -488,24 +520,15 @@ def verify_grading(r):
         return report  # members outside I(X): nothing more is decided
     conductor = _conductor_of(elems)
     phi = euler_phi(conductor)
-    preimages = _ring_preimages(elems, conductor)
-    degrees = _Degrees(r.basis)
-    ends = [{z for _, z, _ in pre} for pre in preimages]
-    indexed = [_by_first(pre) for pre in preimages]
-
-    def product(iu, iv):
-        # zero unless some pair of u ends where one of v starts
-        if ends[iu].isdisjoint(indexed[iv]):
-            return None
-        return _ring_product(preimages[iu], indexed[iv], conductor)
-
-    found = _components(preimages, degrees)
+    degrees = _Degrees(r.basis, r.ambient)
+    found = _components(elems, degrees, conductor)
     full_rank = (len(r.basis) == dim and found is not None
                  and _full_rank(found[0], conductor))
-    if full_rank and _certified(r, found, product, degrees, conductor):
+    if full_rank and _certified(r, found, degrees, conductor):
         report.checked_products = dim * dim
         return report
 
+    preimages = _ring_preimages(elems, conductor)
     if len(r.basis) != dim:
         report.flag("basis-size", "basis",
                     f"{len(r.basis)} basis elements for dimension {dim}")
@@ -533,14 +556,16 @@ def verify_grading(r):
         return degree_spaces[d]
 
     ids = degrees.ids
+    ends = [{z for _, z, _ in pre} for pre in preimages]
+    indexed = [_by_first(pre) for pre in preimages]
     for iu in range(len(r.basis)):
         for iv in range(len(r.basis)):
             report.checked_products += 1
-            w = product(iu, iv)
-            if w is None:
-                continue
+            if ends[iu].isdisjoint(indexed[iv]):
+                continue  # zero: no pair of u ends where one of v starts
             # scale^2 times the flattened u * v; membership ignores the scale
-            w = _reduce(w, pair_index, conductor)
+            w = _reduce(_ring_product(preimages[iu], indexed[iv], conductor),
+                        pair_index, conductor)
             if not w:
                 continue
             target = degrees.plus(ids[iu], ids[iv])
@@ -557,7 +582,7 @@ def verify_grading(r):
     # the identity's preimage is x^0 on every diagonal pair; a degree with
     # no members spans 0, the identity of the zero algebra
     one = _reduce({(x, x, 0): 1 for x in poset.elements}, pair_index, conductor)
-    if not span_of_degree(degrees.number.get(r.ambient.zero())).contains(one):
+    if not span_of_degree(degrees.number.get(r.ambient.zero().coords)).contains(one):
         report.flag("identity-degree", "identity",
                     "identity element is not homogeneous of degree 0")
     return report

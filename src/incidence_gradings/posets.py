@@ -16,7 +16,7 @@ from .errors import CycleDetected, InvalidPartition
 class Poset:
     """A finite partially ordered set over opaque, hashable labels."""
 
-    __slots__ = ("elements", "_index", "_up", "_covers")
+    __slots__ = ("elements", "_index", "_up", "_covers", "_pairs", "_between")
 
     def __init__(self, elements, up_sets, _checked=False):
         elements = tuple(elements)
@@ -28,6 +28,8 @@ class Poset:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_up", up)
         object.__setattr__(self, "_covers", None)
+        object.__setattr__(self, "_pairs", None)
+        object.__setattr__(self, "_between", {})  # (x, y): strictly_between
         if not _checked:
             self._validate()
 
@@ -63,11 +65,11 @@ class Poset:
 
     def comparable_pairs(self):
         """All ordered pairs (x, y) with x <= y, in element order."""
-        out = []
-        for i, x in enumerate(self.elements):
-            for j in sorted(self._up[i]):
-                out.append((x, self.elements[j]))
-        return out
+        if self._pairs is None:
+            els = self.elements
+            object.__setattr__(self, "_pairs", tuple(
+                (x, els[j]) for i, x in enumerate(els) for j in sorted(self._up[i])))
+        return list(self._pairs)
 
     def covers(self):
         """Cover pairs (x, y): x < y with nothing strictly between."""
@@ -86,9 +88,13 @@ class Poset:
 
     def strictly_between(self, x, y):
         """Elements z with x < z < y."""
-        i, j = self._index[x], self._index[y]
-        return [self.elements[k] for k in sorted(self._up[i] - {i, j})
-                if j in self._up[k]]
+        between = self._between.get((x, y))
+        if between is None:
+            i, j = self._index[x], self._index[y]
+            between = self._between[(x, y)] = tuple(
+                self.elements[k] for k in sorted(self._up[i] - {i, j})
+                if j in self._up[k])
+        return list(between)
 
     def __eq__(self, other):
         if not isinstance(other, Poset):

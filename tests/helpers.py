@@ -655,13 +655,13 @@ class ReferenceCharacter:
 def reference_exponent_rows(h, n):
     """characters.exponent_rows by its former formula: each entry a sum
     over the element's generator coordinates, weighted by n / s_i times
-    the character's exponents."""
+    the character's exponents; tuples, as exponent_rows holds them."""
     coords = [_carried(h, h.generator_coords(g)) for g in h.elements()]
     rows = []
     for chi in dual_group(h):
         weights = [e * (n // d) for e, d in zip(chi.exps, h.structure)]
-        rows.append([sum(c * w for c, w in zip(cs, weights)) % n for cs in coords])
-    return rows
+        rows.append(tuple(sum(c * w for c, w in zip(cs, weights)) % n for cs in coords))
+    return tuple(rows)
 
 
 def reference_extension_fiber(chi, h):

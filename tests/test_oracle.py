@@ -37,6 +37,7 @@ from incidence_gradings.datum import (
 from incidence_gradings.errors import InvalidElement, NoIntermediateBlock
 from incidence_gradings.incidence import IncidenceElement, RootElement
 from incidence_gradings.oracle import (
+    _by_first,
     _components,
     _conductor_of,
     _Degrees,
@@ -45,6 +46,8 @@ from incidence_gradings.oracle import (
     _isotypic_flats,
     _reduce,
     _ring_preimages,
+    _ring_product,
+    _shape_product,
     _zeta_closed_space,
     check_link_equation,
     radical_square_component,
@@ -719,7 +722,7 @@ def _check_accepts(r):
     # the full-rank step of verify_grading, before the certificate
     elems = [b.element for b in r.basis]
     conductor = _conductor_of(elems)
-    found = _components(_ring_preimages(elems, conductor), _Degrees(r.basis))
+    found = _components(elems, _Degrees(r.basis, r.ambient), conductor)
     return found is not None and _full_rank(found[0], conductor)
 
 
@@ -907,8 +910,8 @@ def test_certificate_gives_up_on_shared_supports(monkeypatch):
     r = _chain2_by_hand([({"xx": 0, "yy": 0}, 0), ({"xx": 0, "xy": 0}, 0),
                          ({"xy": 0}, 1)])
     elems = [b.element for b in r.basis]
-    pres = _ring_preimages(elems, _conductor_of(elems))
-    assert _components(pres, _Degrees(r.basis)) is None
+    assert _components(elems, _Degrees(r.basis, r.ambient),
+                       _conductor_of(elems)) is None
     assert not _check_accepts(r)
     verdicts = _spy_certificate(monkeypatch)
     monkeypatch.setattr(oracle, "_generating_set", lambda r: list(range(len(r.basis))))
@@ -938,6 +941,31 @@ def _diamond_by_hand():
         for roots, deg in entries])
 
 
+def test_split_reads_one_multiple_per_touched_member():
+    # members 0 = x^0 e_p + x^1 e_q and 1 = x^0 e_t over Q(zeta_4); a
+    # product is {pair: {exponent: count}}, its common factor left out
+    p, q, t, off = ("a", "b"), ("a", "c"), ("d", "d"), ("b", "c")
+    shape = [{p: 0, q: 1}, {t: 0}]
+    owner = {p: 0, q: 0, t: 1}
+
+    def split(w):
+        members = oracle._split(w, owner, shape, 4)
+        return None if members is None else sorted(members)
+
+    assert split({}) == []
+    assert split({p: {3: 2}, q: {0: 2}, t: {1: 5}}) == [0, 1]
+    # the counts differ between p and q: 2 x^3 e_p + x^0 e_q is no multiple
+    assert split({p: {3: 2}, q: {0: 1}}) is None
+    # the shifts differ, a pair holds two exponents, a pair is missing
+    assert split({p: {3: 1}, q: {3: 1}}) is None
+    assert split({p: {0: 1, 2: 1}, q: {1: 1}}) is None
+    assert split({p: {0: 1}}) is None
+    # off the supports w must vanish: x^0 + x^2 maps to 1 + zeta_4^2 = 0
+    assert split({p: {0: 1}, q: {1: 1}, off: {0: 3, 2: 3}}) == [0]
+    assert split({p: {0: 1}, q: {1: 1}, off: {0: 3, 2: 1}}) is None
+    assert split({off: {1: 1}}) is None
+
+
 def test_certificate_gives_up_on_a_pair_without_one_term(monkeypatch):
     # the basis has full rank and single-member support components, but is
     # not graded: e_xy1 + e_xy2 times e_y1 is e_xy1, of degree 1, on the
@@ -962,10 +990,9 @@ def test_certificate_gives_up_on_a_pair_without_one_term(monkeypatch):
     assert verdicts == [False]
     assert report.violations and {v.kind for v in report.violations} == {"product-escape"}
     (w, owner, shape), = gave_up
-    touched = {owner.get((x, y)) for x, y, _ in w}
+    touched = {owner.get(pair) for pair in w}
     assert None not in touched
-    assert any(sum((x, y) == pair for x, y, _ in w) != 1
-               for m in touched for pair in shape[m])
+    assert any(len(w.get(pair, ())) != 1 for m in touched for pair in shape[m])
 
 
 # ---------------------------------------------------------------------------
@@ -1001,6 +1028,77 @@ def test_exponent_path_matches_the_general_branch():
         if validate_datum(d).valid:
             tally["valid"] += 1
             _assert_exponent_path_agrees(realize(d))
+
+    check()
+    assert tally["valid"] >= 150
+
+
+def _shape_by_first(exps):
+    out = {}
+    for (z, y), e in exps.items():
+        out.setdefault(z, []).append((y, e))
+    return out
+
+
+def _assert_shape_products_agree(r):
+    """Every product s * v of two members, formed from their shapes and
+    grouped per pair, is the group-ring product of their preimages
+    regrouped by pair, with each count times c_s * c_v (c_m the one
+    coefficient of member m's preimage).  Returns the number of nonzero
+    products, or None when some member has no shape."""
+    elems = [b.element for b in r.basis]
+    conductor = _conductor_of(elems)
+    found = _components(elems, _Degrees(r.basis, r.ambient), conductor)
+    if found is None:
+        return None
+    shape = found[0]
+    pres = _ring_preimages(elems, conductor)
+    coefficient = []
+    for exps, pre in zip(shape, pres):
+        assert {(x, y, e % conductor) for (x, y), e in exps.items()} == set(pre)
+        coefficient.append(next(iter(pre.values()), 0))
+        assert set(pre.values()) <= {coefficient[-1]}
+    indexed = [_shape_by_first(exps) for exps in shape]
+    nonzero = 0
+    for s, pre_s in enumerate(pres):
+        for v, pre_v in enumerate(pres):
+            want = {}
+            for (x, y, e), c in _ring_product(pre_s, _by_first(pre_v),
+                                              conductor).items():
+                want.setdefault((x, y), {})[e] = c
+            got = _shape_product(shape[s], indexed[v], conductor)
+            scale = coefficient[s] * coefficient[v]
+            assert {pair: {e: n * scale for e, n in terms.items()}
+                    for pair, terms in got.items()} == want, (s, v)
+            nonzero += bool(got)
+    return nonzero
+
+
+def test_shape_products_match_the_group_ring_products():
+    for name, d in _golden_data():
+        if name != "empty-skeleton":
+            assert _assert_shape_products_agree(realize(d)), name
+    # planted members: q * zeta_24^5 takes the conductor to 24, so the
+    # root members' exponents are read at twice their own; 1 + zeta_12 is
+    # no monomial and has no shape
+    r = _z12_realization()
+    zeta = root_of_unity(Fraction(5, 24))
+    for q in (13, Fraction(1, 13), -13):
+        for factor in (q, q * zeta):
+            planted = _times(r, 3, factor)
+            assert _assert_shape_products_agree(planted), factor
+    one_plus_zeta = 1 + root_of_unity(Fraction(1, 12))
+    assert _assert_shape_products_agree(_times(r, 3, one_plus_zeta)) is None
+    tally = {"valid": 0}
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None, suppress_health_check=list(HealthCheck))
+    @given(grading_data([(labels, covers) for _, labels, covers in ACCEPTANCE_SHAPES],
+                        SWEEP_GROUPS))
+    def check(d):
+        if validate_datum(d).valid:
+            tally["valid"] += 1
+            assert _assert_shape_products_agree(realize(d)) is not None
 
     check()
     assert tally["valid"] >= 150
