@@ -74,8 +74,25 @@ member's exponent shifted by one common a, with one common count.  In a
 realized product the terms of one pair either share an exponent and
 merge, or form a nontrivial character sum over a coset, which vanishes;
 such a pair on a touched support makes the certificate give up (none did
-on the data tried).  Another shape of basis, or any failed step, proves
-nothing, and the dim^2 loop below decides.
+on the data tried).
+A diagonal seed s, every pair of it (x, x) with exponent e_s(x), needs no
+product.  s * m, m a member of a cell, holds at each pair p = (x_p, y_p)
+of m whose first vertex s covers one path, x_p <= x_p <= y_p, with count
+1: m with p shifted by e_s(x_p).  If s covers only some of the cell's
+first vertices, the product misses pairs of the one support it touches.
+If it covers them all, then in the normalized rows of "Full rank" it is a
+multiple of the member m' of the cell with f_m' = f_m + delta, where
+delta(p) = e_s(x_p) - e_s(x_p0); it is a multiple of no other member on
+that support, since the rows are distinct.  Such an m' exists exactly
+when delta lies in the group G of the cell's rows, which is closed under
+addition.  So the split of s * m is [m'] when s covers the cell's first
+vertices, delta is a row and deg m' = deg s + deg m, and otherwise the
+certificate gives up, as the split of the product would
+(`_translations`).  delta is looked up once per seed and cell, and each
+m' through a few columns on which the rows differ (`_row_key`): about
+n * |key| steps for a cell of n members, where the products take n^2.
+Another shape of basis, or any failed step, proves nothing, and the dim^2
+loop below decides.
 
 Without the certificate, membership of a product in the span of its
 degree is decided over Q in the zeta-closed form.
@@ -293,9 +310,10 @@ def _generating_set(r):
     zero = r.ambient.zero().coords
     diagonal = {(block, g.coords) for block, h in r.datum.blocks.items()
                 for g in (h.generators or [r.ambient.zero()])}
+    # a tag only chooses S: a member whose tag is too short is no seed
     return [idx for idx, b in enumerate(r.basis)
-            if (b.tag[0] == "diag" and b.tag[1:] in diagonal)
-            or (b.tag[0] == "cross" and b.tag[4] == b.tag[5] == zero)]
+            if (b.tag[:1] == ("diag",) and b.tag[1:] in diagonal)
+            or (b.tag[:1] == ("cross",) and b.tag[4:6] == (zero, zero))]
 
 
 def _shape_product(a, b_by_first, conductor):
@@ -424,10 +442,13 @@ def _closed_under_addition(rows, conductor):
 
 
 def _full_rank(shape, conductor):
-    """True when the members, one {pair: exponent} each (`_components`),
-    are shown to be a basis by the character-table argument of the module
-    docstring; False proves nothing.  The caller has checked that there
-    are as many members as pairs."""
+    """The cells, when the members, one {pair: exponent} each
+    (`_components`), are shown to be a basis by the character-table
+    argument of the module docstring; None proves nothing.  A cell is
+    (members, cols, rows): the members with one support, its pairs in the
+    first member's order, and each member's normalized row f_m over cols
+    as a tuple.  No members give no cells: the basis of the zero algebra.
+    The caller has checked that there are as many members as pairs."""
     cell_of, cells = {}, []  # each pair's cell; each cell's members
     for m, exps in enumerate(shape):
         c = cell_of.get(next(iter(exps), None))
@@ -435,16 +456,17 @@ def _full_rank(shape, conductor):
             # a new support: none of its pairs may lie in another one
             c = len(cells)
             if any(cell_of.setdefault(p, c) != c for p in exps):
-                return False
+                return None
             cells.append([m])
         elif exps.keys() == shape[cells[c][0]].keys():
             cells[c].append(m)
         else:
-            return False
+            return None
+    out = []
     for members in cells:
         base = shape[members[0]]
         if len(members) != len(base):
-            return False
+            return None
         cols = list(base)
         offsets = [base[cols[0]] - base[p] for p in cols]
         rows = []
@@ -455,15 +477,63 @@ def _full_rank(shape, conductor):
                                for p, d in zip(cols, offsets)]))
         if (len(set(rows)) != len(rows) or len(set(zip(*rows))) != len(rows)
                 or not _closed_under_addition(rows, conductor)):
-            return False
-    return True
+            return None
+        out.append((members, cols, rows))
+    return out
 
 
-def _certified(r, found, degrees, conductor):
+def _row_key(rows):
+    """(columns, keys, position): columns on which no two of the distinct
+    rows agree, each kept only where it tells apart rows that the ones
+    before it do not; each row's values on them as a tuple, its key; and
+    {key: row number}."""
+    cols, keys, distinct = [], [()] * len(rows), 1
+    for c in range(len(rows[0])):
+        if distinct == len(rows):
+            break
+        trial = [key + (row[c],) for key, row in zip(keys, rows)]
+        n = len(set(trial))
+        if n > distinct:
+            cols, keys, distinct = cols + [c], trial, n
+    return cols, keys, {key: n for n, key in enumerate(keys)}
+
+
+def _translations(at, ds, cell, key, degrees, conductor):
+    """The splits (m, [m']) of s * m for every member m of a cell that the
+    diagonal seed s touches, or None when that is not shown; the same
+    splits `_split` finds in `_shape_product(s, m)` (module docstring,
+    "Certificate").  at maps each vertex x of s to its exponent at (x, x),
+    ds numbers the seed's degree, and key is the cell's `_row_key`."""
+    members, cols, rows = cell
+    key_cols, keys, position = key
+    try:
+        e0 = at[cols[0][0]]
+        delta = tuple([(at[x] - e0) % conductor for x, _ in cols])
+    except KeyError:
+        return None  # s covers only some of the cell's first vertices
+    shift = [delta[c] for c in key_cols]
+    d = position.get(tuple(shift))
+    if d is None or rows[d] != delta:
+        return None  # delta is no row: not in the cell's group
+    ids, out = degrees.ids, []
+    for m, k in zip(members, keys):
+        t = members[position[tuple([(a + b) % conductor
+                                    for a, b in zip(k, shift)])]]
+        if degrees.plus(ds, ids[m]) != ids[t]:
+            return None
+        out.append((m, [t]))
+    return out
+
+
+def _certified(r, found, cells, degrees, conductor):
     """True when the certificate of the module docstring shows that the
     basis (already known to be one) is graded; False proves nothing.
-    found is `_components`' (shape, owners); each product s * v is formed
-    from the shapes (`_shape_product`)."""
+    found is `_components`' (shape, owners) and cells `_full_rank`'s.  A
+    diagonal seed s, every pair of it (x, x), times a member of a cell is
+    a multiple of the member its row translates to (`_translations`); any
+    other seed s times v is formed from the shapes (`_shape_product`) and
+    split (`_split`), for the members v of the cells whose first vertices
+    s ends at."""
     shape, owners = found
     one = _split({(x, x): {0: 1} for x in r.poset.elements},
                  owners.get(degrees.number.get(r.ambient.zero().coords), {}),
@@ -472,21 +542,43 @@ def _certified(r, found, degrees, conductor):
         return False
     splits = [(None, one)]
     seeds = _generating_set(r)
-    ends = {s: {z for _, z in shape[s]} for s in seeds}
-    for iv, exps in enumerate(shape):
-        by_first = {}
-        for (z, y), e in exps.items():
-            by_first.setdefault(z, []).append((y, e))
-        for s in seeds:
-            # zero unless some pair of s ends where one of v starts
-            if ends[s].isdisjoint(by_first):
-                continue
-            w = _shape_product(shape[s], by_first, conductor)
-            target = degrees.plus(degrees.ids[s], degrees.ids[iv])
-            members = _split(w, owners.get(target, {}), shape, conductor)
-            if members is None:
-                return False
-            splits.append((iv, members))
+    diagonal, ending = {}, {}  # per vertex: diagonal seeds at it, others ending at it
+    at = {}  # per diagonal seed: {vertex: exponent}
+    for s in seeds:
+        if all(x == y for x, y in shape[s]):
+            at[s] = {x: e for (x, _), e in shape[s].items()}
+            for x in at[s]:
+                diagonal.setdefault(x, []).append(s)
+        else:
+            for z in {z for _, z in shape[s]}:
+                ending.setdefault(z, []).append(s)
+    ids = degrees.ids
+    for cell in cells:
+        members, cols, rows = cell
+        firsts = {x for x, _ in cols}
+        touching = {s for x in firsts for s in diagonal.get(x, ())}
+        if touching:
+            key = _row_key(rows)
+            for s in touching:
+                translated = _translations(at[s], ids[s], cell, key, degrees,
+                                           conductor)
+                if translated is None:
+                    return False
+                splits.extend(translated)
+        crossing = {s for x in firsts for s in ending.get(x, ())}
+        if not crossing:
+            continue
+        for iv in members:
+            by_first = {}
+            for (z, y), e in shape[iv].items():
+                by_first.setdefault(z, []).append((y, e))
+            for s in crossing:
+                w = _shape_product(shape[s], by_first, conductor)
+                target = degrees.plus(ids[s], ids[iv])
+                split = _split(w, owners.get(target, {}), shape, conductor)
+                if split is None:
+                    return False
+                splits.append((iv, split))
     return _all_reached(len(shape), seeds, splits)
 
 
@@ -522,9 +614,10 @@ def verify_grading(r):
     phi = euler_phi(conductor)
     degrees = _Degrees(r.basis, r.ambient)
     found = _components(elems, degrees, conductor)
-    full_rank = (len(r.basis) == dim and found is not None
-                 and _full_rank(found[0], conductor))
-    if full_rank and _certified(r, found, degrees, conductor):
+    cells = (_full_rank(found[0], conductor)
+             if len(r.basis) == dim and found is not None else None)
+    full_rank = cells is not None
+    if full_rank and _certified(r, found, cells, degrees, conductor):
         report.checked_products = dim * dim
         return report
 

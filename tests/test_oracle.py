@@ -47,7 +47,10 @@ from incidence_gradings.oracle import (
     _reduce,
     _ring_preimages,
     _ring_product,
+    _row_key,
     _shape_product,
+    _split,
+    _translations,
     _zeta_closed_space,
     check_link_equation,
     radical_square_component,
@@ -63,7 +66,6 @@ from helpers import (
     apply_twist_projector,
     b3_over_z3,
     chain_datum,
-    diamond_datum,
     grading_data,
     chain_over_z8,
     diamond_over_z2,
@@ -568,7 +570,7 @@ def _accepted(shape, conductor):
     """The full-rank check with its caller's count test: as many members
     as pairs."""
     pairs = set().union(*shape) if shape else set()
-    return len(shape) == len(pairs) and _full_rank(shape, conductor)
+    return len(shape) == len(pairs) and _full_rank(shape, conductor) is not None
 
 
 def _exact_full_rank(shape, coefficients, conductor):
@@ -723,7 +725,7 @@ def _check_accepts(r):
     elems = [b.element for b in r.basis]
     conductor = _conductor_of(elems)
     found = _components(elems, _Degrees(r.basis, r.ambient), conductor)
-    return found is not None and _full_rank(found[0], conductor)
+    return found is not None and _full_rank(found[0], conductor) is not None
 
 
 def test_full_rank_check_falls_back_to_exact_flags(monkeypatch):
@@ -826,7 +828,7 @@ def test_certificate_decides_graded_data(monkeypatch):
             # a valid datum whose realization is not graded (ROADMAP item 1)
             assert not reference_verify_grading(r).ok, name
             refused.append(name)
-    assert len(certified) == 38 and refused == ["diamond/AbelianGroup(Z/4)"]
+    assert len(certified) == 39 and refused == ["diamond/AbelianGroup(Z/4)"]
 
 
 def _one_block_seeds(r):
@@ -920,25 +922,39 @@ def test_certificate_gives_up_on_shared_supports(monkeypatch):
     assert verdicts == []
 
 
-def _diamond_by_hand():
-    """A basis of I(x < y1, y2 < z) over Q(zeta_4), degrees in Z/8: the
-    vertex idempotents of degree 0, e_xy1 + e_xy2 of degree 1, e_xy1 -
-    e_xy2 of degree 2, e_y1z + zeta e_y2z of degree 3, e_y1z - zeta e_y2z
-    and e_xz of degree 4.  A realized diamond supplies the poset."""
+DIAMOND = [("x", "y1"), ("x", "y2"), ("y1", "z"), ("y2", "z")]
+
+
+def _by_hand(covers, entries):
+    """A basis of I(X) over Q(zeta_4), degrees in Z/8, from {(a, b):
+    exponent of zeta_4} and a degree per vector, X the poset of the covers
+    on their labels; a realization over trivial blocks supplies X, with
+    vertex a named "a|"."""
     z8 = AbelianGroup(0, [8])
     t = trivial_subgroup(z8)
-    r = realize(diamond_datum(z8, [t] * 4, [trivial_class(t, t, z8.zero())] * 4))
-    x, y1, y2, z = (f"{v}|" for v in "1234")
-    entries = [({(v, v): 0}, 0) for v in (x, y1, y2, z)] + [
-        ({(x, y1): 0, (x, y2): 0}, 1),
-        ({(x, y1): 0, (x, y2): 2}, 2),
-        ({(y1, z): 0, (y2, z): 1}, 3),
-        ({(y1, z): 0, (y2, z): 3}, 4),
-        ({(x, z): 0}, 4)]
+    labels = sorted({v for cover in covers for v in cover})
+    r = realize(GradingDatum(z8, poset_from_relation(labels, covers),
+                             {v: t for v in labels},
+                             {c: trivial_class(t, t, z8.zero()) for c in covers}))
     return _with_basis(r, [
-        BasisVector(IncidenceElement.from_roots(r.poset, 4, roots),
+        BasisVector(IncidenceElement.from_roots(
+                        r.poset, 4, {(f"{a}|", f"{b}|"): e
+                                     for (a, b), e in roots.items()}),
                     z8.element([deg]), ("by-hand",))
         for roots, deg in entries])
+
+
+def _diamond_by_hand():
+    """A basis of I(x < y1, y2 < z) (`_by_hand`): the vertex idempotents
+    of degree 0, e_xy1 + e_xy2 of degree 1, e_xy1 - e_xy2 of degree 2,
+    e_y1z + zeta e_y2z of degree 3, e_y1z - zeta e_y2z and e_xz of degree
+    4."""
+    return _by_hand(DIAMOND, [({(v, v): 0}, 0) for v in ("x", "y1", "y2", "z")] + [
+        ({("x", "y1"): 0, ("x", "y2"): 0}, 1),
+        ({("x", "y1"): 0, ("x", "y2"): 2}, 2),
+        ({("y1", "z"): 0, ("y2", "z"): 1}, 3),
+        ({("y1", "z"): 0, ("y2", "z"): 3}, 4),
+        ({("x", "z"): 0}, 4)])
 
 
 def test_split_reads_one_multiple_per_touched_member():
@@ -985,7 +1001,11 @@ def test_certificate_gives_up_on_a_pair_without_one_term(monkeypatch):
 
     monkeypatch.setattr(oracle, "_split", spy)
     verdicts = _spy_certificate(monkeypatch)
-    monkeypatch.setattr(oracle, "_generating_set", lambda r: list(range(len(r.basis))))
+    # the non-diagonal members: a diagonal seed's products are translations
+    # of its cells and never reach _split
+    monkeypatch.setattr(oracle, "_generating_set", lambda r: [
+        n for n, b in enumerate(r.basis)
+        if any(x != y for x, y in b.element.roots)])
     report = _assert_same_report(r)
     assert verdicts == [False]
     assert report.violations and {v.kind for v in report.violations} == {"product-escape"}
@@ -1135,11 +1155,241 @@ def test_generating_set_keeps_the_diagonal_unit_only_for_trivial_blocks():
 @pytest.mark.parametrize("name, splits", [("z12-chain2", 37), ("z24-wedge", 147)])
 def test_certificate_split_counts(monkeypatch, name, splits):
     # one split for the identity and one per nonzero product of a seed
-    # with a member; a seed eps_i would add one per member starting in i
+    # with a member, whether translated or formed; a seed eps_i would add
+    # one per member starting in i
     calls = []
-    split = oracle._split
-    monkeypatch.setattr(oracle, "_split", lambda *a: calls.append(1) or split(*a))
+    all_reached = oracle._all_reached
+
+    def spy(n, seeds, splits):
+        calls.append(len(splits))
+        return all_reached(n, seeds, splits)
+
+    monkeypatch.setattr(oracle, "_all_reached", spy)
     verdicts = _spy_certificate(monkeypatch)
     assert verify_grading(realize(_golden(name))).ok
     assert verdicts == [True]
-    assert len(calls) == splits
+    assert calls == [splits]
+
+
+# ---------------------------------------------------------------------------
+# diagonal seeds as translations of each cell's character group
+
+
+def _diagonal_translations(r, keep=lambda s: True):
+    """Per diagonal member s (every pair (x, x)) that keep admits and per
+    cell whose first vertices it touches: (s, cell, key columns, the cell
+    path's splits, the product path's split per member), the cell path
+    being `_translations` and the product path `_split` of
+    `_shape_product`.  None when the full-rank step refuses the basis."""
+    elems = [b.element for b in r.basis]
+    conductor = _conductor_of(elems)
+    degrees = _Degrees(r.basis, r.ambient)
+    found = _components(elems, degrees, conductor)
+    cells = None if found is None else _full_rank(found[0], conductor)
+    if cells is None:
+        return None
+    shape, owners = found
+    out = []
+    for s, exps in enumerate(shape):
+        if not exps or any(x != y for x, y in exps) or not keep(s):
+            continue
+        at = {x: e for (x, _), e in exps.items()}
+        for cell in cells:
+            members, cols, rows = cell
+            if not any(x in at for x, _ in cols):
+                continue
+            key = _row_key(rows)
+            key_cols, keys, _ = key
+            assert len(set(keys)) == len(rows)
+            assert keys == [tuple(row[c] for c in key_cols) for row in rows]
+            got = _translations(at, degrees.ids[s], cell, key, degrees, conductor)
+            want = [_split(_shape_product(exps, _shape_by_first(shape[m]), conductor),
+                           owners.get(degrees.plus(degrees.ids[s], degrees.ids[m]), {}),
+                           shape, conductor)
+                    for m in members]
+            out.append((s, cell, key_cols, got, want))
+    return out
+
+
+def _assert_translations_agree(r):
+    """The cell path gives each member the product path's split, or refuses
+    where the product path refuses some member.  Returns the number of
+    (seed, cell) compared, or None when the full-rank step refuses."""
+    compared = _diagonal_translations(r)
+    if compared is None:
+        return None
+    for s, (members, _, _), _, got, want in compared:
+        if got is None:
+            assert None in want, s
+        else:
+            assert got == list(zip(members, want)), s
+    return len(compared)
+
+
+def test_diagonal_translations_match_the_shape_products():
+    # every golden datum and 300 derandomized sweep data, Z/2 x Z/2 and
+    # Z/2 x Z/4 among the groups (their cells need keys of two columns)
+    for name, d in _golden_data():
+        compared = _assert_translations_agree(realize(d))
+        assert compared if name != "empty-skeleton" else compared == 0, name
+    # no members, no cells: still a basis, of the zero algebra
+    assert _full_rank([], 1) == []
+    # Z/2 x Z/4 has no faithful character: no one column of a cell tells
+    # its rows apart, and each of the six cells takes a key of two
+    widths = {}
+    for _, (_, cols, rows), key_cols, _, _ in _diagonal_translations(
+            realize(_golden("z2xz4-chain3"))):
+        assert all(len({row[c] for row in rows}) < len(rows)
+                   for c in range(len(cols)))
+        widths[cols[0]] = len(key_cols)
+    assert len(widths) == 6 and set(widths.values()) == {2}
+    tally = {"valid": 0, "compared": 0, "refused": 0, "wide": 0}
+
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None, suppress_health_check=list(HealthCheck))
+    @given(grading_data([(labels, covers) for _, labels, covers in ACCEPTANCE_SHAPES],
+                        SWEEP_GROUPS))
+    def check(d):
+        if validate_datum(d).valid:
+            r = realize(d)
+            tally["valid"] += 1
+            compared = _diagonal_translations(r)
+            assert compared is not None
+            assert _assert_translations_agree(r) == len(compared)
+            tally["compared"] += len(compared)
+            tally["refused"] += sum(got is None for *_, got, _ in compared)
+            tally["wide"] += sum(len(key_cols) > 1 for _, _, key_cols, _, _ in compared)
+
+    check()
+    assert tally["valid"] >= 200 and tally["compared"] >= 3000
+    assert tally["wide"] >= 500
+
+
+# the diagonal cell is the table of Z/4 on (x, y1, y2, z), rows of degree
+# 0, 2, 4, 6; the generator row (0, 1, 2, 3) shifts the cell on (y1z, y2z)
+# by delta = (0, 1), which is no row of its group {(0, 0), (0, 2)}
+DELTA_OFF_THE_GROUP = [
+    ({("x", "x"): 0, ("y1", "y1"): k, ("y2", "y2"): 2 * k, ("z", "z"): 3 * k}, 2 * k)
+    for k in range(4)] + [
+    ({("x", "y1"): 0, ("x", "y2"): 0}, 1), ({("x", "y1"): 0, ("x", "y2"): 2}, 3),
+    ({("y1", "z"): 0, ("y2", "z"): 0}, 1), ({("y1", "z"): 0, ("y2", "z"): 2}, 3),
+    ({("x", "z"): 0}, 1)]
+# on y1, y2 < z the vertex idempotents, each a cell of its own, and e_y1z
+# +- e_y2z: e_y2y2 touches the cell on (y1z, y2z) at y2 only, and with
+# it, e_zz and the cross members as seeds every other split holds and
+# every member is reached
+PARTIAL_TOUCH = [({(v, v): 0}, 0) for v in ("y1", "y2", "z")] + [
+    ({("y1", "z"): 0, ("y2", "z"): 0}, 1), ({("y1", "z"): 0, ("y2", "z"): 2}, 2)]
+
+
+def _realized_with_degrees_swapped():
+    """z12-chain2 with the degrees of two members of its cross cell
+    swapped: the members of each degree keep disjoint supports, so the
+    full-rank step still passes, and their translates have the wrong
+    degrees."""
+    r = realize(_golden("z12-chain2"))
+    a, b = [n for n, v in enumerate(r.basis) if v.tag[0] == "cross"][1:3]
+    basis = list(r.basis)
+    basis[a] = BasisVector(r.basis[a].element, r.basis[b].degree, r.basis[a].tag)
+    basis[b] = BasisVector(r.basis[b].element, r.basis[a].degree, r.basis[b].tag)
+    return _with_basis(r, basis)
+
+
+def test_translations_check_delta_on_every_column():
+    # the table of Z/4 on four pairs (x_j, z), one first vertex each: the
+    # key is the generator's one column, so a delta that agrees with a row
+    # there and nowhere else must still be refused
+    rows = [tuple(k * j % 4 for j in range(4)) for k in range(4)]
+    cell = ([0, 1, 2, 3], [(f"x{j}", "z") for j in range(4)], rows)
+    key = _row_key(rows)
+    assert key[0] == [1]
+    # members 0..3 of degrees 0..3, the seed 4 of degree 1
+    degrees = _Degrees([BasisVector(None, Z4.element([k]), ())
+                        for k in (0, 1, 2, 3, 1)], Z4)
+
+    def translations(*exps):
+        return _translations({f"x{j}": e for j, e in enumerate(exps)},
+                             degrees.ids[4], cell, key, degrees, 4)
+
+    # delta is row 1: member k goes to k + 1, of degree 1 more
+    assert translations(3, 0, 1, 2) == [(0, [1]), (1, [2]), (2, [3]), (3, [0])]
+    assert translations(0, 1, 0, 0) is None  # delta is no row
+    assert translations(0, 1, 2) is None     # x3 is not covered
+    assert translations(0, 2, 0, 2) is None  # translates of degree k + 2
+
+
+def _refusal(r, s, cell):
+    """Why the cell path refuses the diagonal member s on cell."""
+    members, cols, rows = cell
+    elems = [b.element for b in r.basis]
+    conductor = _conductor_of(elems)
+    shape, _ = _components(elems, _Degrees(r.basis, r.ambient), conductor)
+    at = {x: e for (x, _), e in shape[s].items()}
+    if not {x for x, _ in cols} <= at.keys():
+        return "partial-touch"
+    delta = tuple((at[x] - at[cols[0][0]]) % conductor for x, _ in cols)
+    return "translate-degree" if delta in rows else "delta-off-the-group"
+
+
+@pytest.mark.parametrize("realized, seeds, reason", [
+    (lambda: _by_hand(DIAMOND, DELTA_OFF_THE_GROUP), lambda r: [1],
+     "delta-off-the-group"),
+    (lambda: _by_hand([("y1", "z"), ("y2", "z")], PARTIAL_TOUCH),
+     lambda r: [1, 2, 3, 4], "partial-touch"),
+    (lambda: _chain2_by_hand(OFF_SUPPORT), lambda r: [1], "translate-degree"),
+    (_realized_with_degrees_swapped, _generating_set, "translate-degree"),
+], ids=["delta-off-the-group", "partial-touch", "translate-degree", "realized-degree"])
+def test_translations_refuse_planted_bases(monkeypatch, realized, seeds, reason):
+    # each basis passes the full-rank step, and the cell path refuses some
+    # diagonal seed times some cell for the reason named, where the
+    # product path refuses some member; the certificate refuses and the
+    # dim^2 loop gives the reference report
+    r = realized()
+    assert _check_accepts(r)
+    chosen = seeds(r)
+    compared = _diagonal_translations(r, keep=lambda s: s in chosen)
+    refused = [(s, cell, want) for s, cell, _, got, want in compared if got is None]
+    assert all(None in want for _, _, want in refused)
+    assert reason in {_refusal(r, s, cell) for s, cell, _ in refused}
+    assert _assert_translations_agree(r)
+    verdicts = _spy_certificate(monkeypatch)
+    monkeypatch.setattr(oracle, "_generating_set", lambda r: chosen)
+    report = _assert_same_report(r)
+    assert verdicts == [False]
+    assert "product-escape" in {v.kind for v in report.violations}
+
+
+# w < y2 < z and y1 < z: e_wy2 ends at y2, and the cells on (y1y1, y2y2)
+# and (y1z, y2z) have y1 as the first vertex of their first pair; every
+# diagonal seed's translations hold, but e_wy2 * (e_y1y1 - e_y2y2) =
+# -e_wy2 is of degree 1, not 5
+CROSS_AT_A_LATER_VERTEX = [
+    ({("w", "w"): 0}, 0), ({("z", "z"): 0}, 0),
+    ({("y1", "y1"): 0, ("y2", "y2"): 0}, 0), ({("y1", "y1"): 0, ("y2", "y2"): 2}, 4),
+    ({("w", "y2"): 0}, 1), ({("w", "z"): 0}, 3),
+    ({("y1", "z"): 0, ("y2", "z"): 0}, 2), ({("y1", "z"): 0, ("y2", "z"): 2}, 6)]
+
+
+def test_certificate_forms_cross_products_at_every_first_vertex(monkeypatch):
+    r = _by_hand([("w", "y2"), ("y1", "z"), ("y2", "z")], CROSS_AT_A_LATER_VERTEX)
+    assert _check_accepts(r)
+    assert all(got is not None for *_, got, _ in _diagonal_translations(r))
+    verdicts = _spy_certificate(monkeypatch)
+    monkeypatch.setattr(oracle, "_generating_set", lambda r: list(range(len(r.basis))))
+    report = _assert_same_report(r)
+    assert verdicts == [False]
+    assert "product-escape" in {v.kind for v in report.violations}
+
+
+@pytest.mark.parametrize("tag", [("cross",), ()], ids=["cross", "empty"])
+def test_generating_set_skips_unreadable_tags(tag):
+    # a tag only chooses S: a member whose tag is too short to read is no
+    # seed, and the verdict is still the reference's
+    r = realize(_golden("z12-chain2"))
+    want = _report_form(reference_verify_grading(r))
+    for idx, b in enumerate(r.basis):
+        basis = list(r.basis)
+        basis[idx] = BasisVector(b.element, b.degree, tag)
+        planted = _with_basis(r, basis)
+        assert idx not in _generating_set(planted)
+        assert _report_form(verify_grading(planted)) == want, idx
