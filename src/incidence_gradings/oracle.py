@@ -49,32 +49,31 @@ lies in V_h, so ab lies in V_(g+h), and ab * V_k = a(b * V_k) lies in
 V_(g+h+k).  The basis B is graded exactly when B lies in T.
 `verify_grading` shows that without forming all products: (a) B is a
 basis (the count and the full-rank argument above); (b) 1 lies in V_0,
-so 1 is in T_0; (c) for a set S of members read from the tags (the images
-of each block's generators, or of its unit for a trivial block, and the
-cross vectors with h = k = 0; see `_generating_set`), s * v lies in
-V_(deg s + deg v) for every s in S and v in B, so S lies in T (|S| * dim
-products instead of dim^2); (d) starting from S, each element of T formed
-so far (1, and s * v for a member v already reached) is split into one
-multiple of a member per support component, and when exactly one of
-those members is not yet reached, it is: the others are in T, so its
-multiple is too.  Every member must be reached.
-Membership in V_g needs no zeta-closed space when the members of degree g
-have pairwise disjoint supports (each support component holds one member)
-and each member is one coefficient times one root of unity per pair: V_g
-is then the direct sum of the lines they span, and w lies in it exactly
-when w vanishes off their supports and, on each member's support, w_p *
-zeta^(-e_p) is the same number at every pair p, e_p the member's exponent
-at p.  s * v is formed from the shapes and grouped per pair as it is
-formed: {pair: {exponent: count}}, counting the paths x <= z <= y whose
-exponents sum to it (`_shape_product`).  c_s * c_v is left out: a nonzero
-factor of the whole product changes neither whether w vanishes off the
-supports nor whether it is one multiple of a member on each.  So on each
-member's support that w touches, every pair must hold one term, the
-member's exponent shifted by one common a, with one common count.  In a
-realized product the terms of one pair either share an exponent and
-merge, or form a nontrivial character sum over a coset, which vanishes;
-such a pair on a touched support makes the certificate give up (none did
-on the data tried).
+so 1 is in T_0; (c) for a set S of members read off the cells of the
+full-rank step (`_generating_set`), s * v lies in V_(deg s + deg v) for
+every s in S and v in B, so S lies in T (|S| * dim products instead of
+dim^2); (d) starting from S, each element of T formed so far (1, and
+s * v for a member v already reached) is split into one multiple of a
+member per support component, and when exactly one of those members is
+not yet reached, it is: the others are in T, so its multiple is too.
+Every member must be reached.
+Membership in V_g needs no zeta-closed space when no cell holds two
+members of degree g (cells have disjoint supports) and each member is one
+coefficient times one root of unity per pair: V_g is then the direct sum
+of the lines they span, and w lies in it exactly when w vanishes off their
+supports and, on each member's support, w_p * zeta^(-e_p) is the same
+number at every pair p, e_p the member's exponent at p.  s * v is formed
+from the shapes and grouped per pair as it is formed,
+{pair: {exponent: count}}, counting the paths x <= z <= y whose exponents
+sum to it (`_shape_product`).  c_s * c_v is left out: a nonzero factor of the whole
+product changes neither whether w vanishes off the supports nor whether it
+is one multiple of a member on each.  So on each member's support that w
+touches, every pair must hold one term, the member's exponent shifted by
+one common a, with one common count.  In a realized product the terms of
+one pair either share an exponent and merge, or form a nontrivial
+character sum over a coset, which vanishes; such a pair on a touched
+support makes the certificate give up (as on some realized 4-chains over
+Z/2 x Z/2, where a whole product vanishes).
 A diagonal seed s, every pair of it (x, x) with exponent e_s(x), needs no
 product.  s * m, m a member of a cell, holds at each pair p = (x_p, y_p)
 of m whose first vertex s covers one path, x_p <= x_p <= y_p, with count
@@ -293,29 +292,6 @@ class _Degrees:
         return self._sums[key]
 
 
-def _generating_set(r):
-    """S for the certificate, read from the tags: per block the images of
-    the block's generators, or the h = 0 diagonal image eps_i for a block
-    with none, and per pair of comparable blocks the cross vectors with
-    h = k = 0.  The certificate's verdict does not depend on this choice,
-    only whether it gets one.
-
-    eps_i is left out where the block has generators: eps_i * v = v for
-    every v that starts in block i, so its products reach nothing new, and
-    the products of generator images reach it (the image of g times that
-    of h is the image of g + h).  The
-    cross vectors of the covers alone generate the algebra, but not one
-    member at a time: through a trivial middle block a product of cover
-    vectors is a sum over every character of the outer pair."""
-    zero = r.ambient.zero().coords
-    diagonal = {(block, g.coords) for block, h in r.datum.blocks.items()
-                for g in (h.generators or [r.ambient.zero()])}
-    # a tag only chooses S: a member whose tag is too short is no seed
-    return [idx for idx, b in enumerate(r.basis)
-            if (b.tag[:1] == ("diag",) and b.tag[1:] in diagonal)
-            or (b.tag[:1] == ("cross",) and b.tag[4:6] == (zero, zero))]
-
-
 def _shape_product(a, b_by_first, conductor):
     """The product of members a and b from their shapes (`_components`),
     without the factor c_a * c_b: {pair: {exponent: count}}.  b_by_first
@@ -380,16 +356,12 @@ def _all_reached(n, seeds, splits):
     return len(reached) == n
 
 
-def _components(elems, degrees, conductor):
-    """(shape, owners) for `_full_rank` and `_split`, or None when some
-    member is not one coefficient times one root of unity per pair, or
-    when two members of one degree share a pair (a support component with
-    several members).
-
-    shape[m] maps each pair of member m to its exponent mod N: a
+def _components(elems, conductor):
+    """Each member's shape for `_full_rank` and the certificate, or None
+    when some member is not one coefficient times one root of unity per
+    pair.  shape[m] maps each pair of member m to its exponent mod N: a
     `RootElement` over Q(zeta_M) gives its `roots` times N / M, any other
-    member its preimage (`_ring_preimages`).  owners[d] maps each pair of a
-    degree-d member to that member (no key for a degree no member has)."""
+    member its preimage (`_ring_preimages`)."""
     planted = [elem for elem in elems if not isinstance(elem, RootElement)]
     pres = iter(_ring_preimages(planted, conductor))
     shape = []
@@ -408,27 +380,21 @@ def _components(elems, degrees, conductor):
         if len(coeffs) > 1:
             return None
         shape.append(exps)
-    owners = {}
-    for idx, d in enumerate(degrees.ids):
-        owner = owners.setdefault(d, {})
-        for pair in shape[idx]:
-            if owner.setdefault(pair, idx) != idx:
-                return None
-    return shape, owners
+    return shape
 
 
-def _closed_under_addition(rows, conductor):
-    """Whether the distinct rows, the zero row among them, are closed under
-    addition mod N: the group they generate, grown one coset at a time,
-    stops at len(rows) elements.  Tuples are built from lists: a tuple
-    grown from a generator is resized as it goes, and that raised the
-    peak RSS of 30 verify-corpus passes by about 0.5 MB (2-vCPU Xeon,
-    Python 3.11.7)."""
-    zero = rows[0]
-    group, known = [zero], {zero}
+def _generators(rows, conductor):
+    """The rows that started a new coset as the group of the distinct rows
+    grew from zero one coset at a time, or None when it outgrew them: the
+    rows are no group mod N.  Tuples are built from lists: a tuple grown
+    from a generator is resized as it goes, which raised the peak RSS of
+    30 verify-corpus passes by 0.5 MB (2-vCPU Xeon, Python 3.11.7)."""
+    zero = tuple([0] * len(rows[0]))
+    group, known, started = [zero], {zero}, []
     for row in rows:
         if row in known:
             continue
+        started.append(row)
         step, base = row, list(group)
         while step not in known:
             for g in base:
@@ -436,9 +402,9 @@ def _closed_under_addition(rows, conductor):
                 group.append(new)
                 known.add(new)
             if len(group) > len(rows):
-                return False
+                return None
             step = tuple([(a + b) % conductor for a, b in zip(step, row)])
-    return True
+    return started
 
 
 def _full_rank(shape, conductor):
@@ -447,8 +413,9 @@ def _full_rank(shape, conductor):
     argument of the module docstring; None proves nothing.  A cell is
     (members, cols, rows): the members with one support, its pairs in the
     first member's order, and each member's normalized row f_m over cols
-    as a tuple.  No members give no cells: the basis of the zero algebra.
-    The caller has checked that there are as many members as pairs."""
+    as a tuple; the certificate reads its seeds and owners off the cells.
+    No members give no cells, the zero algebra's basis.  The caller has
+    checked that there are as many members as pairs."""
     cell_of, cells = {}, []  # each pair's cell; each cell's members
     for m, exps in enumerate(shape):
         c = cell_of.get(next(iter(exps), None))
@@ -476,10 +443,36 @@ def _full_rank(shape, conductor):
             rows.append(tuple([(exps[p] - e0 + d) % conductor
                                for p, d in zip(cols, offsets)]))
         if (len(set(rows)) != len(rows) or len(set(zip(*rows))) != len(rows)
-                or not _closed_under_addition(rows, conductor)):
+                or _generators(rows, conductor) is None):
             return None
         out.append((members, cols, rows))
     return out
+
+
+def _generating_set(shape, cells, conductor):
+    """S for the certificate, read off the cells of `_full_rank`: per
+    diagonal cell (every pair (x, x)) the members whose translation rows
+    e_m(p) - e_m(p0) start a coset of the group of those rows
+    (`_generators`), its one member for a trivial group and none when the
+    rows form no group; per other cell its first member.  The verdict does
+    not depend on this choice, only whether it gets one.  s * m, s and m
+    in one diagonal cell, is a multiple of the member of row f_m + t_s
+    ("Certificate"), and a first member times the diagonal members at its
+    ends reaches the rest of a realized cell.  The cover cells alone would
+    not do: through a trivial middle block a product of cover vectors is a
+    sum over every character of the outer pair."""
+    seeds = []
+    for members, cols, _ in cells:
+        if any(x != y for x, y in cols):
+            seeds.append(members[0])
+            continue
+        rows = [tuple([(shape[m][p] - shape[m][cols[0]]) % conductor for p in cols])
+                for m in members]
+        started = _generators(rows, conductor)
+        if started is not None:
+            started = set(started) or {rows[0]}
+            seeds.extend(m for m, row in zip(members, rows) if row in started)
+    return seeds
 
 
 def _row_key(rows):
@@ -525,23 +518,30 @@ def _translations(at, ds, cell, key, degrees, conductor):
     return out
 
 
-def _certified(r, found, cells, degrees, conductor):
+def _certified(r, shape, cells, degrees, conductor):
     """True when the certificate of the module docstring shows that the
     basis (already known to be one) is graded; False proves nothing.
-    found is `_components`' (shape, owners) and cells `_full_rank`'s.  A
-    diagonal seed s, every pair of it (x, x), times a member of a cell is
-    a multiple of the member its row translates to (`_translations`); any
-    other seed s times v is formed from the shapes (`_shape_product`) and
-    split (`_split`), for the members v of the cells whose first vertices
-    s ends at."""
-    shape, owners = found
+    shape is `_components`' and cells `_full_rank`'s, which give the seeds
+    and owners.  A diagonal seed s times a member of a cell is a multiple
+    of the member its row translates to (`_translations`); another seed
+    times a member v of a cell whose first vertices it ends at is formed
+    from the shapes (`_shape_product`) and split (`_split`)."""
+    ids = degrees.ids
+    owners = {}  # per degree: {pair: its member of that degree}
+    for members, cols, _ in cells:
+        for m in members:
+            owner = owners.setdefault(ids[m], {})
+            if cols[0] in owner:
+                return False  # a multiple test cannot decide a span of two
+            for pair in cols:
+                owner[pair] = m
     one = _split({(x, x): {0: 1} for x in r.poset.elements},
                  owners.get(degrees.number.get(r.ambient.zero().coords), {}),
                  shape, conductor)
     if one is None:
         return False
     splits = [(None, one)]
-    seeds = _generating_set(r)
+    seeds = _generating_set(shape, cells, conductor)
     diagonal, ending = {}, {}  # per vertex: diagonal seeds at it, others ending at it
     at = {}  # per diagonal seed: {vertex: exponent}
     for s in seeds:
@@ -552,7 +552,6 @@ def _certified(r, found, cells, degrees, conductor):
         else:
             for z in {z for _, z in shape[s]}:
                 ending.setdefault(z, []).append(s)
-    ids = degrees.ids
     for cell in cells:
         members, cols, rows = cell
         firsts = {x for x, _ in cols}
@@ -613,11 +612,11 @@ def verify_grading(r):
     conductor = _conductor_of(elems)
     phi = euler_phi(conductor)
     degrees = _Degrees(r.basis, r.ambient)
-    found = _components(elems, degrees, conductor)
-    cells = (_full_rank(found[0], conductor)
-             if len(r.basis) == dim and found is not None else None)
+    shape = _components(elems, conductor)
+    cells = (_full_rank(shape, conductor)
+             if len(r.basis) == dim and shape is not None else None)
     full_rank = cells is not None
-    if full_rank and _certified(r, found, cells, degrees, conductor):
+    if full_rank and _certified(r, shape, cells, degrees, conductor):
         report.checked_products = dim * dim
         return report
 

@@ -74,16 +74,11 @@ class Poset:
     def covers(self):
         """Cover pairs (x, y): x < y with nothing strictly between."""
         if self._covers is None:
-            result = []
-            n = len(self.elements)
-            for i in range(n):
-                strict_up = self._up[i] - {i}
-                for j in sorted(strict_up):
-                    between = (self._up[i] - {i, j}) & {k for k in range(n)
-                                                        if j in self._up[k]}
-                    if not between:
-                        result.append((self.elements[i], self.elements[j]))
-            object.__setattr__(self, "_covers", tuple(result))
+            up, els = self._up, self.elements
+            # j covers i when nothing else above i lies below j
+            object.__setattr__(self, "_covers", tuple(
+                (els[i], els[j]) for i in range(len(els)) for j in sorted(up[i] - {i})
+                if not any(j in up[k] for k in up[i] - {i, j})))
         return list(self._covers)
 
     def strictly_between(self, x, y):

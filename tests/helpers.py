@@ -276,6 +276,31 @@ def b3_over_z3():
     return GradingDatum(z3, poset_from_relation(labels, BOOLEAN3), blocks, covers)
 
 
+def boolean_coboundary(n, rng, broken=False):
+    """Full Z/4 blocks on B_n; the cover u <. w carries mu_u / mu_w with
+    degree p_w - p_u, so every chain telescopes and the datum is valid.
+    broken multiplies one cover character by a nontrivial character, as
+    the classify benchmark does, which breaks the squares through it."""
+    z4 = AbelianGroup(0, [4])
+    full = full_subgroup(z4)
+    labels = [frozenset(s) for r in range(n + 1)
+              for s in itertools.combinations(range(n), r)]
+    name = {s: "".join(map(str, sorted(s))) or "e" for s in labels}
+    covers = [(name[s], name[s | {x}]) for s in labels for x in range(n) if x not in s]
+    dual = dual_group(full)
+    mu = {name[s]: rng.choice(dual) for s in labels}
+    pot = {name[s]: z4.element([rng.randrange(4)]) for s in labels}
+    chars = {(u, w): mu[u] * mu[w].inverse() for u, w in covers}
+    if broken:
+        bad = rng.choice(covers)
+        chars[bad] = chars[bad] * rng.choice(dual[1:])
+    return GradingDatum(z4, poset_from_relation([name[s] for s in labels], covers),
+                        {name[s]: full for s in labels},
+                        {(u, w): BimoduleClass(full, full, [(chars[(u, w)],
+                                                             pot[w] - pot[u])])
+                         for u, w in covers})
+
+
 # ---------------------------------------------------------------------------
 # reference derivation: every saturated chain listed and composed on its own
 

@@ -8,10 +8,11 @@ key order of the result (helpers.reference_derive_rows writes the
 reference's data as rows).  helpers.reference_validate runs the triple
 check, with its own copy of the two-step composition, on every triple
 whose three pairs are derived; validate_datum leaves out the triples the
-walk has already decided and must report the same issues.
+walk has already decided and must report the same issues.  Its triple
+check compares only degrees, and a spy checks on every call that the
+character sets agree, as `datum._triple_issue` argues.
 """
 
-import itertools
 import json
 import random
 from collections import Counter
@@ -23,11 +24,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from incidence_gradings import datum as datum_mod
 from incidence_gradings import jsonio
-from incidence_gradings.abelian import AbelianGroup, Subgroup, canonicalize, full_subgroup
-from incidence_gradings.bimodules import BimoduleClass, _merge_state
+from incidence_gradings.abelian import AbelianGroup, Subgroup, canonicalize
+from incidence_gradings.bimodules import BimoduleClass, _compose, _merge_state
 from incidence_gradings.characters import dual_group, trivial_character
 from incidence_gradings.cli import main
-from incidence_gradings.datum import GradingDatum, realize, validate_datum
+from incidence_gradings.datum import GradingDatum, _triple_issue, realize, validate_datum
 from incidence_gradings.errors import ChainInconsistency, DegreeConflict, NotValid
 from incidence_gradings.oracle import verify_grading
 from incidence_gradings.posets import poset_from_relation
@@ -36,6 +37,7 @@ from helpers import (
     BOOLEAN3,
     CHARACTER_GROUPS,
     b3_over_z3,
+    boolean_coboundary,
     grading_data,
     reference_derive,
     reference_derive_rows,
@@ -76,6 +78,8 @@ def _issue_form(report):
 
 
 def _assert_same_derivation(d):
+    """validate_datum's report, checked against the references, and the
+    number of triple checks it ran."""
     want_issues, got_issues = [], []
     want = reference_derive_rows(d, want_issues)
     got = datum_mod._derive(d, got_issues)
@@ -91,9 +95,18 @@ def _assert_same_derivation(d):
             errors.append((type(exc), str(exc)))
     assert errors[0] == errors[1]
     # and the full report, triple checks included, is unchanged
-    got_report = validate_datum(d)
+    with mock.patch.object(datum_mod, "_triple_issue",
+                           side_effect=_same_characters) as spy:
+        got_report = validate_datum(d)
     assert (_issue_form(got_report), got_report.checked_triples) == reference_validate(d)
-    return got_report
+    return got_report, spy.call_count
+
+
+def _same_characters(left, right, whole, fibers, add, h_out, reducer):
+    # _triple_issue compares only degrees, its docstring argues why: on
+    # every call the two-step product has the derived class's characters
+    assert dict(_compose(left, right, fibers, add)).keys() == dict(whole).keys()
+    return _triple_issue(left, right, whole, fibers, add, h_out, reducer)
 
 
 def _two_conflicts_diamond():
@@ -117,37 +130,12 @@ def _z6_datum():
     return jsonio.decode_datum(doc)
 
 
-def _boolean_coboundary(n, rng, broken=False):
-    """Full Z/4 blocks on B_n; the cover u <. w carries mu_u / mu_w with
-    degree p_w - p_u, so every chain telescopes and the datum is valid.
-    broken multiplies one cover character by a nontrivial character, as
-    the classify benchmark does, which breaks the squares through it."""
-    z4 = AbelianGroup(0, [4])
-    full = full_subgroup(z4)
-    labels = [frozenset(s) for r in range(n + 1)
-              for s in itertools.combinations(range(n), r)]
-    name = {s: "".join(map(str, sorted(s))) or "e" for s in labels}
-    covers = [(name[s], name[s | {x}]) for s in labels for x in range(n) if x not in s]
-    dual = dual_group(full)
-    mu = {name[s]: rng.choice(dual) for s in labels}
-    pot = {name[s]: z4.element([rng.randrange(4)]) for s in labels}
-    chars = {(u, w): mu[u] * mu[w].inverse() for u, w in covers}
-    if broken:
-        bad = rng.choice(covers)
-        chars[bad] = chars[bad] * rng.choice(dual[1:])
-    return GradingDatum(z4, poset_from_relation([name[s] for s in labels], covers),
-                        {name[s]: full for s in labels},
-                        {(u, w): BimoduleClass(full, full, [(chars[(u, w)],
-                                                             pot[w] - pot[u])])
-                         for u, w in covers})
-
-
 @st.composite
 def _derivation_data(draw):
     """grading_data over SHAPES and GROUPS; about one draw in ten is instead
     a Boolean B_4 coboundary datum with one broken cover."""
     if draw(st.integers(0, 9)) == 0:
-        return _boolean_coboundary(4, draw(st.randoms(use_true_random=False)),
+        return boolean_coboundary(4, draw(st.randoms(use_true_random=False)),
                                    broken=True)
     return draw(grading_data(SHAPES, GROUPS))
 
@@ -161,9 +149,13 @@ def test_memoised_derivation_matches_chain_enumeration():
     @example(_two_conflicts_diamond())
     @example(_z6_datum())
     def check(d):
-        report = _assert_same_derivation(d)
+        report, triple_checks = _assert_same_derivation(d)
         tally["data"] += 1
         tally["issues"] += not report.valid
+        # the triple check runs on every triple of data with an
+        # unrealizable cover, and its character sets agree there too
+        tally["triple checks", any(i.condition == "2" for i in report.issues)] += (
+            triple_checks)
         tally["valid"] += report.valid
         kind = ("boolean" if len(d.skeleton) == 16
                 else "free" if not d.ambient.is_finite else "finite")
@@ -176,11 +168,12 @@ def test_memoised_derivation_matches_chain_enumeration():
     assert tally["free", False] >= 50 and tally["free", True] >= 50
     # a broken cover is refused, usually through the squares above it
     assert tally["boolean", False] >= 30
+    assert tally["triple checks", True] >= 1000 and tally["triple checks", False] >= 500
 
 
 def test_b3_over_z3_chains_disagree():
     d = b3_over_z3()
-    issues = _assert_same_derivation(d).issues
+    issues = _assert_same_derivation(d)[0].issues
     assert issues and all("saturated chains" in i.message for i in issues)
     with pytest.raises(NotValid):
         realize(d)
@@ -237,7 +230,7 @@ def _spy_triples(d):
 
 
 def test_walk_decides_the_triples_below_a_cover():
-    d = _boolean_coboundary(4, random.Random(4))
+    d = boolean_coboundary(4, random.Random(4))
     report, calls = _spy_triples(d)
     assert report.valid and report.checked_triples == 110
     # only the triples i < k < j whose step k < j is not a cover are checked

@@ -1,9 +1,11 @@
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -720,12 +722,18 @@ def _times(r, idx, factor):
     return _with_basis(r, basis)
 
 
-def _check_accepts(r):
-    # the full-rank step of verify_grading, before the certificate
+def _cells(r):
+    """(shape, cells, conductor) of the full-rank step of verify_grading;
+    cells is None when the step refuses the basis."""
     elems = [b.element for b in r.basis]
     conductor = _conductor_of(elems)
-    found = _components(elems, _Degrees(r.basis, r.ambient), conductor)
-    return found is not None and _full_rank(found[0], conductor) is not None
+    shape = _components(elems, conductor)
+    return shape, None if shape is None else _full_rank(shape, conductor), conductor
+
+
+def _check_accepts(r):
+    # the full-rank step of verify_grading, before the certificate
+    return _cells(r)[1] is not None
 
 
 def test_full_rank_check_falls_back_to_exact_flags(monkeypatch):
@@ -847,7 +855,7 @@ def test_certificate_falls_back_when_the_seeds_do_not_generate(monkeypatch, real
     # fails and the dim^2 loop gives the reference report
     r = realized()
     verdicts = _spy_certificate(monkeypatch)
-    monkeypatch.setattr(oracle, "_generating_set", _one_block_seeds)
+    monkeypatch.setattr(oracle, "_generating_set", lambda *_: _one_block_seeds(r))
     _assert_same_report(r)
     assert verdicts == [False]
 
@@ -888,7 +896,7 @@ OFF_SUPPORT = [({"xx": 0, "yy": 0}, 0), ({"xx": 0, "yy": 2}, 1), ({"xy": 0}, 0)]
 def test_certificate_checks_products_off_the_supports(monkeypatch):
     r = _chain2_by_hand(OFF_SUPPORT)
     verdicts = _spy_certificate(monkeypatch)
-    monkeypatch.setattr(oracle, "_generating_set", lambda r: list(range(len(r.basis))))
+    monkeypatch.setattr(oracle, "_generating_set", lambda shape, *_: list(range(len(shape))))
     report = _assert_same_report(r)
     assert verdicts == [False]
     assert [v.location for v in report.violations] == ["basis[1] * basis[2]",
@@ -900,26 +908,24 @@ def test_certificate_needs_every_member_reached(monkeypatch):
     # reached: only (d) refuses
     r = _chain2_by_hand(OFF_SUPPORT)
     verdicts = _spy_certificate(monkeypatch)
-    monkeypatch.setattr(oracle, "_generating_set", lambda r: [0])
+    monkeypatch.setattr(oracle, "_generating_set", lambda *_: [0])
     assert not _assert_same_report(r).ok
     assert verdicts == [False]
 
 
 def test_certificate_gives_up_on_shared_supports(monkeypatch):
-    # e_xx + e_yy and e_xx + e_xy, both of degree 0, share the pair xx; the
-    # grading (with e_xy of degree 1) is fine, but a multiple test against
-    # one member would not decide the span of two
-    r = _chain2_by_hand([({"xx": 0, "yy": 0}, 0), ({"xx": 0, "xy": 0}, 0),
+    # e_xx - e_yy and e_xx + e_yy, both of degree 0, share the support
+    # {xx, yy}; the grading (with e_xy of degree 1) is fine and the cell
+    # has full rank, but a multiple test against one member would not
+    # decide the span of two.  Read against e_xx + e_yy alone, every split
+    # would hold and every member be reached
+    r = _chain2_by_hand([({"xx": 0, "yy": 2}, 0), ({"xx": 0, "yy": 0}, 0),
                          ({"xy": 0}, 1)])
-    elems = [b.element for b in r.basis]
-    assert _components(elems, _Degrees(r.basis, r.ambient),
-                       _conductor_of(elems)) is None
-    assert not _check_accepts(r)
+    assert _check_accepts(r)
+    assert [members for members, _, _ in _cells(r)[1]] == [[0, 1], [2]]
     verdicts = _spy_certificate(monkeypatch)
-    monkeypatch.setattr(oracle, "_generating_set", lambda r: list(range(len(r.basis))))
     assert _assert_same_report(r).ok
-    # the full-rank step already refuses, so the certificate is not reached
-    assert verdicts == []
+    assert verdicts == [False]
 
 
 DIAMOND = [("x", "y1"), ("x", "y2"), ("y1", "z"), ("y2", "z")]
@@ -1003,7 +1009,7 @@ def test_certificate_gives_up_on_a_pair_without_one_term(monkeypatch):
     verdicts = _spy_certificate(monkeypatch)
     # the non-diagonal members: a diagonal seed's products are translations
     # of its cells and never reach _split
-    monkeypatch.setattr(oracle, "_generating_set", lambda r: [
+    monkeypatch.setattr(oracle, "_generating_set", lambda *_: [
         n for n, b in enumerate(r.basis)
         if any(x != y for x, y in b.element.roots)])
     report = _assert_same_report(r)
@@ -1068,10 +1074,9 @@ def _assert_shape_products_agree(r):
     products, or None when some member has no shape."""
     elems = [b.element for b in r.basis]
     conductor = _conductor_of(elems)
-    found = _components(elems, _Degrees(r.basis, r.ambient), conductor)
-    if found is None:
+    shape = _components(elems, conductor)
+    if shape is None:
         return None
-    shape = found[0]
     pres = _ring_preimages(elems, conductor)
     coefficient = []
     for exps, pre in zip(shape, pres):
@@ -1137,19 +1142,63 @@ def test_incomparable_root_member_is_a_named_violation():
     assert {v.kind for v in verify_grading(bad).violations} == {"incomparable-support"}
 
 
-def test_generating_set_keeps_the_diagonal_unit_only_for_trivial_blocks():
-    trivial_blocks = 0
+def _translation_rows(shape, cell, conductor):
+    # each member's e_m(p) - e_m(p0) over the cell's pairs
+    members, cols, _ = cell
+    return {m: tuple((shape[m][p] - shape[m][cols[0]]) % conductor for p in cols)
+            for m in members}
+
+
+def test_generating_set_keeps_the_diagonal_unit_only_for_trivial_groups():
+    # per diagonal cell the seeds' translation rows generate the rows, and
+    # the unit (row zero) is a seed only where the group is trivial; per
+    # other cell the first member alone.  On realized data the diagonal
+    # cells are the blocks, so the unit of a block is a seed exactly when
+    # the block is trivial
+    trivial = 0
     for name, d in _golden_data():
         r = realize(d)
-        seeds = {r.basis[n].tag for n in _generating_set(r)}
+        shape, cells, conductor = _cells(r)
+        seeds = set(_generating_set(shape, cells, conductor))
+        for cell in cells:
+            members, cols, _ = cell
+            chosen = [m for m in members if m in seeds]
+            if any(x != y for x, y in cols):
+                assert chosen == [members[0]], name
+                continue
+            rows = _translation_rows(shape, cell, conductor)
+            unit, = [m for m in members if not any(rows[m])]
+            assert (unit in seeds) == (len(members) == 1), name
+            assert r.basis[unit].tag[:1] == ("diag",)
+            reached = {rows[unit]}
+            while True:
+                grown = reached | {tuple((a + b) % conductor for a, b in zip(g, rows[m]))
+                                   for g in reached for m in chosen}
+                if grown == reached:
+                    break
+                reached = grown
+            assert reached == set(rows.values()), name
+            trivial += len(members) == 1
         zero = d.ambient.zero().coords
+        tags = {r.basis[n].tag for n in seeds}
         for block, h in d.blocks.items():
-            assert (("diag", block, zero) in seeds) == (h.order == 1), (name, block)
-            assert all(("diag", block, g.coords) in seeds for g in h.generators)
-            trivial_blocks += h.order == 1
-        if name == "z64-trivial-full-trivial":
-            assert sorted(b for b, h in d.blocks.items() if h.order == 1) == ["1", "3"]
-    assert trivial_blocks >= 2
+            assert (("diag", block, zero) in tags) == (h.order == 1), (name, block)
+    assert trivial >= 2
+
+
+def test_generating_set_skips_a_diagonal_cell_without_a_group(monkeypatch):
+    # e_xx + zeta e_yy and e_xx - zeta e_yy over Q(zeta_4): the normalized
+    # rows (0, 0) and (0, 2) are a group, so the full-rank step passes, but
+    # the translation rows (0, 1) and (0, 3) are none, and the cell seeds
+    # nothing; the report is still the reference's
+    r = _chain2_by_hand([({"xx": 0, "yy": 1}, 0), ({"xx": 0, "yy": 3}, 1),
+                         ({"xy": 0}, 0)])
+    assert _check_accepts(r)
+    shape, cells, conductor = _cells(r)
+    assert _generating_set(shape, cells, conductor) == [2]
+    verdicts = _spy_certificate(monkeypatch)
+    assert not _assert_same_report(r).ok
+    assert verdicts == [False]
 
 
 @pytest.mark.parametrize("name, splits", [("z12-chain2", 37), ("z24-wedge", 147)])
@@ -1181,14 +1230,14 @@ def _diagonal_translations(r, keep=lambda s: True):
     path's splits, the product path's split per member), the cell path
     being `_translations` and the product path `_split` of
     `_shape_product`.  None when the full-rank step refuses the basis."""
-    elems = [b.element for b in r.basis]
-    conductor = _conductor_of(elems)
-    degrees = _Degrees(r.basis, r.ambient)
-    found = _components(elems, degrees, conductor)
-    cells = None if found is None else _full_rank(found[0], conductor)
+    shape, cells, conductor = _cells(r)
     if cells is None:
         return None
-    shape, owners = found
+    degrees = _Degrees(r.basis, r.ambient)
+    owners = {}  # per degree, the member of that degree holding each pair
+    for members, cols, _ in cells:
+        for m in members:
+            owners.setdefault(degrees.ids[m], {}).update(dict.fromkeys(cols, m))
     out = []
     for s, exps in enumerate(shape):
         if not exps or any(x != y for x, y in exps) or not keep(s):
@@ -1321,9 +1370,7 @@ def test_translations_check_delta_on_every_column():
 def _refusal(r, s, cell):
     """Why the cell path refuses the diagonal member s on cell."""
     members, cols, rows = cell
-    elems = [b.element for b in r.basis]
-    conductor = _conductor_of(elems)
-    shape, _ = _components(elems, _Degrees(r.basis, r.ambient), conductor)
+    shape, _, conductor = _cells(r)
     at = {x: e for (x, _), e in shape[s].items()}
     if not {x for x, _ in cols} <= at.keys():
         return "partial-touch"
@@ -1337,7 +1384,8 @@ def _refusal(r, s, cell):
     (lambda: _by_hand([("y1", "z"), ("y2", "z")], PARTIAL_TOUCH),
      lambda r: [1, 2, 3, 4], "partial-touch"),
     (lambda: _chain2_by_hand(OFF_SUPPORT), lambda r: [1], "translate-degree"),
-    (_realized_with_degrees_swapped, _generating_set, "translate-degree"),
+    (_realized_with_degrees_swapped, lambda r: _generating_set(*_cells(r)),
+     "translate-degree"),
 ], ids=["delta-off-the-group", "partial-touch", "translate-degree", "realized-degree"])
 def test_translations_refuse_planted_bases(monkeypatch, realized, seeds, reason):
     # each basis passes the full-rank step, and the cell path refuses some
@@ -1353,7 +1401,7 @@ def test_translations_refuse_planted_bases(monkeypatch, realized, seeds, reason)
     assert reason in {_refusal(r, s, cell) for s, cell, _ in refused}
     assert _assert_translations_agree(r)
     verdicts = _spy_certificate(monkeypatch)
-    monkeypatch.setattr(oracle, "_generating_set", lambda r: chosen)
+    monkeypatch.setattr(oracle, "_generating_set", lambda *_: chosen)
     report = _assert_same_report(r)
     assert verdicts == [False]
     assert "product-escape" in {v.kind for v in report.violations}
@@ -1375,21 +1423,64 @@ def test_certificate_forms_cross_products_at_every_first_vertex(monkeypatch):
     assert _check_accepts(r)
     assert all(got is not None for *_, got, _ in _diagonal_translations(r))
     verdicts = _spy_certificate(monkeypatch)
-    monkeypatch.setattr(oracle, "_generating_set", lambda r: list(range(len(r.basis))))
+    monkeypatch.setattr(oracle, "_generating_set", lambda shape, *_: list(range(len(shape))))
     report = _assert_same_report(r)
     assert verdicts == [False]
     assert "product-escape" in {v.kind for v in report.violations}
 
 
-@pytest.mark.parametrize("tag", [("cross",), ()], ids=["cross", "empty"])
-def test_generating_set_skips_unreadable_tags(tag):
-    # a tag only chooses S: a member whose tag is too short to read is no
-    # seed, and the verdict is still the reference's
-    r = realize(_golden("z12-chain2"))
-    want = _report_form(reference_verify_grading(r))
-    for idx, b in enumerate(r.basis):
-        basis = list(r.basis)
-        basis[idx] = BasisVector(b.element, b.degree, tag)
-        planted = _with_basis(r, basis)
-        assert idx not in _generating_set(planted)
-        assert _report_form(verify_grading(planted)) == want, idx
+def _stripped(r, order):
+    """r with every tag () and a datum that carries only the ambient group,
+    no vertex data or derived rows, and its basis in the given order."""
+    basis = [BasisVector(r.basis[n].element, r.basis[n].degree, ()) for n in order]
+    return RealizedGrading(SimpleNamespace(ambient=r.ambient), r.poset, None,
+                           basis, None)
+
+
+def _assert_reads_the_cells_alone(r, verdicts, rng, reference=True):
+    """The stripped realization, in the basis order and shuffled, gives the
+    report of r (in r's order) and, unless reference is False, of the
+    reference oracle, and the certificate's verdict on r.  Returns that
+    verdict, [] when the certificate is not reached."""
+    n = len(verdicts)
+    want = _report_form(verify_grading(r))
+    verdict = verdicts[n:]
+    order = list(range(len(r.basis)))
+    shuffled = rng.sample(order, len(order))
+    for planted, same_order in ((_stripped(r, order), True),
+                                (_stripped(r, shuffled), False)):
+        n = len(verdicts)
+        got = _report_form(verify_grading(planted))
+        assert verdicts[n:] == verdict
+        if reference:
+            assert got == _report_form(reference_verify_grading(planted))
+        if same_order or not want[0]:
+            assert got == want  # a shuffle moves only the violations
+    return verdict
+
+
+def test_verify_grading_reads_no_tags_and_no_datum(monkeypatch):
+    # verify_grading reads the poset, each member's element and degree, and
+    # the ambient group: every golden datum and 300 derandomized sweep data
+    # keep their report and verdict with the tags and the datum stripped,
+    # and with the basis shuffled too.  The golden reports are pinned by
+    # the CLI goldens; the reference oracle's zeta-closed rank over
+    # Q(zeta_64) would take minutes on the Z/64 probes
+    verdicts = _spy_certificate(monkeypatch)
+    rng = random.Random("stripped")
+    for name, d in _golden_data():
+        assert _assert_reads_the_cells_alone(realize(d), verdicts, rng,
+                                             reference=False) == [True], name
+    tally = Counter()
+
+    @settings(max_examples=450, derandomize=True, database=None,
+              deadline=None, suppress_health_check=list(HealthCheck))
+    @given(grading_data([(labels, covers) for _, labels, covers in ACCEPTANCE_SHAPES],
+                        SWEEP_GROUPS))
+    def check(d):
+        if validate_datum(d).valid:
+            tally["valid"] += 1
+            tally[tuple(_assert_reads_the_cells_alone(realize(d), verdicts, rng))] += 1
+
+    check()
+    assert tally["valid"] >= 300 and tally[(True,)] >= 300

@@ -1,5 +1,11 @@
+import json
+import random
+from pathlib import Path
+
 import pytest
 
+from incidence_gradings import jsonio
+from incidence_gradings.datum import realize
 from incidence_gradings.errors import CycleDetected, InvalidPartition
 from incidence_gradings.posets import (
     Poset,
@@ -11,6 +17,10 @@ from incidence_gradings.posets import (
     poset_from_relation,
     poset_isomorphisms,
 )
+
+from helpers import boolean_coboundary
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_chain_covers():
@@ -50,6 +60,23 @@ def test_public_constructor_validates_the_relation():
         Poset([1, 2], [{0, 1}, {0, 1}])
     with pytest.raises(ValueError, match="not transitive"):
         Poset([1, 2, 3], [{0, 1}, {1, 2}, {2}])
+
+
+def _covers_by_definition(p):
+    # x < y with no z strictly between, in element order
+    els = p.elements
+    return [(x, y) for x in els for y in els
+            if p.lt(x, y) and not any(p.lt(x, z) and p.lt(z, y) for z in els)]
+
+
+def test_covers_match_the_definition_on_realized_posets():
+    posets = [realize(jsonio.decode_datum(json.loads(path.read_text()))).poset
+              for path in sorted(DATA.glob("*.json"))
+              if not path.name.endswith(".verify.json")]
+    posets.append(realize(boolean_coboundary(5, random.Random(5))).poset)
+    assert len(posets) == 9 and len(posets[-1]) == 128
+    for p in posets:
+        assert p.covers() == _covers_by_definition(p)
 
 
 def test_diamond_structure():
