@@ -2,9 +2,12 @@
 
 Everything here distrusts the construction: the grading axioms are
 re-checked by exact linear algebra, the two-step radical products are
-decomposed with the character projectors of the twist action, applied
-pair by pair through the entries of the diagonal images in I(X), and
-the link-count identity is recounted on the realized poset.
+decomposed with the character projectors pi_chi of the twist action, and
+the link-count identity is recounted on the realized poset.  pi_chi(w) is
+w times one multiplier at each pair, formed from the entries of the
+diagonal images in I(X), and a product of two nonzero field elements is
+nonzero: a character keeps w exactly when its multiplier is nonzero at
+some pair of w's support, so no projection is formed.
 
 Elements.  Members written as exponents (`IncidenceElement.from_roots`)
 are built unchecked, so their support pairs are checked first: a pair
@@ -69,11 +72,14 @@ sum to it (`_shape_product`).  c_s * c_v is left out: a nonzero factor of the wh
 product changes neither whether w vanishes off the supports nor whether it
 is one multiple of a member on each.  So on each member's support that w
 touches, every pair must hold one term, the member's exponent shifted by
-one common a, with one common count.  In a realized product the terms of
-one pair either share an exponent and merge, or form a nontrivial
-character sum over a coset, which vanishes; such a pair on a touched
-support makes the certificate give up (as on some realized 4-chains over
-Z/2 x Z/2, where a whole product vanishes).
+one common a, with one common count, or every pair must be zero.  In a
+realized product the terms of one pair either share an exponent and
+merge, or form a nontrivial character sum over a coset, which vanishes
+(as on some realized 4-chains over Z/2 x Z/2, where a whole product
+does): a pair whose terms reduce to zero counts as zero, and a member
+whose whole support is zero is left out of the split.  A support zero at
+only some of its pairs, or a pair whose several terms do not cancel,
+makes the certificate give up.
 A diagonal seed s, every pair of it (x, x) with exponent e_s(x), needs no
 product.  s * m, m a member of a cell, holds at each pair p = (x_p, y_p)
 of m whose first vertex s covers one path, x_p <= x_p <= y_p, with count
@@ -128,11 +134,10 @@ def _conductor_of(elements):
     return n
 
 
-def _incomparable(elems, pair_index):
-    """The indices of the `RootElement`s with a support pair that is not
-    comparable: `IncidenceElement.from_roots` checks nothing, and every
-    other element was checked when it was built."""
-    pairs = pair_index.keys()
+def _incomparable(elems, pairs):
+    """The indices of the `RootElement`s with a support pair outside pairs,
+    the comparable pairs: `IncidenceElement.from_roots` checks nothing, and
+    every other element was checked when it was built."""
     return [n for n, elem in enumerate(elems)
             if isinstance(elem, RootElement) and not elem.roots.keys() <= pairs]
 
@@ -306,15 +311,18 @@ def _shape_product(a, b_by_first, conductor):
 
 
 def _split(w, owner, shape, conductor):
-    """The members whose multiples sum to w, a `_shape_product` (or the
-    identity, {(x, x): {0: 1}}), or None when that is not shown: w must
+    """The members whose nonzero multiples sum to w, a `_shape_product` (or
+    the identity, {(x, x): {0: 1}}), or None when that is not shown: w must
     vanish off the supports of the members `owner` lists, and on each
-    support it touches be one member's shape times one monomial c * x^a.
+    support it touches be zero or one member's shape times one monomial
+    c * x^a.
 
     owner maps each pair to the one member whose support holds it, and
     shape[m] maps each pair of member m to its one exponent; every member
     has one coefficient, so w is c * x^a times b_m on m's support when each
-    pair p holds the single term c * x^(e_p + a), as {e_p + a: c}.  The
+    pair p holds the single term c * x^(e_p + a), as {e_p + a: c}.  A pair
+    that is missing or whose terms reduce to zero (`_reduced`) is zero, and
+    a member zero at every pair of its support is left out.  The
     off-support part goes to `_reduced` only when there is one."""
     members, off = set(), {}
     for pair, terms in w.items():
@@ -326,17 +334,24 @@ def _split(w, owner, shape, conductor):
     if off and _reduced({(x, y, e): c for (x, y), terms in off.items()
                          for e, c in terms.items()}, conductor):
         return None  # nonzero off the supports
+    out = []
     for m in members:
-        keys = set()
+        keys = set()  # None stands for a zero pair
         for pair, e in shape[m].items():
             terms = w.get(pair, ())
-            if len(terms) != 1:
-                return None
-            (ew, cw), = terms.items()
-            keys.add((cw, (ew - e) % conductor))
+            if len(terms) == 1:
+                (ew, cw), = terms.items()
+                keys.add((cw, (ew - e) % conductor))
+            elif terms and _reduced({(*pair, ew): cw for ew, cw in terms.items()},
+                                    conductor):
+                return None  # several terms that do not cancel
+            else:
+                keys.add(None)
         if len(keys) != 1:
             return None
-    return list(members)
+        if keys != {None}:
+            out.append(m)
+    return out
 
 
 def _all_reached(n, seeds, splits):
@@ -604,7 +619,7 @@ def verify_grading(r):
     report.basis_size = len(r.basis)
 
     elems = [b.element for b in r.basis]
-    for idx in _incomparable(elems, pair_index):
+    for idx in _incomparable(elems, pair_index.keys()):
         report.flag("incomparable-support", f"basis[{idx}]",
                     "support pair that is not comparable in the poset")
     if report.violations:
@@ -684,22 +699,21 @@ def verify_grading(r):
 # radical-square decomposition by character projectors
 
 
-def _isotypic_flats(r, i, k):
-    """The nonzero two-step products w = u * v of M_ij * M_jk between i and
-    k, and their pi_chi images, all as group-ring preimages.
+def _isotypic_degrees(r, i, k):
+    """Per character chi of H_ik, the degrees of the two-step products
+    w = u * v of M_ij * M_jk between i and k whose pi_chi(w) is nonzero,
+    in (middle, u, v) order.
 
     psi_i(h) and psi_k(-h) are diagonal, so the conjugate
     psi_i(h) w psi_k(-h) is w with each pair (x, y) multiplied by L_x(h)
     R_y(h), the images' own entries at x and at y.  pi_chi(w) is then w
-    times, pair by pair, the multiplier sum over h of chi(h)^{-1} L_x(h)
-    R_y(h), formed once per (pair, chi) in a call; it is the same formula
-    whether the entries are roots of unity or not (the 1/|H_ik| scale is
-    dropped and a common positive scale added: ranks and zero-ness are
-    unaffected).  A product or projection is kept when it reduces to
-    nonzero, as the preimage of its reduced vector.
-    Returns (products, pair_index, conductor, {chi: [(preimage, degree)]}),
-    products as [(preimage, degree)] in (middle, u, v) order and each
-    chi's list in product order.
+    times one multiplier at each pair, the sum over h of chi(h)^{-1}
+    L_x(h) R_y(h) (the 1/|H_ik| scale dropped), formed once per pair in a
+    call; it is the same formula whether the entries are roots of unity or
+    not.  A product of two nonzero numbers of Q(zeta_N) is nonzero, so
+    pi_chi(w) is nonzero exactly when some pair of w's support has a
+    nonzero chi-multiplier: each product is reduced once, for its support,
+    and no projection is formed.
     """
     mids = r.datum.skeleton.strictly_between(i, k)
     if not mids:
@@ -721,8 +735,7 @@ def _isotypic_flats(r, i, k):
     elems = ([diag[(i, h.coords)] for h in elements]
              + [diag[(k, (-h).coords)] for h in elements]
              + [b.element for us, vs in factors.values() for b in us + vs])
-    pair_index = {p: n for n, p in enumerate(r.poset.comparable_pairs())}
-    if _incomparable(elems, pair_index):
+    if _incomparable(elems, set(r.poset.comparable_pairs())):
         raise InvalidElement("a basis member has a support pair that is not "
                              "comparable in the poset")
     conductor = lcm(_conductor_of(elems), h_ik.exponent())
@@ -735,24 +748,12 @@ def _isotypic_flats(r, i, k):
             at.setdefault(x, []).append((e, c))
         entries.append(at)
     lefts, rights = entries[:m], entries[m:]
-    rest = iter(pres[2 * m:])
-    products = []
-    for us, vs in factors.values():
-        u_pres = [next(rest) for _ in us]
-        v_pres = [_by_first(next(rest)) for _ in vs]
-        for u, u_pre in zip(us, u_pres):
-            for v, v_pre in zip(vs, v_pres):
-                w = _reduced(_ring_product(u_pre, v_pre, conductor), conductor)
-                if w:
-                    products.append((w, u.degree + v.degree))
-
-    chars = dual_group(h_ik)
     rows = exponent_rows(h_ik, conductor)
 
-    def multipliers_at(x, y):
-        # [(character number, multiplier terms)] for the characters whose
-        # multiplier at (x, y) is nonzero; one monomial is nonzero as it
-        # stands, a longer sum is reduced, which is its zero test
+    def kept_at(x, y):
+        # the characters whose multiplier at (x, y) is nonzero; one
+        # monomial is nonzero as it stands, a longer sum is reduced, which
+        # is its zero test
         rho = [[((el + er) % conductor, cl * cr)
                 for el, cl in left.get(x, ()) for er, cr in right.get(y, ())]
                for left, right in zip(lefts, rights)]
@@ -763,44 +764,38 @@ def _isotypic_flats(r, i, k):
                 for e, c in terms:
                     key = (e - e_chi) % conductor
                     acc[key] = acc.get(key, 0) + c
-            terms = [(e, c) for e, c in acc.items() if c]
-            if len(terms) > 1:
-                terms = [(q, v) for (_, _, q), v in
-                         _reduced({(x, y, e): c for e, c in terms},
-                                  conductor).items()]
-            if terms:
-                found.append((n, terms))
+            terms = {(x, y, e): c for e, c in acc.items() if c}
+            if len(terms) == 1 or _reduced(terms, conductor):
+                found.append(n)
         return found
 
-    multipliers = {}  # per pair, formed once per call
-    projected = {chi: [] for chi in chars}
-    for pre, deg in products:
-        accs = {}
-        for (x, y, e), c in pre.items():
-            found = multipliers.get((x, y))
-            if found is None:
-                found = multipliers[(x, y)] = multipliers_at(x, y)
-            for n, mult in found:
-                acc = accs.get(n)
-                if acc is None:
-                    acc = accs[n] = {}
-                for em, cm in mult:
-                    key = (x, y, (e + em) % conductor)
-                    acc[key] = acc.get(key, 0) + c * cm
-        for n, acc in accs.items():
-            piece = _reduced(acc, conductor)
-            if piece:
-                projected[chars[n]].append((piece, deg))
-    return products, pair_index, conductor, projected
+    kept = {}  # per pair, formed once per call
+    chars = dual_group(h_ik)
+    degrees = {chi: [] for chi in chars}
+    rest = iter(pres[2 * m:])
+    for us, vs in factors.values():
+        u_pres = [next(rest) for _ in us]
+        v_pres = [_by_first(next(rest)) for _ in vs]
+        for u, u_pre in zip(us, u_pres):
+            for v, v_pre in zip(vs, v_pres):
+                w = _reduced(_ring_product(u_pre, v_pre, conductor), conductor)
+                found = set()
+                for pair in {(x, y) for x, y, _ in w}:
+                    if pair not in kept:
+                        kept[pair] = kept_at(*pair)
+                    found.update(kept[pair])
+                for n in found:
+                    degrees[chars[n]].append(u.degree + v.degree)
+    return degrees
 
 
 def radical_square_component(r, i, k):
     """Decompose the span of the two-step products M_ij * M_jk in I(X).
 
-    The span is split into isotypic pieces with the character projectors;
-    each nonzero piece contributes (chi, degree) where the degree is read
-    off the surviving products' degree support.  Requires at least one
-    intermediate block between i and k.
+    Each character chi whose projector keeps some product contributes
+    (chi, degree), the degree read off the products it keeps
+    (`_isotypic_degrees`), which must lie in one coset of H_i + H_k.
+    Requires at least one intermediate block between i and k.
     """
     skel = r.datum.skeleton
     if not skel.lt(i, k):
@@ -809,14 +804,12 @@ def radical_square_component(r, i, k):
     h_k = r.datum.blocks[k]
     coset = subgroup_sum(h_i, h_k)
     pairs = []
-    _, _, _, projected = _isotypic_flats(r, i, k)
-    for chi, pieces in projected.items():
-        if not pieces:
+    for chi, degs in _isotypic_degrees(r, i, k).items():
+        if not degs:
             continue
-        reps = {coset.least_coset_coords(deg).coords
-                for deg in {deg for _, deg in pieces}}
+        reps = {coset.least_coset_coords(deg).coords for deg in set(degs)}
         assert len(reps) == 1, "isotypic piece spread over several degree cosets"
-        pairs.append((chi, pieces[0][1]))
+        pairs.append((chi, degs[0]))
     return BimoduleClass(h_i, h_k, pairs)
 
 

@@ -34,12 +34,7 @@ from incidence_gradings.datum import (
 from incidence_gradings.errors import ChainInconsistency, DegreeConflict
 from incidence_gradings.incidence import IncidenceElement
 from incidence_gradings.jsonio import _expect, _expect_object, _fail, decode_cyclo
-from incidence_gradings.oracle import (
-    VerificationReport,
-    _conductor_of,
-    _isotypic_flats,
-    _zeta_closed_space,
-)
+from incidence_gradings.oracle import VerificationReport, _conductor_of
 from incidence_gradings.posets import chain_poset, poset_from_relation
 from incidence_gradings.rowspan import RationalRowSpace
 
@@ -599,8 +594,8 @@ def reference_verify_grading(r):
 
 
 # ---------------------------------------------------------------------------
-# reference twist projectors: the honest projector by general products, and
-# the isotypic ranks of the oracle's projections
+# reference twist projectors: the honest projector by general products, its
+# images of the two-step products, and their isotypic ranks
 
 
 def apply_twist_projector(r, i, k, chi, elem):
@@ -617,15 +612,39 @@ def apply_twist_projector(r, i, k, chi, elem):
     return total.scale(Fraction(1, h_ik.order))
 
 
+def honest_projections(r, i, k):
+    """The two-step products M_ij * M_jk by the general convolution, in
+    (middle, u, v) order with zero products skipped, as [(product,
+    degree)], and per character of H_ik the nonzero apply_twist_projector
+    images, [(image, degree)] in product order."""
+    products = []
+    for j in r.datum.skeleton.strictly_between(i, k):
+        for u in [b for b in r.basis if b.tag[:3] == ("cross", i, j)]:
+            for v in [b for b in r.basis if b.tag[:3] == ("cross", j, k)]:
+                w = u.element * v.element
+                if not w.is_zero():
+                    products.append((w, u.degree + v.degree))
+    projected = {}
+    for chi in dual_group(intersect(r.datum.blocks[i], r.datum.blocks[k])):
+        images = [(apply_twist_projector(r, i, k, chi, w), deg)
+                  for w, deg in products]
+        projected[chi] = [(pw, deg) for pw, deg in images if not pw.is_zero()]
+    return products, projected
+
+
 def isotypic_rank_table(r, i, k):
     """Rank of each character's isotypic piece plus the total span rank,
-    over the cyclotomic field (projector completeness checks)."""
-    products, pair_index, conductor, projected = _isotypic_flats(r, i, k)
+    over the cyclotomic field, from the honest projector's pieces
+    (projector completeness checks)."""
+    products, projected = honest_projections(r, i, k)
+    pair_index = {p: n for n, p in enumerate(r.poset.comparable_pairs())}
+    conductor = _conductor_of([elem for pieces in [products, *projected.values()]
+                               for elem, _ in pieces])
     phi = euler_phi(conductor)
 
     def rank(pieces):
-        q_rank = _zeta_closed_space([pre for pre, _ in pieces],
-                                    pair_index, conductor).rank
+        flats = reference_flatten([elem for elem, _ in pieces], pair_index, conductor)
+        q_rank = reference_zeta_closed_space(flats, conductor).rank
         assert q_rank % phi == 0
         return q_rank // phi
 

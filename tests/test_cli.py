@@ -24,8 +24,9 @@ from helpers import chain_datum, two_block_datum, with_reversed_cross_pair
 Z2 = AbelianGroup(0, [2])
 Z4 = AbelianGroup(0, [4])
 DATA = Path(__file__).parent / "data"
-GOLDEN = ["z12-chain2", "z24-wedge", "z16-chain3", "z2xz4-chain3", "z32-full-trivial",
-          "z64-full-trivial", "z64-trivial-full-trivial", "empty-skeleton"]
+GOLDEN = ["z12-chain2", "z24-wedge", "z16-chain3", "z2xz4-chain3", "z2xz2-chain4",
+          "z32-full-trivial", "z64-full-trivial", "z64-trivial-full-trivial",
+          "empty-skeleton"]
 
 
 def write_json(tmp_path, name, doc):
