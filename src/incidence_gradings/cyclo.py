@@ -272,11 +272,3 @@ def root_of_unity(q):
     """
     q = Fraction(q) % 1
     return CycloNumber(q.denominator, _power_table(q.denominator)[q.numerator])
-
-
-def cyclo_zero(conductor=1):
-    return CycloNumber.from_rational(0, conductor)
-
-
-def cyclo_one(conductor=1):
-    return CycloNumber.from_rational(1, conductor)

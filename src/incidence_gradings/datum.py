@@ -512,13 +512,13 @@ def realize(d):
                     related.append((vi, vj))
             cross_pairs[(i, j, exps)] = related
 
-    # the relation is transitive by condition (3); re-check defensively
-    for n in range(len(verts)):
-        for m in up[n]:
-            if not up[m] <= up[n]:
-                raise InternalTransitivityFailure(
-                    "derived relation failed transitivity")
-    poset = Poset(verts, up, _checked=True)
+    # the relation is transitive by condition (3); the checking
+    # constructor re-checks it defensively
+    try:
+        poset = Poset(verts, up)
+    except ValueError:
+        raise InternalTransitivityFailure(
+            "derived relation failed transitivity")
 
     add = rule.add  # h + g + k on coordinates
     basis = []

@@ -3,10 +3,9 @@
 Elements are sparse maps from comparable pairs (x, y) to CycloNumber
 coefficients; the product is the usual convolution
 (f*g)(x, y) = sum over z of f(x, z) g(z, y).
-Products skip the comparability check of the constructor: x <= z <= y
-gives x <= y.  `IncidenceElement.from_roots` writes an element as one
-root of unity per pair, {pair: exponent} in one field Q(zeta_N), and checks
-nothing; its coefficients are formed only when `coeffs` is read.
+`IncidenceElement.from_roots` writes an element as one root of unity per
+pair, {pair: exponent} in one field Q(zeta_N), and checks nothing; its
+coefficients are formed only when `coeffs` is read.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from .errors import PosetMismatch
 class IncidenceElement:
     """A sparse element of I(X); support pairs always satisfy x <= y."""
 
-    __slots__ = ("poset", "coeffs", "_by_first")
+    __slots__ = ("poset", "coeffs")
 
     def __init__(self, poset, coeffs):
         clean = {}
@@ -33,17 +32,6 @@ class IncidenceElement:
                 clean[(x, y)] = c
         object.__setattr__(self, "poset", poset)
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_by_first", None)
-
-    @classmethod
-    def _product(cls, poset, coeffs):
-        # internal constructor for products: the pairs are comparable by
-        # transitivity and the coefficients nonzero CycloNumbers
-        self = object.__new__(cls)
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_by_first", None)
-        return self
 
     @classmethod
     def from_roots(cls, poset, conductor, roots):
@@ -55,20 +43,10 @@ class IncidenceElement:
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "_coeffs", None)
-        object.__setattr__(self, "_by_first", None)
         return self
 
     def __setattr__(self, name, value):
         raise AttributeError("IncidenceElement is immutable")
-
-    def _indexed(self):
-        # product loops index the right factor by its first coordinate
-        if self._by_first is None:
-            by_first = {}
-            for (x, y), c in self.coeffs.items():
-                by_first.setdefault(x, []).append((y, c))
-            object.__setattr__(self, "_by_first", by_first)
-        return self._by_first
 
     def is_zero(self):
         return not self.coeffs
@@ -109,19 +87,17 @@ class IncidenceElement:
         if isinstance(other, (int, Fraction, CycloNumber)):
             return self.scale(other)
         self._check(other)
-        by_first = other._indexed()
+        by_first = {}  # the right factor by the first vertex of each pair
+        for (z, y), b in other.coeffs.items():
+            by_first.setdefault(z, []).append((y, b))
         out = {}
         for (x, z), a in self.coeffs.items():
-            hits = by_first.get(z)
-            if not hits:
-                continue
-            for y, b in hits:
+            for y, b in by_first.get(z, ()):
                 key = (x, y)
                 prod = a * b
                 acc = out.get(key)
                 out[key] = prod if acc is None else acc + prod
-        return IncidenceElement._product(
-            self.poset, {k: c for k, c in out.items() if not c.is_zero()})
+        return IncidenceElement(self.poset, out)
 
     __rmul__ = scale
 

@@ -30,20 +30,32 @@ members as pairs and each member is one coefficient times one root of
 unity per pair, zeta^(e_m(p)) at pair p (`_components`).  Members with
 equal supports form a cell.  When distinct supports are pairwise
 disjoint and each cell holds as many members as pairs, the basis matrix
-is block diagonal with one square block per cell.  Normalize a cell by
-its first member 0 and first pair p0:
-    f_m(p) = e_m(p) - e_m(p0) - e_0(p) + e_0(p0)  (mod N).
-The block is D F D' with D, D' diagonal and invertible (the coefficients
-times zeta^(e_m(p0)), and zeta^(e_0(p) - e_0(p0))) and F_mp =
-zeta^(f_m(p)).  When the n rows f_m are distinct and closed under
-addition mod N they form a group G of order n, each column p is a
-homomorphism f -> f(p) from G to Z/N, so zeta^(f(p)) is a character of G,
-and n distinct columns are all of G's characters.  F is then the
-character table of G, F F^* = n I by orthogonality, and the block is
-invertible over Q(zeta_N); no prime is involved.  Any other shape proves
-nothing, and independence and spanning are then decided exactly: each
-element is closed under multiplication by zeta and ranks are taken over
-Q, which needs no field division.
+is block diagonal with one square block per cell.  Read a cell at its
+first pair p0: member m has the translation row
+    t_m(p) = e_m(p) - e_m(p0)  (mod N),
+and its row f_m is t_m when some translation row is zero, else t_m - t_0,
+member 0 the cell's first.  The block is D F D' with D, D' diagonal and
+invertible (the coefficients times zeta^(e_m(p0)), and 1 or
+zeta^(t_0(p))) and F_mp = zeta^(f_m(p)).  When the n rows f_m are
+distinct and closed under addition mod N they form a group G of order n,
+each column p is a homomorphism f -> f(p) from G to Z/N, so zeta^(f(p))
+is a character of G, and n distinct columns are all of G's characters.
+F is then the character table of G, F F^* = n I by orthogonality, and
+the block is invertible over Q(zeta_N); no prime is involved.  Any other
+shape proves nothing, and independence and spanning are then decided
+exactly: each element is closed under multiplication by zeta and ranks
+are taken over Q, which needs no field division.
+The two row choices decide alike.  If some t_z is zero and the rows
+t_m - t_0 form a group G, then -t_0 = t_z - t_0 lies in G, so the t_m are
+G itself; conversely, if the t_m form a group, t_0 lies in it and the
+t_m - t_0 are the same group.  The two lists differ by one constant row,
+which changes neither whether rows or columns are distinct (the columns
+are the same characters of G), nor the columns `_row_key` picks, nor the
+member m' that `_translations` finds for m (t_m' = t_m + delta either
+way).  A realized cell's first member has the zero translation row, so
+there the rows are its translation rows.  G is grown once, one coset at a
+time (`_generators`), and the rows that started a coset are kept with the
+cell for the certificate.
 
 Certificate.  Write V_g for the span of the degree-g basis members and T_g
 for the a in V_g with a * V_h inside V_(g+h) for every h.  Each T_g is a
@@ -53,7 +65,9 @@ V_(g+h+k).  The basis B is graded exactly when B lies in T.
 `verify_grading` shows that without forming all products: (a) B is a
 basis (the count and the full-rank argument above); (b) 1 lies in V_0,
 so 1 is in T_0; (c) for a set S of members read off the cells of the
-full-rank step (`_generating_set`), s * v lies in V_(deg s + deg v) for
+full-rank step (`_generating_set`: per diagonal cell the members whose
+translation rows started a coset as "Full rank" grew G, per other cell its
+first member), s * v lies in V_(deg s + deg v) for
 every s in S and v in B, so S lies in T (|S| * dim products instead of
 dim^2); (d) starting from S, each element of T formed so far (1, and
 s * v for a member v already reached) is split into one multiple of a
@@ -85,8 +99,8 @@ product.  s * m, m a member of a cell, holds at each pair p = (x_p, y_p)
 of m whose first vertex s covers one path, x_p <= x_p <= y_p, with count
 1: m with p shifted by e_s(x_p).  If s covers only some of the cell's
 first vertices, the product misses pairs of the one support it touches.
-If it covers them all, then in the normalized rows of "Full rank" it is a
-multiple of the member m' of the cell with f_m' = f_m + delta, where
+If it covers them all, then in the rows of "Full rank" it is a multiple
+of the member m' of the cell with f_m' = f_m + delta, where
 delta(p) = e_s(x_p) - e_s(x_p0); it is a multiple of no other member on
 that support, since the rows are distinct.  Such an m' exists exactly
 when delta lies in the group G of the cell's rows, which is closed under
@@ -426,11 +440,14 @@ def _full_rank(shape, conductor):
     """The cells, when the members, one {pair: exponent} each
     (`_components`), are shown to be a basis by the character-table
     argument of the module docstring; None proves nothing.  A cell is
-    (members, cols, rows): the members with one support, its pairs in the
-    first member's order, and each member's normalized row f_m over cols
-    as a tuple; the certificate reads its seeds and owners off the cells.
-    No members give no cells, the zero algebra's basis.  The caller has
-    checked that there are as many members as pairs."""
+    (members, cols, rows, started): the members with one support, its
+    pairs in the first member's order, each member's row over cols as a
+    tuple (its translation row t_m when some t_m is zero, else t_m - t_0),
+    and the rows that started a coset as `_generators` grew their group,
+    None when no translation row is zero; the certificate reads its seeds
+    and owners off the cells.  No members give no cells, the zero
+    algebra's basis.  The caller has checked that there are as many
+    members as pairs."""
     cell_of, cells = {}, []  # each pair's cell; each cell's members
     for m, exps in enumerate(shape):
         c = cell_of.get(next(iter(exps), None))
@@ -450,41 +467,43 @@ def _full_rank(shape, conductor):
         if len(members) != len(base):
             return None
         cols = list(base)
-        offsets = [base[cols[0]] - base[p] for p in cols]
         rows = []
         for m in members:
             exps = shape[m]
             e0 = exps[cols[0]]
-            rows.append(tuple([(exps[p] - e0 + d) % conductor
-                               for p, d in zip(cols, offsets)]))
-        if (len(set(rows)) != len(rows) or len(set(zip(*rows))) != len(rows)
-                or _generators(rows, conductor) is None):
+            rows.append(tuple([(exps[p] - e0) % conductor for p in cols]))
+        anchored = tuple([0] * len(cols)) in rows
+        if not anchored:
+            first = rows[0]
+            rows = [tuple([(a - b) % conductor for a, b in zip(row, first)])
+                    for row in rows]
+        if len(set(rows)) != len(rows) or len(set(zip(*rows))) != len(rows):
             return None
-        out.append((members, cols, rows))
+        started = _generators(rows, conductor)
+        if started is None:
+            return None
+        out.append((members, cols, rows, started if anchored else None))
     return out
 
 
 def _generating_set(shape, cells, conductor):
     """S for the certificate, read off the cells of `_full_rank`: per
     diagonal cell (every pair (x, x)) the members whose translation rows
-    e_m(p) - e_m(p0) start a coset of the group of those rows
-    (`_generators`), its one member for a trivial group and none when the
-    rows form no group; per other cell its first member.  The verdict does
-    not depend on this choice, only whether it gets one.  s * m, s and m
-    in one diagonal cell, is a multiple of the member of row f_m + t_s
-    ("Certificate"), and a first member times the diagonal members at its
-    ends reaches the rest of a realized cell.  The cover cells alone would
-    not do: through a trivial middle block a product of cover vectors is a
-    sum over every character of the outer pair."""
+    e_m(p) - e_m(p0) started a coset of the group of those rows as
+    `_full_rank` grew it, its one member for a trivial group and none when
+    no translation row is zero (the rows are then no group); per other
+    cell its first member.  shape and conductor are not read.  The verdict
+    does not depend on this choice, only whether it gets one.  s * m, s
+    and m in one diagonal cell, is a multiple of the member of row t_m +
+    t_s ("Certificate"), and a first member times the diagonal members at
+    its ends reaches the rest of a realized cell.  The cover cells alone
+    would not do: through a trivial middle block a product of cover
+    vectors is a sum over every character of the outer pair."""
     seeds = []
-    for members, cols, _ in cells:
+    for members, cols, rows, started in cells:
         if any(x != y for x, y in cols):
             seeds.append(members[0])
-            continue
-        rows = [tuple([(shape[m][p] - shape[m][cols[0]]) % conductor for p in cols])
-                for m in members]
-        started = _generators(rows, conductor)
-        if started is not None:
+        elif started is not None:
             started = set(started) or {rows[0]}
             seeds.extend(m for m, row in zip(members, rows) if row in started)
     return seeds
@@ -512,7 +531,7 @@ def _translations(at, ds, cell, key, degrees, conductor):
     splits `_split` finds in `_shape_product(s, m)` (module docstring,
     "Certificate").  at maps each vertex x of s to its exponent at (x, x),
     ds numbers the seed's degree, and key is the cell's `_row_key`."""
-    members, cols, rows = cell
+    members, cols, rows, _ = cell
     key_cols, keys, position = key
     try:
         e0 = at[cols[0][0]]
@@ -543,7 +562,7 @@ def _certified(r, shape, cells, degrees, conductor):
     from the shapes (`_shape_product`) and split (`_split`)."""
     ids = degrees.ids
     owners = {}  # per degree: {pair: its member of that degree}
-    for members, cols, _ in cells:
+    for members, cols, _, _ in cells:
         for m in members:
             owner = owners.setdefault(ids[m], {})
             if cols[0] in owner:
@@ -568,7 +587,7 @@ def _certified(r, shape, cells, degrees, conductor):
             for z in {z for _, z in shape[s]}:
                 ending.setdefault(z, []).append(s)
     for cell in cells:
-        members, cols, rows = cell
+        members, cols, rows, _ = cell
         firsts = {x for x, _ in cols}
         touching = {s for x in firsts for s in diagonal.get(x, ())}
         if touching:
@@ -702,7 +721,9 @@ def verify_grading(r):
 def _isotypic_degrees(r, i, k):
     """Per character chi of H_ik, the degrees of the two-step products
     w = u * v of M_ij * M_jk between i and k whose pi_chi(w) is nonzero,
-    in (middle, u, v) order.
+    in (middle, u, v) order, as coordinate tuples of the ambient group:
+    deg u + deg v is summed once per nonzero product
+    (`abelian._coordinate_sum`).
 
     psi_i(h) and psi_k(-h) are diagonal, so the conjugate
     psi_i(h) w psi_k(-h) is w with each pair (x, y) multiplied by L_x(h)
@@ -772,6 +793,7 @@ def _isotypic_degrees(r, i, k):
     kept = {}  # per pair, formed once per call
     chars = dual_group(h_ik)
     degrees = {chi: [] for chi in chars}
+    add = _coordinate_sum(r.ambient)
     rest = iter(pres[2 * m:])
     for us, vs in factors.values():
         u_pres = [next(rest) for _ in us]
@@ -779,13 +801,16 @@ def _isotypic_degrees(r, i, k):
         for u, u_pre in zip(us, u_pres):
             for v, v_pre in zip(vs, v_pres):
                 w = _reduced(_ring_product(u_pre, v_pre, conductor), conductor)
+                if not w:
+                    continue
                 found = set()
                 for pair in {(x, y) for x, y, _ in w}:
                     if pair not in kept:
                         kept[pair] = kept_at(*pair)
                     found.update(kept[pair])
+                deg = add(u.degree.coords, v.degree.coords)
                 for n in found:
-                    degrees[chars[n]].append(u.degree + v.degree)
+                    degrees[chars[n]].append(deg)
     return degrees
 
 
@@ -794,8 +819,9 @@ def radical_square_component(r, i, k):
 
     Each character chi whose projector keeps some product contributes
     (chi, degree), the degree read off the products it keeps
-    (`_isotypic_degrees`), which must lie in one coset of H_i + H_k.
-    Requires at least one intermediate block between i and k.
+    (`_isotypic_degrees`), whose coordinates must share one coset key of
+    H_i + H_k; the first becomes the class's degree.  Requires at least
+    one intermediate block between i and k.
     """
     skel = r.datum.skeleton
     if not skel.lt(i, k):
@@ -807,9 +833,9 @@ def radical_square_component(r, i, k):
     for chi, degs in _isotypic_degrees(r, i, k).items():
         if not degs:
             continue
-        reps = {coset.least_coset_coords(deg).coords for deg in set(degs)}
+        reps = {coset.coset_key(deg) for deg in set(degs)}
         assert len(reps) == 1, "isotypic piece spread over several degree cosets"
-        pairs.append((chi, degs[0]))
+        pairs.append((chi, r.ambient.element(degs[0])))
     return BimoduleClass(h_i, h_k, pairs)
 
 

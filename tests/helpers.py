@@ -24,7 +24,7 @@ from incidence_gradings.characters import (
     restrict,
     trivial_character,
 )
-from incidence_gradings.cyclo import _power_table, cyclo_one, euler_phi, root_of_unity
+from incidence_gradings.cyclo import CycloNumber, _power_table, euler_phi, root_of_unity
 from incidence_gradings.datum import (
     BasisVector,
     GradingDatum,
@@ -45,13 +45,13 @@ from incidence_gradings.rowspan import RationalRowSpace
 
 def matrix_unit(poset, x, y):
     """The basis element e_xy (requires x <= y)."""
-    return IncidenceElement(poset, {(x, y): cyclo_one()})
+    return IncidenceElement(poset, {(x, y): CycloNumber.from_rational(1)})
 
 
 def identity_element(poset):
     """The two-sided unit: sum of all e_xx."""
     return IncidenceElement(poset,
-                            {(x, x): cyclo_one() for x in poset.elements})
+                            {(x, x): CycloNumber.from_rational(1) for x in poset.elements})
 
 
 def incidence_dimension(poset):

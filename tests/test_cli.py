@@ -26,7 +26,7 @@ Z4 = AbelianGroup(0, [4])
 DATA = Path(__file__).parent / "data"
 GOLDEN = ["z12-chain2", "z24-wedge", "z16-chain3", "z2xz4-chain3", "z2xz2-chain4",
           "z32-full-trivial", "z64-full-trivial", "z64-trivial-full-trivial",
-          "empty-skeleton"]
+          "empty-skeleton", "boolean4-z4"]
 
 
 def write_json(tmp_path, name, doc):

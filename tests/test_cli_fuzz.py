@@ -1,14 +1,18 @@
 """The CLI contract under hostile input: exit 0, 1 or 2, never a traceback,
 and every line written to stdout or stderr is one JSON document.
 
-Integers stay small: size budgets (a huge torsion factor, for one) are a
-separate concern from malformed input.
+The mutated data keep their integers small, so that malformed input is
+tested apart from size.  Large integers have a test of their own: one
+integer of a datum, or the numerator or denominator of one of its
+rational strings, becomes a value from +-2^31 up to 10^300 (`LARGE`), and
+the size budgets or the input checks must answer it within the contract.
 """
 
 import contextlib
 import copy
 import io
 import json
+import re
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -77,4 +81,53 @@ def test_arbitrary_bytes_keep_the_contract(tmp_path_factory, raw, command):
 @FUZZ
 @given(raw=mutated_data(), command=COMMANDS)
 def test_mutated_data_keep_the_contract(tmp_path_factory, raw, command):
+    _check_contract(tmp_path_factory, raw, command)
+
+
+LARGE = st.sampled_from([2 ** 31, -2 ** 31, 2 ** 63, -2 ** 63, 10 ** 18, 10 ** 40,
+                         3 ** 80, 10 ** 300])
+RATIONAL = re.compile(r"(-?[0-9]+)/(-?[0-9]+)")
+
+
+def _integer_sites(node, path=()):
+    """(path, part) for every integer of a JSON document (part None) and
+    for the numerator (0) and denominator (1) of every rational string."""
+    if isinstance(node, bool):
+        return
+    if isinstance(node, int):
+        yield path, None
+    elif isinstance(node, str) and RATIONAL.fullmatch(node):
+        yield path, 0
+        yield path, 1
+    else:
+        for key in _children(node):
+            yield from _integer_sites(node[key], path + (key,))
+
+
+DATA_SITES = [list(_integer_sites(doc)) for doc in DATA_DOCS]
+
+
+@st.composite
+def large_integer_data(draw):
+    """A tests/data datum with one integer, numerator or denominator
+    replaced by a `LARGE` value."""
+    n = draw(st.integers(0, len(DATA_DOCS) - 1))
+    doc = copy.deepcopy(DATA_DOCS[n])
+    path, part = draw(st.sampled_from(DATA_SITES[n]))
+    value = draw(LARGE)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if part is None:
+        parent[path[-1]] = value
+    else:
+        parts = parent[path[-1]].split("/")
+        parts[part] = str(value)
+        parent[path[-1]] = "/".join(parts)
+    return json.dumps(doc).encode("utf-8")
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(raw=large_integer_data(), command=COMMANDS)
+def test_large_integers_keep_the_contract(tmp_path_factory, raw, command):
     _check_contract(tmp_path_factory, raw, command)

@@ -27,6 +27,7 @@ from incidence_gradings.datum import (
 )
 from incidence_gradings.errors import (
     ChainInconsistency,
+    InternalTransitivityFailure,
     InvalidDatum,
     NotValid,
 )
@@ -194,6 +195,20 @@ def test_realize_requires_valid():
     with pytest.raises(NotValid) as exc:
         realize(d)
     assert not exc.value.report.valid
+
+
+def test_realize_refuses_a_relation_that_is_not_transitive(monkeypatch):
+    # the checking poset constructor re-checks the derived relation: with
+    # the derived rows of (1, 3) dropped, the vertices of 1 < 2 < 3 relate
+    # through 2 and not directly
+    t = trivial_subgroup(Z2)
+    d = chain_datum(Z2, [t, t, t], [trivial_class(t, t, Z2.zero())] * 2)
+    report = validate_datum(d)
+    del report.derived[("1", "3")]
+    monkeypatch.setattr(datum_mod, "validate_datum", lambda _: report)
+    with pytest.raises(InternalTransitivityFailure,
+                       match="derived relation failed transitivity"):
+        realize(d)
 
 
 # -- realize ----------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from incidence_gradings.cyclo import cyclo_zero, root_of_unity
+from incidence_gradings.cyclo import CycloNumber, root_of_unity
 from incidence_gradings.errors import PosetMismatch
 from incidence_gradings.incidence import IncidenceElement
 from incidence_gradings.posets import chain_poset, poset_from_relation
@@ -101,7 +101,7 @@ def reference_product(f, g):
     for (x, z), a in f.coeffs.items():
         for (w, y), b in g.coeffs.items():
             if z == w:
-                out[(x, y)] = out.get((x, y), cyclo_zero()) + a * b
+                out[(x, y)] = out.get((x, y), CycloNumber.from_rational(0)) + a * b
     return IncidenceElement(f.poset, out)
 
 
@@ -109,7 +109,7 @@ def reference_product(f, g):
 def coefficient(draw):
     """A scalar over a conductor dividing 24; zero one time in five."""
     if draw(st.integers(0, 4)) == 0:
-        return cyclo_zero(draw(st.sampled_from([1, 3, 4])))
+        return CycloNumber.from_rational(0, draw(st.sampled_from([1, 3, 4])))
     q = Fraction(draw(st.integers(0, 23)), 24)
     return root_of_unity(q) * Fraction(draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1])),
                                        draw(st.integers(1, 2)))
@@ -124,7 +124,7 @@ def factor(draw, poset, diagonal):
         if draw(st.booleans()):
             c = draw(coefficient())
             if diagonal and x != y:
-                c = cyclo_zero(draw(st.sampled_from([1, 2, 8])))
+                c = CycloNumber.from_rational(0, draw(st.sampled_from([1, 2, 8])))
             coeffs[(x, y)] = c
     return IncidenceElement(poset, coeffs)
 

@@ -278,7 +278,7 @@ def _check_projections(r, i="1", k="3"):
     # the nonzero apply_twist_projector images
     products, honest = honest_projections(r, i, k)
     assert _isotypic_degrees(r, i, k) == {
-        chi: [deg for pw, deg in images] for chi, images in honest.items()}
+        chi: [deg.coords for pw, deg in images] for chi, images in honest.items()}
     return products, honest
 
 
@@ -798,7 +798,7 @@ def test_certificate_decides_graded_data(monkeypatch):
             # a valid datum whose realization is not graded (ROADMAP item 1)
             assert not reference_verify_grading(r).ok, name
             refused.append(name)
-    assert len(certified) == 40 and refused == ["diamond/AbelianGroup(Z/4)"]
+    assert len(certified) == 41 and refused == ["diamond/AbelianGroup(Z/4)"]
 
 
 def _one_block_seeds(r):
@@ -884,7 +884,7 @@ def test_certificate_gives_up_on_shared_supports(monkeypatch):
     r = _chain2_by_hand([({"xx": 0, "yy": 2}, 0), ({"xx": 0, "yy": 0}, 0),
                          ({"xy": 0}, 1)])
     assert _check_accepts(r)
-    assert [members for members, _, _ in _cells(r)[1]] == [[0, 1], [2]]
+    assert [members for members, *_ in _cells(r)[1]] == [[0, 1], [2]]
     verdicts = _spy_certificate(monkeypatch)
     assert _assert_same_report(r).ok
     assert verdicts == [False]
@@ -1113,46 +1113,90 @@ def test_incomparable_root_member_is_a_named_violation():
 
 def _translation_rows(shape, cell, conductor):
     # each member's e_m(p) - e_m(p0) over the cell's pairs
-    members, cols, _ = cell
+    members, cols, _, _ = cell
     return {m: tuple((shape[m][p] - shape[m][cols[0]]) % conductor for p in cols)
             for m in members}
 
 
-def test_generating_set_keeps_the_diagonal_unit_only_for_trivial_groups():
+def test_generating_set_keeps_the_diagonal_unit_only_for_trivial_groups(monkeypatch):
     # per diagonal cell the seeds' translation rows generate the rows, and
     # the unit (row zero) is a seed only where the group is trivial; per
     # other cell the first member alone.  On realized data the diagonal
     # cells are the blocks, so the unit of a block is a seed exactly when
-    # the block is trivial
+    # the block is trivial.  The same holds, with the same certificate
+    # verdict, on each basis reversed and shuffled (seed "reordered"): the
+    # unit is then rarely its cell's first member
     trivial = 0
+    verdicts = _spy_certificate(monkeypatch)
+    rng = random.Random("reordered")
+    for name, d in _golden_data():
+        realized = realize(d)
+        order = list(range(len(realized.basis)))
+        verify_grading(realized)
+        verdict = verdicts[-1:]
+        for order in (order, order[::-1], rng.sample(order, len(order))):
+            r = _with_basis(realized, [realized.basis[n] for n in order])
+            shape, cells, conductor = _cells(r)
+            seeds = set(_generating_set(shape, cells, conductor))
+            for cell in cells:
+                members, cols, _, _ = cell
+                chosen = [m for m in members if m in seeds]
+                if any(x != y for x, y in cols):
+                    assert chosen == [members[0]], name
+                    continue
+                rows = _translation_rows(shape, cell, conductor)
+                unit, = [m for m in members if not any(rows[m])]
+                assert (unit in seeds) == (len(members) == 1), name
+                assert r.basis[unit].tag[:1] == ("diag",)
+                reached = {rows[unit]}
+                while True:
+                    grown = reached | {tuple((a + b) % conductor
+                                             for a, b in zip(g, rows[m]))
+                                       for g in reached for m in chosen}
+                    if grown == reached:
+                        break
+                    reached = grown
+                assert reached == set(rows.values()), name
+                trivial += len(members) == 1
+            zero = d.ambient.zero().coords
+            tags = {r.basis[n].tag for n in seeds}
+            for block, h in d.blocks.items():
+                assert (("diag", block, zero) in tags) == (h.order == 1), (name, block)
+            n = len(verdicts)
+            assert verify_grading(r).ok, name
+            assert verdicts[n:] == verdict == [True], name
+    assert trivial >= 6
+
+
+def test_each_cell_group_is_grown_once(monkeypatch):
+    # the full-rank step grows the group of each cell's rows once, and the
+    # certificate reads its diagonal seeds off that growth: on every
+    # golden datum `_generators` runs once per cell, never from
+    # `_generating_set`
+    grown = []
+    generators = oracle._generators
+    generating_set = oracle._generating_set
+
+    def spy(rows, conductor):
+        grown.append(rows)
+        return generators(rows, conductor)
+
+    def seeds(*args):
+        n = len(grown)
+        out = generating_set(*args)
+        assert len(grown) == n
+        return out
+
+    monkeypatch.setattr(oracle, "_generators", spy)
+    monkeypatch.setattr(oracle, "_generating_set", seeds)
+    calls = cells = 0
     for name, d in _golden_data():
         r = realize(d)
-        shape, cells, conductor = _cells(r)
-        seeds = set(_generating_set(shape, cells, conductor))
-        for cell in cells:
-            members, cols, _ = cell
-            chosen = [m for m in members if m in seeds]
-            if any(x != y for x, y in cols):
-                assert chosen == [members[0]], name
-                continue
-            rows = _translation_rows(shape, cell, conductor)
-            unit, = [m for m in members if not any(rows[m])]
-            assert (unit in seeds) == (len(members) == 1), name
-            assert r.basis[unit].tag[:1] == ("diag",)
-            reached = {rows[unit]}
-            while True:
-                grown = reached | {tuple((a + b) % conductor for a, b in zip(g, rows[m]))
-                                   for g in reached for m in chosen}
-                if grown == reached:
-                    break
-                reached = grown
-            assert reached == set(rows.values()), name
-            trivial += len(members) == 1
-        zero = d.ambient.zero().coords
-        tags = {r.basis[n].tag for n in seeds}
-        for block, h in d.blocks.items():
-            assert (("diag", block, zero) in tags) == (h.order == 1), (name, block)
-    assert trivial >= 2
+        n = len(grown)
+        assert verify_grading(r).ok, name
+        calls += len(grown) - n
+        cells += len(_cells(r)[1])
+    assert calls == cells == 126
 
 
 def test_generating_set_skips_a_diagonal_cell_without_a_group(monkeypatch):
@@ -1204,7 +1248,7 @@ def _diagonal_translations(r, keep=lambda s: True):
         return None
     degrees = _Degrees(r.basis, r.ambient)
     owners = {}  # per degree, the member of that degree holding each pair
-    for members, cols, _ in cells:
+    for members, cols, _, _ in cells:
         for m in members:
             owners.setdefault(degrees.ids[m], {}).update(dict.fromkeys(cols, m))
     out = []
@@ -1213,7 +1257,7 @@ def _diagonal_translations(r, keep=lambda s: True):
             continue
         at = {x: e for (x, _), e in exps.items()}
         for cell in cells:
-            members, cols, rows = cell
+            members, cols, rows, _ = cell
             if not any(x in at for x, _ in cols):
                 continue
             key = _row_key(rows)
@@ -1236,7 +1280,7 @@ def _assert_translations_agree(r):
     compared = _diagonal_translations(r)
     if compared is None:
         return None
-    for s, (members, _, _), _, got, want in compared:
+    for s, (members, *_), _, got, want in compared:
         if got is None:
             assert None in want, s
         else:
@@ -1255,7 +1299,7 @@ def test_diagonal_translations_match_the_shape_products():
     # Z/2 x Z/4 has no faithful character: no one column of a cell tells
     # its rows apart, and each of the six cells takes a key of two
     widths = {}
-    for _, (_, cols, rows), key_cols, _, _ in _diagonal_translations(
+    for _, (_, cols, rows, _), key_cols, _, _ in _diagonal_translations(
             realize(_golden("z2xz4-chain3"))):
         assert all(len({row[c] for row in rows}) < len(rows)
                    for c in range(len(cols)))
@@ -1318,7 +1362,8 @@ def test_translations_check_delta_on_every_column():
     # key is the generator's one column, so a delta that agrees with a row
     # there and nowhere else must still be refused
     rows = [tuple(k * j % 4 for j in range(4)) for k in range(4)]
-    cell = ([0, 1, 2, 3], [(f"x{j}", "z") for j in range(4)], rows)
+    # rows[1] started the one coset as the group grew
+    cell = ([0, 1, 2, 3], [(f"x{j}", "z") for j in range(4)], rows, [rows[1]])
     key = _row_key(rows)
     assert key[0] == [1]
     # members 0..3 of degrees 0..3, the seed 4 of degree 1
@@ -1338,7 +1383,7 @@ def test_translations_check_delta_on_every_column():
 
 def _refusal(r, s, cell):
     """Why the cell path refuses the diagonal member s on cell."""
-    members, cols, rows = cell
+    members, cols, rows, _ = cell
     shape, _, conductor = _cells(r)
     at = {x: e for (x, _), e in shape[s].items()}
     if not {x for x, _ in cols} <= at.keys():

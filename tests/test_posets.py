@@ -74,7 +74,7 @@ def test_covers_match_the_definition_on_realized_posets():
               for path in sorted(DATA.glob("*.json"))
               if not path.name.endswith(".verify.json")]
     posets.append(realize(boolean_coboundary(5, random.Random(5))).poset)
-    assert len(posets) == 10 and len(posets[-1]) == 128
+    assert len(posets) == 11 and len(posets[-1]) == 128
     for p in posets:
         assert p.covers() == _covers_by_definition(p)
 
