@@ -229,7 +229,7 @@ class Subgroup:
     __slots__ = ("ambient", "lattice_basis", "_pivots", "structure",
                  "sub_free_rank", "_gen_rows", "_gen_orders", "_gen_coord_matrix",
                  "_elements", "_dual", "_exponent_rows", "_coset_leasts",
-                 "_restrict_cache", "_fibers", "__weakref__")
+                 "_restrict_cache", "_fibers", "_products", "__weakref__")
 
     def __init__(self, ambient, lattice_basis, pivots):
         self.ambient = ambient
@@ -250,7 +250,8 @@ class Subgroup:
         self.structure = tuple(d for d in diag if d > 1)
         self.sub_free_rank = m - len(diag)
         # Per-object memos, freed with the subgroup, bounded by |H| per
-        # conductor or subgroup of H; an lru_cache on characters.restrict
+        # conductor or subgroup of H (`_products` by the character pairs of
+        # each table's two domains); an lru_cache on characters.restrict
         # would hash a Character in Python on every hit.
         self._elements = None
         self._dual = None
@@ -258,6 +259,7 @@ class Subgroup:
         self._coset_leasts = {}  # subgroup K: the elements least in their K-cosets
         self._restrict_cache = {}
         self._fibers = {}
+        self._products = {}  # (left, right, mid): bimodules._fibers into H
 
     def __reduce__(self):
         # rebuilt by canonicalize, so a copy is the one live subgroup

@@ -13,12 +13,13 @@ degree is forced to be the sum of the factor degrees.  This module holds
 the one implementation of that rule, `_compose` then `_merge_state`, on
 integer rows: a (character, degree) pair is the row (character exponents,
 degree coordinates).  `_compose` looks each pair of factor rows up in a
-`_ProductRule` memo, which fills a miss through restrict, * and
-extension_fiber, and adds the degree coordinates; `_merge_state` compares
-degrees by their Hermite remainders against the reducer's rows
-(`Subgroup.coset_key`).  The chain derivation and the triple check in
-`datum` run the rule on raw degrees with one memo per validation, and
-`realize` reads the relation of the realized poset off its fibers tables.
+fibers table (`_fibers`), held on its output subgroup and filled through
+restrict, * and extension_fiber, and adds the degree coordinates
+(`abelian._coordinate_sum`); `_merge_state` compares degrees by their
+Hermite remainders against the reducer's rows (`Subgroup.coset_key`).
+The chain derivation and the triple check in `datum` run the rule on raw
+degrees, and `realize` reads the relation of the realized poset off the
+same tables, which every call shares.
 `bimodule_product` converts its pairs to rows, runs the same two steps
 and converts the result back; `_class_of_rows` is the one way back from
 rows to a class.
@@ -198,26 +199,14 @@ class _Fibers(dict):
         return fiber
 
 
-class _ProductRule:
-    """The two-step rule on rows over one ambient group, memoised.
-
-    `fibers(left, right, mid, out)` is the one _Fibers table per (left
-    domain, right domain, middle, output); `add` sums two degree
-    coordinate tuples, torsion coordinates reduced and free ones not.
-    """
-
-    __slots__ = ("tables", "add")
-
-    def __init__(self, ambient):
-        self.tables = {}
-        self.add = _coordinate_sum(ambient)
-
-    def fibers(self, left, right, mid, out):
-        key = (left, right, mid, out)
-        table = self.tables.get(key)
-        if table is None:
-            table = self.tables[key] = _Fibers(*key)
-        return table
+def _fibers(left, right, mid, out):
+    """The one _Fibers table per (left, right, mid, out), held on `out`
+    and freed with it, as restrict and extension_fiber hold theirs."""
+    key = (left, right, mid)
+    table = out._products.get(key)
+    if table is None:
+        table = out._products[key] = _Fibers(left, right, mid, out)
+    return table
 
 
 def _compose(left, right, fibers, add):
@@ -275,10 +264,9 @@ def bimodule_product(m12, m23):
         raise ChainMismatch("middle blocks differ")
     h1, h3 = m12.left, m23.right
     h13 = intersect(h1, h3)
-    rule = _ProductRule(h1.ambient)
     rows = _merge_state(
         _compose(_rows(m12.pairs), _rows(m23.pairs),
-                 rule.fibers(m12.middle, m23.middle,
-                             intersect(h13, m12.right), h13), rule.add),
+                 _fibers(m12.middle, m23.middle, intersect(h13, m12.right), h13),
+                 _coordinate_sum(h1.ambient)),
         subgroup_sum(h1, h3), h13)
     return _class_of_rows(h1, h3, sorted(rows))

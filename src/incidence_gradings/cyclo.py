@@ -227,18 +227,12 @@ class CycloNumber:
         a, b, n = self._aligned(other)
         table = _power_table(n)
         phi = len(a.nums)
-        conv = [0] * (2 * phi - 1)
-        for i, x in enumerate(a.nums):
-            if x:
-                for j, y in enumerate(b.nums):
-                    if y:
-                        conv[i + j] += x * y
-        out = list(conv[:phi])
+        conv = _poly_mul(a.nums, b.nums)
+        out = conv[:phi]
         for k in range(phi, 2 * phi - 1):
             c = conv[k]
             if c:
-                row = table[k]
-                for i, r in enumerate(row):
+                for i, r in enumerate(table[k]):
                     if r:
                         out[i] += c * r
         return CycloNumber._raw(n, out, a.den * b.den)

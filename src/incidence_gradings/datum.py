@@ -20,15 +20,16 @@ Condition (3) runs on integer rows.  A state is a tuple of (character
 exponents, degree coordinates) rows; degrees add as coordinate tuples,
 torsion coordinates reduced and free ones not, and cosets are compared by
 Hermite remainders against the reducer's rows (`Subgroup.coset_key`).
-Every composition of one validate_datum call, walk and triple check
-alike, looks its factor rows up in one `bimodules._ProductRule` memo,
-which fills a miss through restrict, * and extension_fiber.  realize()
-reads the derived rows through the same rule: eta_i lies below eta_j
-when it restricts on H_i /\\ H_j to chi * eta_j, the two-step product of
-a row with the diagonal.  Character and GroupElement objects are built
-only at the edges: for messages, for the realized vertices, tags and
-degrees, and where derive_full_bimodules() or the CLI's `verify` builds
-a derived pair's class (`bimodules._class_of_rows`).
+Every composition, walk and triple check alike, looks its factor rows up
+in a fibers table (`bimodules._fibers`), held on its output subgroup and
+shared by every call, which fills a miss through restrict, * and
+extension_fiber.  realize() reads the derived rows through the same
+tables: eta_i lies below eta_j when it restricts on H_i /\\ H_j to
+chi * eta_j, the two-step product of a row with the diagonal.  Character
+and GroupElement objects are built only at the edges: for messages, for
+the realized vertices, tags and degrees, and where
+derive_full_bimodules() or the CLI's `verify` builds a derived pair's
+class (`bimodules._class_of_rows`).
 
 Chains are never listed.  From each source i the derivation walks the
 interval above i once, keeping per vertex the distinct raw states its
@@ -62,9 +63,9 @@ from itertools import count
 from math import lcm
 
 from . import abelian
-from .abelian import _element, intersect, subgroup_sum
+from .abelian import _coordinate_sum, _element, intersect, subgroup_sum
 from .bimodules import bimodule_iso, realizable
-from .bimodules import _ProductRule, _class_of_rows, _compose, _merge_state, _rows, _twist_by
+from .bimodules import _class_of_rows, _compose, _fibers, _merge_state, _rows, _twist_by
 from .characters import _character, dual_group, exponent_rows, restrict
 from .errors import (
     AmbientMismatch,
@@ -136,13 +137,14 @@ class GradingDatum:
 # chain derivation
 
 
-def _walk_chains(d, i, cover_up, above, cover_rows, rule):
+def _walk_chains(d, i, cover_up, above, cover_rows, add):
     """Derive along the saturated chains from i, each distinct state once.
 
     Chains run in depth-first order over covers in label order.  Returns
     (results, conflicts): results[j] lists the distinct states at j in the
     order chains first reach them; conflicts[j] is the message of the first
-    chain to j that forces a degree conflict.
+    chain to j that forces a degree conflict.  `add` sums two degree
+    coordinate tuples of d.ambient.
     """
     blocks = d.blocks
     h_i = blocks[i]
@@ -160,12 +162,12 @@ def _walk_chains(d, i, cover_up, above, cover_rows, rule):
             h_out, reducer = ends[nxt]
             fibers = steps.get((v, nxt))
             if fibers is None:
-                fibers = steps[(v, nxt)] = rule.fibers(
+                fibers = steps[(v, nxt)] = _fibers(
                     ends[v][0], d.cover_bimodules[(v, nxt)].middle,
                     intersect(h_out, blocks[v]), h_out)
             try:
                 new = _merge_state(
-                    _compose(state, cover_rows[(v, nxt)], fibers, rule.add),
+                    _compose(state, cover_rows[(v, nxt)], fibers, add),
                     reducer, h_out)
             except DegreeConflict as exc:
                 # every chain through this prefix fails the same way
@@ -197,18 +199,16 @@ def _class_key(state, reducer):
     return tuple(sorted((exps, reducer.coset_key(coords)) for exps, coords in state))
 
 
-def _derive(d, collect_issues=None, rule=None):
+def _derive(d, collect_issues=None):
     """Raw derived data for every comparable pair.
 
     Returns {pair: state}, each pair holding the state of its first
     chain: a tuple of (character exponents on H_i /\\ H_j, raw degree
     coordinates) rows.  With collect_issues given, conflicts are appended
     there (as (pair, message)) instead of raised, and the offending pair
-    is left out of the result.  `rule`, a _ProductRule over d.ambient,
-    lets the caller share its memo.
+    is left out of the result.
     """
-    if rule is None:
-        rule = _ProductRule(d.ambient)
+    add = _coordinate_sum(d.ambient)
     cover_rows = {c: _rows(cls.pairs) for c, cls in d.cover_bimodules.items()}
     cover_up = {}
     for x, y in d.skeleton.covers():
@@ -218,9 +218,9 @@ def _derive(d, collect_issues=None, rule=None):
         above.setdefault(i, []).append(j)
     raw = {}
     for i, targets in above.items():
-        # one rule memo serves every source; seen, steps and ends are per source
+        # seen, steps and ends are per source
         results, conflicts = _walk_chains(d, i, cover_up, targets,
-                                          cover_rows, rule)
+                                          cover_rows, add)
         for j in targets:
             if j in conflicts:
                 error = DegreeConflict(conflicts[j])
@@ -322,8 +322,7 @@ def validate_datum(d):
 
     # condition (3): derived data must be chain-independent ...
     conflicts = []
-    rule = _ProductRule(d.ambient)
-    raw = report.derived = _derive(d, conflicts, rule)
+    raw = report.derived = _derive(d, conflicts)
     for pair, message in conflicts:
         report.issues.append(ValidationIssue(
             "3", f"pair ({pair[0]!r}, {pair[1]!r})", message))
@@ -331,6 +330,7 @@ def validate_datum(d):
     # ... and every two-step product must land exactly on the derived class
     skel = d.skeleton
     blocks = d.blocks
+    add = _coordinate_sum(d.ambient)
     for i, j in d.comparable_block_pairs():
         between = skel.strictly_between(i, j)
         report.checked_triples += len(between)
@@ -348,10 +348,10 @@ def validate_datum(d):
             if h_ij is None:
                 h_ij = intersect(blocks[i], blocks[j])
                 reducer = subgroup_sum(blocks[i], blocks[j])
-            fibers = rule.fibers(intersect(blocks[i], blocks[k]),
-                                 intersect(blocks[k], blocks[j]),
-                                 intersect(h_ij, blocks[k]), h_ij)
-            issue = _triple_issue(left, right, whole, fibers, rule.add,
+            fibers = _fibers(intersect(blocks[i], blocks[k]),
+                             intersect(blocks[k], blocks[j]),
+                             intersect(h_ij, blocks[k]), h_ij)
+            issue = _triple_issue(left, right, whole, fibers, add,
                                   h_ij, reducer)
             if issue is not None:
                 report.issues.append(ValidationIssue(
@@ -362,9 +362,10 @@ def validate_datum(d):
 def _triple_issue(left, right, whole, fibers, add, h_out, reducer):
     """Check [M_ij] == [M_ik] * [M_kj] with degree congruence mod H_i+H_j.
 
-    left, right and whole are rows; fibers is the _ProductRule table from
-    H_i /\\ H_k and H_k /\\ H_j through H_i /\\ H_k /\\ H_j to h_out,
-    which is H_i /\\ H_j; reducer is H_i + H_j.
+    left, right and whole are rows; fibers is the `bimodules._fibers`
+    table from H_i /\\ H_k and H_k /\\ H_j through H_i /\\ H_k /\\ H_j to
+    h_out, which is H_i /\\ H_j; add sums two degrees; reducer is
+    H_i + H_j.
 
     Only degrees are compared: composing character sets is associative
     (restricting {eta : eta|T1 in S} to T2 gives {phi : phi|(T1 /\\ T2)
@@ -497,12 +498,11 @@ def realize(d):
     # eta_i relates to eta_j when eta_i restricts on H_ij to chi * eta_j:
     # the two-step rule against the diagonal, whose fibers table lists
     # those eta_i in dual-group order
-    rule = _ProductRule(d.ambient)
     up = [{n} for n in range(len(verts))]
     cross_pairs = {}
     for (i, j), state in raw.items():
         h_ij = intersect(d.blocks[i], d.blocks[j])
-        fibers = rule.fibers(h_ij, d.blocks[j], h_ij, d.blocks[i])
+        fibers = _fibers(h_ij, d.blocks[j], h_ij, d.blocks[i])
         for exps, _ in state:
             related = []
             for exps_j, vj in labels[j].items():
@@ -520,7 +520,7 @@ def realize(d):
         raise InternalTransitivityFailure(
             "derived relation failed transitivity")
 
-    add = rule.add  # h + g + k on coordinates
+    add = _coordinate_sum(d.ambient)  # h + g + k on coordinates
     basis = []
     for block in skel.elements:
         h_block = d.blocks[block]

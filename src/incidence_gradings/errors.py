@@ -10,8 +10,10 @@ class IncidenceGradingsError(Exception):
 
 
 class InvalidElement(IncidenceGradingsError):
-    """Coordinates do not describe an element of the given group, or an
-    incidence element has a support pair that is not comparable."""
+    """Coordinates do not describe an element of the given group, an
+    incidence element has a support pair that is not comparable, or a
+    realized basis lacks a diagonal image the radical-square check needs
+    or has one with an off-diagonal entry."""
 
 
 class AmbientMismatch(IncidenceGradingsError):

@@ -78,8 +78,6 @@ class IncidenceElement:
 
     def scale(self, scalar):
         """Multiply every coefficient by a rational or cyclotomic scalar."""
-        if isinstance(scalar, CycloNumber) and scalar.is_zero():
-            return IncidenceElement(self.poset, {})
         return IncidenceElement(self.poset,
                                 {k: c * scalar for k, c in self.coeffs.items()})
 

@@ -127,7 +127,7 @@ from .abelian import _coordinate_sum, intersect, subgroup_sum
 from .bimodules import BimoduleClass
 from .characters import dual_group, exponent_rows
 from .cyclo import _root_exponents, euler_phi
-from .errors import InvalidElement, NoIntermediateBlock
+from .errors import DegreeConflict, InvalidElement, NoIntermediateBlock
 from .incidence import RootElement
 from .posets import link_counts
 from .rowspan import RationalRowSpace
@@ -740,21 +740,30 @@ def _isotypic_degrees(r, i, k):
     if not mids:
         raise NoIntermediateBlock(f"no block strictly between {i!r} and {k!r}")
     # one read of the basis: the diagonal images, and per middle block j
-    # the cross members of (i, j) and of (j, k)
+    # the cross members of (i, j) and of (j, k); a tag that names no slot
+    # is skipped
     diag, factors = {}, {j: ([], []) for j in mids}
     for b in r.basis:
-        tag = b.tag
-        if tag[0] == "diag":
-            diag[(tag[1], tag[2])] = b.element
-        elif tag[0] == "cross" and tag[1] == i and tag[2] in factors:
-            factors[tag[2]][0].append(b)
-        elif tag[0] == "cross" and tag[2] == k and tag[1] in factors:
-            factors[tag[1]][1].append(b)
+        kind, ends = b.tag[:1], b.tag[1:3]
+        if kind == ("diag",):
+            diag[ends] = b.element
+        elif kind == ("cross",) and len(ends) == 2:
+            a, c = ends
+            if a == i and c in factors:
+                factors[c][0].append(b)
+            elif c == k and a in factors:
+                factors[a][1].append(b)
+
+    def image(block, h):
+        if (block, h) not in diag:
+            raise InvalidElement(f"no diagonal image of {h} in block {block!r}")
+        return diag[(block, h)]
+
     h_ik = intersect(r.datum.blocks[i], r.datum.blocks[k])
     elements = list(h_ik.elements())
     m = len(elements)
-    elems = ([diag[(i, h.coords)] for h in elements]
-             + [diag[(k, (-h).coords)] for h in elements]
+    elems = ([image(i, h.coords) for h in elements]
+             + [image(k, (-h).coords) for h in elements]
              + [b.element for us, vs in factors.values() for b in us + vs])
     if _incomparable(elems, set(r.poset.comparable_pairs())):
         raise InvalidElement("a basis member has a support pair that is not "
@@ -765,7 +774,8 @@ def _isotypic_degrees(r, i, k):
     for pre in pres[:2 * m]:
         at = {}
         for (x, y, e), c in pre.items():
-            assert x == y, "diagonal image with an off-diagonal entry"
+            if x != y:
+                raise InvalidElement("a diagonal image has an off-diagonal entry")
             at.setdefault(x, []).append((e, c))
         entries.append(at)
     lefts, rights = entries[:m], entries[m:]
@@ -821,20 +831,23 @@ def radical_square_component(r, i, k):
     (chi, degree), the degree read off the products it keeps
     (`_isotypic_degrees`), whose coordinates must share one coset key of
     H_i + H_k; the first becomes the class's degree.  Requires at least
-    one intermediate block between i and k.
+    one intermediate block between i and k.  A malformed basis raises a
+    library error: NoIntermediateBlock for a label with no block,
+    InvalidElement for a missing diagonal image or one with an
+    off-diagonal entry, DegreeConflict for degrees in several cosets.
     """
-    skel = r.datum.skeleton
-    if not skel.lt(i, k):
+    blocks = r.datum.blocks
+    if not (i in blocks and k in blocks and r.datum.skeleton.lt(i, k)):
         raise NoIntermediateBlock(f"blocks {i!r} and {k!r} are not comparable")
-    h_i = r.datum.blocks[i]
-    h_k = r.datum.blocks[k]
+    h_i, h_k = blocks[i], blocks[k]
     coset = subgroup_sum(h_i, h_k)
     pairs = []
     for chi, degs in _isotypic_degrees(r, i, k).items():
         if not degs:
             continue
-        reps = {coset.coset_key(deg) for deg in set(degs)}
-        assert len(reps) == 1, "isotypic piece spread over several degree cosets"
+        if len({coset.coset_key(deg) for deg in set(degs)}) > 1:
+            raise DegreeConflict(f"character {chi!r} of the products between "
+                                 f"{i!r} and {k!r} has degrees in several cosets")
         pairs.append((chi, r.ambient.element(degs[0])))
     return BimoduleClass(h_i, h_k, pairs)
 

@@ -1,6 +1,7 @@
 """Shared builders for datum-level and acceptance tests."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -390,11 +391,9 @@ def reference_derive(d, collect_issues=None):
     return raw
 
 
-def reference_derive_rows(d, collect_issues=None, rule=None):
+def reference_derive_rows(d, collect_issues=None):
     """reference_derive in the row form of datum._derive, for which it
-    can stand in: {pair: ((character exponents, degree coordinates), ...)}.
-    `rule` is datum._derive's memo argument, which the reference needs
-    not."""
+    can stand in: {pair: ((character exponents, degree coordinates), ...)}."""
     return {pair: tuple((chi.exps, deg.coords) for chi, deg in state)
             for pair, state in reference_derive(d, collect_issues).items()}
 
@@ -781,3 +780,27 @@ def with_reversed_cross_pair(r):
         IncidenceElement.from_roots(r.poset, old.element.conductor, roots),
         old.degree, old.tag)
     return RealizedGrading(r.datum, r.poset, r.vertex_data, basis, r.full_raw), idx
+
+
+def plant_malformed_basis(r, case):
+    """r with one change to its basis, named by `case`: the first cross
+    member of the pair ("1", "2") tagged () ("empty-tag") or ("cross",)
+    ("short-tag"), or with its degree shifted by the ambient's first
+    generator ("shifted-degree"); or the first diagonal image of block "1"
+    dropped ("dropped-diagonal") or given that cross member's element
+    ("cross-on-diagonal")."""
+    basis = list(r.basis)
+    cross = next(n for n, b in enumerate(basis) if b.tag[:3] == ("cross", "1", "2"))
+    diag = next(n for n, b in enumerate(basis) if b.tag[:2] == ("diag", "1"))
+    member = basis[cross]
+    if case == "dropped-diagonal":
+        del basis[diag]
+    elif case == "cross-on-diagonal":
+        basis[diag] = replace(basis[diag], element=member.element)
+    else:
+        step = r.ambient.element([1] + [0] * (r.ambient.rank - 1))
+        basis[cross] = {"empty-tag": replace(member, tag=()),
+                        "short-tag": replace(member, tag=("cross",)),
+                        "shifted-degree": replace(member, degree=member.degree + step),
+                        }[case]
+    return RealizedGrading(r.datum, r.poset, r.vertex_data, basis, r.full_raw)

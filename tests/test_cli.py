@@ -19,7 +19,12 @@ from incidence_gradings.characters import dual_group, trivial_character
 from incidence_gradings.cli import main
 from incidence_gradings.posets import poset_from_relation
 
-from helpers import chain_datum, two_block_datum, with_reversed_cross_pair
+from helpers import (
+    chain_datum,
+    plant_malformed_basis,
+    two_block_datum,
+    with_reversed_cross_pair,
+)
 
 Z2 = AbelianGroup(0, [2])
 Z4 = AbelianGroup(0, [4])
@@ -256,6 +261,16 @@ def test_verify_names_an_incomparable_root_member(capsys, monkeypatch):
     assert _one_error_line(err)["type"] == "InvalidElement"
 
 
+def test_verify_refuses_a_member_of_a_second_degree_coset(capsys, monkeypatch):
+    # a (1, 2) cross member planted one degree off: its products with the
+    # (2, 3) members put one character into two cosets of H_1 + H_3
+    monkeypatch.setattr(cli, "realize", lambda d: plant_malformed_basis(
+        datum.realize(d), "shifted-degree"))
+    code, out, err = run(capsys, "verify", str(DATA / "z16-chain3.json"))
+    assert (code, out) == (1, "")
+    assert _one_error_line(err)["type"] == "DegreeConflict"
+
+
 def test_product_command(tmp_path, capsys):
     h = full_subgroup(Z2)
     sigma = dual_group(h)[1]
@@ -437,6 +452,9 @@ def test_memo_eviction_changes_nothing(capsys):
     assert len(memos) == 5
     for memo in memos.values():
         memo.cache_clear()
+    # and the per-object fibers tables of the two-step rule
+    for sub in list(abelian._SUBGROUPS.values()):
+        sub._products.clear()
     after = jsonio.decode_datum(doc)
     for label, block in before.blocks.items():
         # `before` keeps each block alive: the weak table finds it again

@@ -1,10 +1,13 @@
 import copy
+import json
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from incidence_gradings import abelian, bimodules
 from incidence_gradings.abelian import (
     AbelianGroup,
     all_subgroups,
@@ -31,7 +34,7 @@ from incidence_gradings.errors import (
     InvalidDatum,
     NotValid,
 )
-from incidence_gradings.jsonio import encode_datum, encode_validation_report
+from incidence_gradings.jsonio import decode_datum, encode_datum, encode_validation_report
 from incidence_gradings.oracle import verify_grading
 from incidence_gradings.posets import antichain_poset, chain_poset, poset_from_relation
 
@@ -274,6 +277,30 @@ def test_realized_relation_matches_the_object_form_rule():
 
     check()
     assert tally["valid"] >= 500 and tally["free"] >= 50
+
+
+def test_second_validation_fills_no_fibers_table_entry(monkeypatch):
+    # the fibers tables live on their output subgroups, so a second
+    # validation of the same datum finds every entry the first one filled
+    path = Path(__file__).parent / "data" / "validate" / "boolean4-valid.json"
+    d = decode_datum(json.loads(path.read_text(encoding="utf-8")))
+    for sub in list(abelian._SUBGROUPS.values()):
+        sub._products.clear()
+    filled = []
+    missing = bimodules._Fibers.__missing__
+
+    def spy(table, key):
+        filled.append(key)
+        return missing(table, key)
+
+    monkeypatch.setattr(bimodules._Fibers, "__missing__", spy)
+    first = validate_datum(d)
+    assert first.valid and filled
+    del filled[:]
+    second = validate_datum(d)
+    assert filled == []
+    assert (second.checked_triples, second.derived) == (first.checked_triples,
+                                                        first.derived)
 
 
 def test_realize_cross_degrees():

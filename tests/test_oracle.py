@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -36,7 +38,7 @@ from incidence_gradings.datum import (
     realize,
     validate_datum,
 )
-from incidence_gradings.errors import InvalidElement, NoIntermediateBlock
+from incidence_gradings.errors import DegreeConflict, InvalidElement, NoIntermediateBlock
 from incidence_gradings.incidence import IncidenceElement, RootElement
 from incidence_gradings.oracle import (
     _by_first,
@@ -73,6 +75,7 @@ from helpers import (
     diamond_over_z2,
     honest_projections,
     isotypic_rank_table,
+    plant_malformed_basis,
     reference_derive_rows,
     reference_verify_grading,
     saturated_chains,
@@ -226,6 +229,61 @@ def test_radical_square_requires_comparable_blocks():
     r = realize(_golden("z16-chain3"))
     with pytest.raises(NoIntermediateBlock, match="not comparable"):
         radical_square_component(r, "2", "1")
+
+
+def test_radical_square_refuses_an_unknown_label():
+    r = realize(_golden("z16-chain3"))
+    for i, k in (("x", "3"), ("1", "x")):
+        with pytest.raises(NoIntermediateBlock, match="not comparable"):
+            radical_square_component(r, i, k)
+
+
+@pytest.mark.parametrize("case", ["empty-tag", "short-tag"])
+def test_radical_square_skips_a_tag_that_names_no_slot(case):
+    # the member is left out; the other (1, 2) members keep every product
+    r = realize(_golden("z16-chain3"))
+    got = radical_square_component(plant_malformed_basis(r, case), "1", "3")
+    assert got == radical_square_component(r, "1", "3")
+
+
+MALFORMED_BASES = [
+    ("dropped-diagonal", InvalidElement, "no diagonal image of \\(0,\\) in block '1'"),
+    ("cross-on-diagonal", InvalidElement, "a diagonal image has an off-diagonal entry"),
+    ("shifted-degree", DegreeConflict, "has degrees in several cosets"),
+]
+
+
+@pytest.mark.parametrize("case, error, message", MALFORMED_BASES,
+                         ids=[case for case, _, _ in MALFORMED_BASES])
+def test_radical_square_refuses_a_malformed_basis(case, error, message):
+    r = realize(_golden("z16-chain3"))
+    with pytest.raises(error, match=message):
+        radical_square_component(plant_malformed_basis(r, case), "1", "3")
+
+
+# the refusal must not rest on `assert`, which `python -O` strips
+OPTIMIZED_PROBE = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+from helpers import plant_malformed_basis
+from incidence_gradings import jsonio
+from incidence_gradings.datum import realize
+from incidence_gradings.oracle import radical_square_component
+r = realize(jsonio.decode_datum(json.loads(open(sys.argv[3]).read())))
+try:
+    radical_square_component(plant_malformed_basis(r, "cross-on-diagonal"), "1", "3")
+except Exception as exc:
+    print(type(exc).__name__)
+"""
+
+
+def test_radical_square_refuses_a_malformed_basis_under_python_O():
+    tests = Path(__file__).resolve().parent
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_PROBE, str(tests.parent / "src"),
+         str(tests), str(DATA / "z16-chain3.json")],
+        capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "InvalidElement\n", "")
 
 
 def test_projector_algebra():
