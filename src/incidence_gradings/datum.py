@@ -36,6 +36,14 @@ interval above i once, keeping per vertex the distinct raw states its
 chains arrive with.  A chain's next step depends only on its state and
 the next cover, so each distinct state meets each upper cover once and
 every result, conflict and disagreement of the chains is still found.
+The same holds across sources: a step from the state at v over the cover
+v <. w reads only the state, the cover's rows and the blocks H_i, H_v
+and H_w (its fibers table, its reducer H_i + H_w and the domain
+H_i /\\ H_w that names a conflict), so one derivation computes each
+distinct (state, rows, H_i, H_v, H_w) once and reads the merged state, or
+the DegreeConflict with its message, from a memo at every later
+occurrence.  A hit returns what the step would compute, so the walk, its
+order and its messages are unchanged.
 The chains themselves are compared, not only the triples i < k < j: raw
 composition ignores the coset reduction, so data can pass every triple
 check while two chains disagree and the realization is not graded (the
@@ -53,6 +61,11 @@ but not checked.  Nothing like this holds for i <. k < j: the walk
 composes one cover at a time and never composes raw[(i, k)] with
 raw[(k, j)], which the walk from k merged modulo H_k + H_j.  The Z/6
 datum in the tests is refused only by its triple (0, 1, 4), where 0 <. 1.
+A triple's verdict reads only the rows of (i, k), (k, j) and (i, j) and
+the blocks H_i, H_k and H_j, so one validation decides each distinct
+(left, right, whole, H_i, H_k, H_j) once; the other triples with that key
+read its message, or None, from a memo and report it at their own
+location.  Both memos live for one call and are freed with it.
 """
 
 from __future__ import annotations
@@ -86,6 +99,15 @@ from .posets import Poset, connected_components, poset_isomorphisms
 # their tables (cyclo._power_table and _root_exponents) build in about
 # 0.19 s from cold on a 2-vCPU Xeon with Python 3.11.7.
 CONDUCTOR_BUDGET = 2 ** 10
+# Largest total support (the number of nonzero entries over all basis
+# vectors) realize() builds.  The basis, `exponent_rows`, the oracle's
+# shapes and the JSON output are all that size, and the vertex budget does
+# not bound it: one (Z/2)^12 block is 4096 vertices but 2^24 entries, 14 s
+# and 2.5 GB in realize().  At the budget, one (Z/2)^10 block, realize()
+# takes 0.75 s at a peak of 150 MB on a 2-vCPU Xeon with Python 3.11.7.
+# The tests, golden data and benchmark stay below 2^19: B_7 over Z/4
+# needs about 35,000 entries, the 3-chain of full Z/256 blocks 393,216.
+SUPPORT_BUDGET = 2 ** 20
 
 
 class GradingDatum:
@@ -137,43 +159,62 @@ class GradingDatum:
 # chain derivation
 
 
-def _walk_chains(d, i, cover_up, above, cover_rows, add):
+class _BlockTriples(dict):
+    """(H_a, H_b, H_c) -> (the `bimodules._fibers` table from H_a /\\ H_b
+    and H_b /\\ H_c through H_a /\\ H_b /\\ H_c to H_a /\\ H_c,
+    H_a /\\ H_c, H_a + H_c): what a two-step product over the three
+    blocks reads.  The walk reads it at (H_i, H_v, H_next), the triple
+    check at (H_i, H_k, H_j).  A miss is filled through intersect,
+    subgroup_sum and _fibers."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        a, b, c = key
+        out = intersect(a, c)
+        value = self[key] = (
+            _fibers(intersect(a, b), intersect(b, c), intersect(out, b), out),
+            out, subgroup_sum(a, c))
+        return value
+
+
+def _walk_chains(d, i, cover_up, above, cover_rows, triples, steps, add):
     """Derive along the saturated chains from i, each distinct state once.
 
     Chains run in depth-first order over covers in label order.  Returns
     (results, conflicts): results[j] lists the distinct states at j in the
     order chains first reach them; conflicts[j] is the message of the first
-    chain to j that forces a degree conflict.  `add` sums two degree
-    coordinate tuples of d.ambient.
+    chain to j that forces a degree conflict.  `triples` is a
+    _BlockTriples; `steps` maps (state, cover rows, H_i, H_v, H_next),
+    everything a step reads, to its merged state or the DegreeConflict it
+    raised, and is shared by the walks from every source.  `add` sums two
+    degree coordinate tuples of d.ambient.
     """
     blocks = d.blocks
     h_i = blocks[i]
-    # per target j: H_i /\ H_j, where the characters live, and the reducer
-    # H_i + H_j
-    ends = {j: (intersect(h_i, blocks[j]), subgroup_sum(h_i, blocks[j]))
-            for j in above}
-    steps = {}  # cover (v, nxt): its fibers table from i
     results = {}
     conflicts = {}
     seen = set()
 
     def visit(v, state):
+        h_v = blocks[v]
         for nxt in cover_up.get(v, ()):
-            h_out, reducer = ends[nxt]
-            fibers = steps.get((v, nxt))
-            if fibers is None:
-                fibers = steps[(v, nxt)] = _fibers(
-                    ends[v][0], d.cover_bimodules[(v, nxt)].middle,
-                    intersect(h_out, blocks[v]), h_out)
-            try:
-                new = _merge_state(
-                    _compose(state, cover_rows[(v, nxt)], fibers, add),
-                    reducer, h_out)
-            except DegreeConflict as exc:
+            rows = cover_rows[(v, nxt)]
+            step = (state, rows, h_i, h_v, blocks[nxt])
+            new = steps.get(step)
+            if new is None:
+                fibers, h_out, reducer = triples[step[2:]]
+                try:
+                    new = _merge_state(_compose(state, rows, fibers, add),
+                                       reducer, h_out)
+                except DegreeConflict as exc:
+                    new = exc
+                steps[step] = new
+            if isinstance(new, DegreeConflict):
                 # every chain through this prefix fails the same way
                 for j in above:
                     if d.skeleton.leq(nxt, j):
-                        conflicts.setdefault(j, str(exc))
+                        conflicts.setdefault(j, str(new))
                 continue
             key = (nxt, new)
             if key not in seen:
@@ -186,7 +227,8 @@ def _walk_chains(d, i, cover_up, above, cover_rows, add):
         # rows as given, so only the result at v is merged
         rows = cover_rows[(i, v)]
         try:
-            results[v] = [_merge_state(rows, ends[v][1], ends[v][0])]
+            results[v] = [_merge_state(rows, subgroup_sum(h_i, blocks[v]),
+                                       d.cover_bimodules[(i, v)].middle)]
         except DegreeConflict as exc:
             conflicts[v] = str(exc)
         visit(v, rows)
@@ -206,7 +248,8 @@ def _derive(d, collect_issues=None):
     chain: a tuple of (character exponents on H_i /\\ H_j, raw degree
     coordinates) rows.  With collect_issues given, conflicts are appended
     there (as (pair, message)) instead of raised, and the offending pair
-    is left out of the result.
+    is left out of the result.  The block triples and the steps are
+    memoized for the call (see _walk_chains) and freed with it.
     """
     add = _coordinate_sum(d.ambient)
     cover_rows = {c: _rows(cls.pairs) for c, cls in d.cover_bimodules.items()}
@@ -216,11 +259,12 @@ def _derive(d, collect_issues=None):
     above = {}
     for i, j in d.comparable_block_pairs():
         above.setdefault(i, []).append(j)
+    triples, steps = _BlockTriples(), {}
     raw = {}
     for i, targets in above.items():
-        # seen, steps and ends are per source
-        results, conflicts = _walk_chains(d, i, cover_up, targets,
-                                          cover_rows, add)
+        # seen is per source; triples and steps are shared
+        results, conflicts = _walk_chains(d, i, cover_up, targets, cover_rows,
+                                          triples, steps, add)
         for j in targets:
             if j in conflicts:
                 error = DegreeConflict(conflicts[j])
@@ -327,17 +371,19 @@ def validate_datum(d):
         report.issues.append(ValidationIssue(
             "3", f"pair ({pair[0]!r}, {pair[1]!r})", message))
 
-    # ... and every two-step product must land exactly on the derived class
+    # ... and every two-step product must land exactly on the derived class;
+    # a verdict depends only on its rows and blocks, so each distinct one is
+    # decided once (see the module docstring)
     skel = d.skeleton
     blocks = d.blocks
     add = _coordinate_sum(d.ambient)
+    triples, verdicts = _BlockTriples(), {}
     for i, j in d.comparable_block_pairs():
         between = skel.strictly_between(i, j)
         report.checked_triples += len(between)
         whole = raw.get((i, j))
         if whole is None:
             continue
-        h_ij = reducer = None  # formed at the first checked triple
         for k in between:
             if walk_decides_covers and (k, j) in d.cover_bimodules:
                 continue
@@ -345,14 +391,12 @@ def validate_datum(d):
             right = raw.get((k, j))
             if left is None or right is None:
                 continue  # already reported as a conflict
-            if h_ij is None:
-                h_ij = intersect(blocks[i], blocks[j])
-                reducer = subgroup_sum(blocks[i], blocks[j])
-            fibers = _fibers(intersect(blocks[i], blocks[k]),
-                             intersect(blocks[k], blocks[j]),
-                             intersect(h_ij, blocks[k]), h_ij)
-            issue = _triple_issue(left, right, whole, fibers, add,
-                                  h_ij, reducer)
+            key = (left, right, whole, blocks[i], blocks[k], blocks[j])
+            issue = verdicts.get(key, False)  # a verdict is a message or None
+            if issue is False:
+                fibers, h_ij, reducer = triples[key[3:]]
+                issue = verdicts[key] = _triple_issue(
+                    left, right, whole, fibers, add, h_ij, reducer)
             if issue is not None:
                 report.issues.append(ValidationIssue(
                     "3", f"triple ({i!r}, {k!r}, {j!r})", issue))
@@ -448,6 +492,20 @@ def _twist_orbit_representatives(h_left, h_right, h_mid):
     return [(h, k) for h in lefts for k in h_right.elements()]
 
 
+def _realized_support(d, raw):
+    """The total support of realize(d)'s basis, from the datum and its
+    derived rows alone.  A block H_i gives |H_i| diagonal vectors of
+    |H_i| entries each.  A derived row of (i, j) relates each character
+    of H_j to the |H_i| / |H_ij| characters of H_i above its product,
+    and is placed at |H_i| |H_j| / |H_ij| twist-orbit representatives:
+    (|H_i| |H_j| / |H_ij|)^2 entries."""
+    total = sum(h.order ** 2 for h in d.blocks.values())
+    for (i, j), state in raw.items():
+        h_i, h_j = d.blocks[i], d.blocks[j]
+        total += len(state) * (h_i.order * h_j.order // intersect(h_i, h_j).order) ** 2
+    return total
+
+
 def realize(d):
     """Build the graded incidence algebra the datum parameterizes.
 
@@ -464,13 +522,18 @@ def realize(d):
     (`IncidenceElement.from_roots`, which checks nothing: only related
     pairs are written); the oracle reads the exponents, and the
     `CycloNumber` coefficients are formed only where something reads
-    `coeffs`, as JSON output does.
+    `coeffs`, as JSON output does.  A basis of more than SUPPORT_BUDGET
+    entries is refused with BudgetExceeded before anything is built.
     """
     report = validate_datum(d)
     if not report.valid:
         raise NotValid(report)
     raw = report.derived
     conductor = report.conductor
+    support = _realized_support(d, raw)
+    if support > SUPPORT_BUDGET:
+        raise BudgetExceeded(f"the realized basis has {support} nonzero "
+                             f"entries, over the support budget of {SUPPORT_BUDGET}")
 
     skel = d.skeleton
     verts = []

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -162,6 +166,10 @@ def test_verify_matches_golden_output(capsys, name):
     # chains, differ only in the free coordinate
     ("zxz2-degree-conflict", 1),
     ("zxz2-chains-disagree", 1),
+    # B_4 over Z/6 around the Z/6 triple datum: DegreeConflicts from four
+    # sources, two of them read from the step memo, and two failing
+    # triples with one verdict between them
+    ("boolean4-z6-conflict", 1),
 ])
 def test_validate_matches_golden_output(capsys, name, code):
     # validate/NAME.validate.json is the stdout of `validate NAME.json`
@@ -667,6 +675,38 @@ def test_vertex_budget_exits_1_in_every_command(tmp_path, capsys):
             "type": "BudgetExceeded",
             "message": f"{3 * 2 ** rank} realized vertices exceed the "
                        f"enumeration budget of {abelian.ENUMERATION_BUDGET}"}}
+
+
+def _capped(limit):
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    return cap
+
+
+def test_support_budget_exits_1_under_a_memory_cap(tmp_path):
+    # one (Z/2)^16 block: 2^16 vertices, within the vertex budget, but
+    # 2^32 basis entries.  realize refuses it before allocating, so both
+    # commands exit 1 in a process whose address space is 512 MB.
+    rank = 16
+    whole = {"generators": [[int(a == b) for b in range(rank)] for a in range(rank)]}
+    doc = {"ambient": {"free_rank": 0, "torsion": [2] * rank},
+           "skeleton": {"elements": ["1"], "covers": []},
+           "blocks": {"1": whole}, "bimodules": {}}
+    path = write_json(tmp_path, "d.json", doc)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    for command in ("realize", "verify"):
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "incidence_gradings.cli", command, path],
+            capture_output=True, text=True, env=env, timeout=60,
+            preexec_fn=_capped(512 * 2 ** 20))
+        assert time.perf_counter() - start < 10
+        assert (done.returncode, done.stdout) == (1, "")
+        assert json.loads(done.stderr) == {"error": {
+            "type": "BudgetExceeded",
+            "message": f"the realized basis has {2 ** 32} nonzero entries, "
+                       f"over the support budget of {datum.SUPPORT_BUDGET}"}}
 
 
 def test_iso_grading_search_budget_exits_1(tmp_path, capsys):

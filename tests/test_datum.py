@@ -29,6 +29,7 @@ from incidence_gradings.datum import (
     validate_datum,
 )
 from incidence_gradings.errors import (
+    BudgetExceeded,
     ChainInconsistency,
     InternalTransitivityFailure,
     InvalidDatum,
@@ -41,6 +42,7 @@ from incidence_gradings.posets import antichain_poset, chain_poset, poset_from_r
 from helpers import (
     ACCEPTANCE_SHAPES,
     SWEEP_GROUPS,
+    boolean_coboundary,
     chain_datum,
     chain_over_z8,
     diamond_datum,
@@ -565,3 +567,59 @@ def test_realize_labels_each_vertex_once(monkeypatch):
                             [trivial_class(full_subgroup(Z4), h, Z4.zero()),
                              trivial_class(h, full_subgroup(Z4), Z4.element([1]))]))
     assert len(labelled) == len(set(labelled)) == len(r.poset.elements) == 10
+
+
+def _realized_support_of(d):
+    return datum_mod._realized_support(d, validate_datum(d).derived)
+
+
+def test_support_figure_counts_the_realized_entries():
+    # realize checks the support budget before it allocates, from the
+    # datum and its derived rows; the figure is the number of root
+    # exponents its basis then holds
+    def check_one(d):
+        want = sum(len(b.element.roots) for b in realize(d).basis)
+        assert _realized_support_of(d) == want
+
+    data = Path(__file__).parent / "data"
+    goldens = [p for p in sorted(data.glob("*.json")) + sorted((data / "validate").glob("*.json"))
+               if not p.name.endswith((".verify.json", ".validate.json"))]
+    valid = [d for d in (decode_datum(json.loads(p.read_text(encoding="utf-8")))
+                         for p in goldens) if validate_datum(d).valid]
+    assert len(valid) == 11
+    for d in valid:
+        check_one(d)
+    tally = {"valid": 0}
+
+    @settings(max_examples=600, derandomize=True, database=None,
+              deadline=None, suppress_health_check=list(HealthCheck))
+    @given(grading_data([(labels, covers) for _, labels, covers in ACCEPTANCE_SHAPES],
+                        SWEEP_GROUPS + [AbelianGroup(1, [2])]))
+    def check(d):
+        if validate_datum(d).valid:
+            tally["valid"] += 1
+            check_one(d)
+
+    check()
+    assert tally["valid"] >= 300
+
+
+def test_support_budget_admits_the_probes_and_refuses_a_wide_block():
+    # B_7 over Z/4 and the 3-chain of full Z/256 blocks are the largest
+    # probes; one (Z/2)^12 block has 4096 vertices, within the vertex
+    # budget, and 2^24 entries
+    b7 = boolean_coboundary(7, random.Random(7))
+    z256 = AbelianGroup(0, [256])
+    whole = full_subgroup(z256)
+    chi = dual_group(whole)[1]
+    chain = chain_datum(z256, [whole] * 3,
+                        [BimoduleClass(whole, whole, [(chi, z256.zero())])] * 2)
+    assert [_realized_support_of(d) for d in (b7, chain)] == [34_992, 393_216]
+    assert max(34_992, 393_216) * 2 < datum_mod.SUPPORT_BUDGET
+    wide = AbelianGroup(0, [2] * 12)
+    d = GradingDatum(wide, antichain_poset(["1"]), {"1": full_subgroup(wide)}, {})
+    assert validate_datum(d).valid
+    with pytest.raises(BudgetExceeded) as exc:
+        realize(d)
+    assert str(exc.value) == (f"the realized basis has {2 ** 24} nonzero entries, "
+                              f"over the support budget of {datum_mod.SUPPORT_BUDGET}")

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 from incidence_gradings import datum as datum_mod
 from incidence_gradings import jsonio
 from incidence_gradings.abelian import AbelianGroup, Subgroup, canonicalize
-from incidence_gradings.bimodules import BimoduleClass, _compose, _merge_state
+from incidence_gradings.bimodules import BimoduleClass, _compose, _merge_state, _rows
 from incidence_gradings.characters import dual_group, trivial_character
 from incidence_gradings.cli import main
 from incidence_gradings.datum import GradingDatum, _triple_issue, realize, validate_datum
@@ -226,30 +226,158 @@ def _spy_triples(d):
     with mock.patch.object(datum_mod, "_triple_issue",
                            wraps=datum_mod._triple_issue) as spy:
         report = validate_datum(d)
-    return report, spy.call_count
+    return report, spy
+
+
+def _verdict_keys(d, report, skip_covers):
+    """One key (left, right, whole, H_i, H_k, H_j) per triple i < k < j
+    whose three pairs are derived, less those whose upper step k <. j is
+    a cover when skip_covers: everything a triple's verdict depends on."""
+    derived, blocks = report.derived, d.blocks
+    keys = []
+    for i, j in d.comparable_block_pairs():
+        for k in d.skeleton.strictly_between(i, j):
+            if skip_covers and (k, j) in d.cover_bimodules:
+                continue
+            parts = [derived.get(pair) for pair in ((i, k), (k, j), (i, j))]
+            if None not in parts:
+                keys.append((*parts, blocks[i], blocks[k], blocks[j]))
+    return keys
+
+
+def _checked_rows(spy):
+    """The (left, right, whole) rows of every call a _triple_issue spy saw."""
+    return sorted(call.args[:3] for call in spy.call_args_list)
 
 
 def test_walk_decides_the_triples_below_a_cover():
     d = boolean_coboundary(4, random.Random(4))
-    report, calls = _spy_triples(d)
+    report, spy = _spy_triples(d)
     assert report.valid and report.checked_triples == 110
-    # only the triples i < k < j whose step k < j is not a cover are checked
-    assert calls == 34
+    # only the triples i < k < j whose step k < j is not a cover reach the
+    # check, and each distinct verdict is decided once (every block is Z/4,
+    # so the rows tell the keys apart)
+    below = _verdict_keys(d, report, skip_covers=True)
+    assert len(below) == 34
+    assert _checked_rows(spy) == sorted({key[:3] for key in below})
+    # a triple below a cover has a key of its own, which the check never saw
+    assert {key[:3] for key in _verdict_keys(d, report, skip_covers=False)} - {
+        key[:3] for key in below}
     # a repeated character on one cover: every triple with its three
-    # pairs derived is checked again
+    # pairs derived is checked again, each distinct verdict once
     (u, w), cls = next(iter(d.cover_bimodules.items()))
     covers = dict(d.cover_bimodules)
     covers[(u, w)] = BimoduleClass(cls.left, cls.right, cls.pairs * 2)
     d = GradingDatum(d.ambient, d.skeleton, d.blocks, covers)
-    report, calls = _spy_triples(d)
+    report, spy = _spy_triples(d)
     assert _issue_form(report) == [
         ("2", f"cover ({u!r}, {w!r})",
          "repeated character: not a submodule of the regular module")]
     assert report.checked_triples == 110
-    derived = report.derived
-    assert calls == sum((i, k) in derived and (k, j) in derived and (i, j) in derived
-                        for i, j in d.comparable_block_pairs()
-                        for k in d.skeleton.strictly_between(i, j)) == 110
+    every = _verdict_keys(d, report, skip_covers=False)
+    assert len(every) == 110
+    assert _checked_rows(spy) == sorted({key[:3] for key in every})
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_each_step_and_verdict_reaches_compose_once(n):
+    # on coboundary data every chain from i reaches v with the state
+    # derived[(i, v)], so the walk's steps are the keys (state, cover
+    # rows, H_i, H_v, H_w) over i < v <. w; each of them and each distinct
+    # verdict key composes once
+    d = boolean_coboundary(n, random.Random(n))
+    with mock.patch.object(datum_mod, "_compose", wraps=_compose) as spy:
+        report = validate_datum(d)
+    assert report.valid
+    derived, blocks = report.derived, d.blocks
+    cover_up = {}
+    for v, w in d.skeleton.covers():
+        cover_up.setdefault(v, []).append(w)
+    steps = {(derived[(i, v)], _rows(d.cover_bimodules[(v, w)].pairs),
+              blocks[i], blocks[v], blocks[w])
+             for i, v in d.comparable_block_pairs() for w in cover_up.get(v, ())}
+    verdicts = set(_verdict_keys(d, report, skip_covers=True))
+    got = Counter(tuple(call.args[:2]) for call in spy.call_args_list)
+    assert got == Counter([key[:2] for key in steps] + [key[:2] for key in verdicts])
+    # the walk from every source and the check of every triple made
+    # 570 and 2702 compositions
+    assert spy.call_count == len(steps) + len(verdicts) < 50
+
+
+# blocks Z/2, Z/4 and Z/2 x Z/2 inside the ambient group with one more
+# Z/2 factor, so that degrees keep a part outside every H_i + H_j: (the
+# ambient torsion, the block's generators, a degree outside the block)
+MEMO_BLOCKS = {
+    "Z/2": ([2, 2], [[0, 1]], [1, 0]),
+    "Z/4": ([2, 4], [[0, 1]], [1, 0]),
+    "Z/2xZ/2": ([2, 2, 2], [[0, 1, 0], [0, 0, 1]], [1, 0, 0]),
+}
+
+
+def _memo_block(name):
+    torsion, gens, outside = MEMO_BLOCKS[name]
+    ambient = AbelianGroup(0, torsion)
+    return canonicalize([ambient.element(g) for g in gens], ambient), ambient.element(outside)
+
+
+def _with_covers(d, covers):
+    return GradingDatum(d.ambient, d.skeleton, d.blocks, {**d.cover_bimodules, **covers})
+
+
+def _conflicting_covers(d, rng, outside):
+    """d with a DegreeConflict on a chain u <. w <. x that rng picks: the
+    cover (u, w) gains the character c * s in degree g + outside, the
+    cover (w, x) the character e / s, so c * e comes from both pairs, in
+    degrees g + h and g + h + outside, which differ modulo the block."""
+    u, w = rng.choice([c for c in d.cover_bimodules
+                       if any(v == c[1] for v, _ in d.cover_bimodules)])
+    x = rng.choice([y for v, y in d.cover_bimodules if v == w])
+    first, second = d.cover_bimodules[(u, w)], d.cover_bimodules[(w, x)]
+    s = rng.choice(dual_group(first.middle)[1:])
+    (c, g), = first.pairs
+    (e, h), = second.pairs
+    return _with_covers(d, {
+        (u, w): BimoduleClass(first.left, first.right, [(c, g), (c * s, g + outside)]),
+        (w, x): BimoduleClass(second.left, second.right, [(e, h), (e * s.inverse(), h)])})
+
+
+def _memo_datum(n, name, kind, rng):
+    block, outside = _memo_block(name)
+    d = boolean_coboundary(n, rng, broken=kind == "broken", block=block)
+    if kind == "repeated":
+        cover = rng.choice(sorted(d.cover_bimodules))
+        cls = d.cover_bimodules[cover]
+        d = _with_covers(d, {cover: BimoduleClass(cls.left, cls.right, cls.pairs * 2)})
+    elif kind == "conflict":
+        d = _conflicting_covers(d, rng, outside)
+    return d
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_BLOCKS))
+def test_memoised_validation_matches_the_reference_where_memos_hit(name):
+    tally = Counter()
+    for n in (3, 4):
+        for kind in ("valid", "broken", "repeated", "conflict"):
+            for seed in range(4):
+                d = _memo_datum(n, name, kind, random.Random(f"{name} {n} {kind} {seed}"))
+                # issues, their order, locations and messages, and the
+                # derived rows with their key order, as the references
+                report, calls = _assert_same_derivation(d)
+                want = reference_derive_rows(d, [])
+                assert list(report.derived.items()) == list(want.items())
+                decides = not any(i.condition == "2" for i in report.issues)
+                keys = _verdict_keys(d, report, skip_covers=decides)
+                assert calls == len(set(keys))
+                tally[kind, "checked"] += len(keys)
+                tally[kind, "calls"] += calls
+                tally[kind, report.valid] += 1
+                tally[kind, "conflict"] += any("degree cosets" in i.message
+                                               for i in report.issues)
+    for kind in ("valid", "broken", "repeated", "conflict"):
+        # the verdict memo was hit
+        assert tally[kind, "calls"] < tally[kind, "checked"]
+    assert tally["valid", True] == 8 and tally["broken", False] == 8
+    assert tally["repeated", False] == 8 and tally["conflict", "conflict"] == 8
 
 
 def test_merge_state_forms_cosets_for_repeated_characters_only():
