@@ -99,12 +99,13 @@ from .posets import Poset, connected_components, poset_isomorphisms
 # their tables (cyclo._power_table and _root_exponents) build in about
 # 0.19 s from cold on a 2-vCPU Xeon with Python 3.11.7.
 CONDUCTOR_BUDGET = 2 ** 10
-# Largest total support (the number of nonzero entries over all basis
-# vectors) realize() builds.  The basis, `exponent_rows`, the oracle's
-# shapes and the JSON output are all that size, and the vertex budget does
-# not bound it: one (Z/2)^12 block is 4096 vertices but 2^24 entries, 14 s
-# and 2.5 GB in realize().  At the budget, one (Z/2)^10 block, realize()
-# takes 0.75 s at a peak of 150 MB on a 2-vCPU Xeon with Python 3.11.7.
+# Largest total support (the nonzero entries of all basis vectors) realize()
+# builds, which bounds the dimension too: a basis has dim nonzero members.
+# The basis, `exponent_rows`, the oracle's shapes and the JSON output are
+# all that size, and the vertex budget does not bound it: one (Z/2)^12
+# block is 4096 vertices but 2^24 entries, 14 s and 2.5 GB in realize().
+# At the budget, one (Z/2)^10 block, realize() takes 0.75 s at a peak of
+# 150 MB on a 2-vCPU Xeon with Python 3.11.7.
 # The tests, golden data and benchmark stay below 2^19: B_7 over Z/4
 # needs about 35,000 entries, the 3-chain of full Z/256 blocks 393,216.
 SUPPORT_BUDGET = 2 ** 20
@@ -436,9 +437,8 @@ def _triple_issue(left, right, whole, fibers, add, h_out, reducer):
 class BasisVector:
     """One homogeneous basis element of the realized algebra.
 
-    tag is ("diag", block, h) or ("cross", i, j, char_values, h, k); it
-    records where the vector came from, which the oracle and the tests
-    use to slice components.
+    tag is ("diag", block, h) or ("cross", i, j, char_values, h, k), where
+    the vector came from; only the tests read it.
     """
 
     element: IncidenceElement
@@ -451,7 +451,7 @@ class RealizedGrading:
 
     full_raw is the validation report's `derived`, in rows."""
 
-    __slots__ = ("datum", "poset", "vertex_data", "basis", "full_raw")
+    __slots__ = ("datum", "poset", "vertex_data", "basis", "full_raw", "_reading")
 
     def __init__(self, datum, poset, vertex_data, basis, full_raw):
         object.__setattr__(self, "datum", datum)
@@ -459,6 +459,7 @@ class RealizedGrading:
         object.__setattr__(self, "vertex_data", vertex_data)
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "full_raw", full_raw)
+        object.__setattr__(self, "_reading", None)  # formed by the oracle
 
     def __setattr__(self, name, value):
         raise AttributeError("RealizedGrading is immutable")

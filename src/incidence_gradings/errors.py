@@ -12,8 +12,7 @@ class IncidenceGradingsError(Exception):
 class InvalidElement(IncidenceGradingsError):
     """Coordinates do not describe an element of the given group, an
     incidence element has a support pair that is not comparable, or a
-    realized basis lacks a diagonal image the radical-square check needs
-    or has one with an off-diagonal entry."""
+    realized basis lacks what the radical-square or link check reads."""
 
 
 class AmbientMismatch(IncidenceGradingsError):

@@ -3,11 +3,24 @@
 Everything here distrusts the construction: the grading axioms are
 re-checked by exact linear algebra, the two-step radical products are
 decomposed with the character projectors pi_chi of the twist action, and
-the link-count identity is recounted on the realized poset.  pi_chi(w) is
-w times one multiplier at each pair, formed from the entries of the
-diagonal images in I(X), and a product of two nonzero field elements is
-nonzero: a character keeps w exactly when its multiplier is nonzero at
-some pair of w's support, so no projection is formed.
+the link-count identity is recounted on the realized poset.  psi_i(h) and
+psi_k(-h) are diagonal, so psi_i(h) w psi_k(-h) is w with each pair (x, y)
+times L_x(h) R_y(h), the images' entries at x and y, and pi_chi(w) is w
+times one multiplier per pair, the sum over h in H_ik of chi(h)^{-1}
+L_x(h) R_y(h) (the 1/|H_ik| dropped).  A product of nonzero field
+elements is nonzero: chi keeps w exactly when its multiplier is nonzero
+at some pair of w's support, so no projection is formed.
+
+Reading.  All three checks read an algebra through one `_Reading`, built
+from its poset, basis and ambient group on first use and held in its
+`_reading` slot: the pair index, the incomparable members, the conductor,
+the shapes, the degrees, the preimages once formed, and the blocks.
+Diagonal members (every pair (x, x)) are grouped by support, each support
+one block's vertices, |dual H_i| = |H_i| of them; H_i is the subgroup
+their degrees generate and psi_i(h) the member of degree h.  A cross
+member is filed under the blocks of its first pair, and block i lies
+below block j when some vertex of i lies below one of j.
+`r.block_of_vertex` only names the blocks, one to one (InvalidElement).
 
 Elements.  Members written as exponents (`IncidenceElement.from_roots`)
 are built unchecked, so their support pairs are checked first: a pair
@@ -64,25 +77,22 @@ lies in V_h, so ab lies in V_(g+h), and ab * V_k = a(b * V_k) lies in
 V_(g+h+k).  The basis B is graded exactly when B lies in T.
 `verify_grading` shows that without forming all products: (a) B is a
 basis (the count and the full-rank argument above); (b) 1 lies in V_0,
-so 1 is in T_0; (c) for a set S of members read off the cells of the
-full-rank step (`_generating_set`: per diagonal cell the members whose
-translation rows started a coset as "Full rank" grew G, per other cell its
-first member), s * v lies in V_(deg s + deg v) for
-every s in S and v in B, so S lies in T (|S| * dim products instead of
-dim^2); (d) starting from S, each element of T formed so far (1, and
-s * v for a member v already reached) is split into one multiple of a
-member per support component, and when exactly one of those members is
-not yet reached, it is: the others are in T, so its multiple is too.
-Every member must be reached.
+so 1 is in T_0; (c) for a set S of members read off the full-rank cells
+(`_generating_set`), s * v lies in V_(deg s + deg v) for every s in S and v
+in B, so S lies in T (|S| * dim products instead of dim^2); (d) starting
+from S, each element of T formed so far (1, and s * v for a member v already
+reached) is split into one multiple of a member per support component, and
+when exactly one of those members is not yet reached, it is: the others are
+in T, so its multiple is too.  Every member must be reached.
 Membership in V_g needs no zeta-closed space when no cell holds two
 members of degree g (cells have disjoint supports) and each member is one
 coefficient times one root of unity per pair: V_g is then the direct sum
 of the lines they span, and w lies in it exactly when w vanishes off their
 supports and, on each member's support, w_p * zeta^(-e_p) is the same
 number at every pair p, e_p the member's exponent at p.  s * v is formed
-from the shapes and grouped per pair as it is formed,
-{pair: {exponent: count}}, counting the paths x <= z <= y whose exponents
-sum to it (`_shape_product`).  c_s * c_v is left out: a nonzero factor of the whole
+from the shapes and grouped per pair as it is formed, {pair: {exponent:
+count}}, counting the paths x <= z <= y whose exponents sum to it
+(`_shape_product`).  c_s * c_v is left out: a nonzero factor of the whole
 product changes neither whether w vanishes off the supports nor whether it
 is one multiple of a member on each.  So on each member's support that w
 touches, every pair must hold one term, the member's exponent shifted by
@@ -111,19 +121,16 @@ certificate gives up, as the split of the product would
 m' through a few columns on which the rows differ (`_row_key`): about
 n * |key| steps for a cell of n members, where the products take n^2.
 Another shape of basis, or any failed step, proves nothing, and the dim^2
-loop below decides.
-
-Without the certificate, membership of a product in the span of its
-degree is decided over Q in the zeta-closed form.
+loop decides each product's membership over Q in the zeta-closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 
-from .abelian import _coordinate_sum, intersect, subgroup_sum
+from .abelian import _coordinate_sum, canonicalize, intersect, subgroup_sum
 from .bimodules import BimoduleClass
 from .characters import dual_group, exponent_rows
 from .cyclo import _root_exponents, euler_phi
@@ -138,37 +145,19 @@ from .rowspan import RationalRowSpace
 
 
 def _conductor_of(elements):
-    n = 1
-    for elem in elements:
-        if isinstance(elem, RootElement):
-            n = lcm(n, elem.conductor)
-        else:
-            for c in elem.coeffs.values():
-                n = lcm(n, c.conductor)
-    return n
-
-
-def _incomparable(elems, pairs):
-    """The indices of the `RootElement`s with a support pair outside pairs,
-    the comparable pairs: `IncidenceElement.from_roots` checks nothing, and
-    every other element was checked when it was built."""
-    return [n for n, elem in enumerate(elems)
-            if isinstance(elem, RootElement) and not elem.roots.keys() <= pairs]
+    return lcm(1, *(elem.conductor if isinstance(elem, RootElement) else
+                    lcm(1, *(c.conductor for c in elem.coeffs.values()))
+                    for elem in elements))
 
 
 def _ring_preimages(elems, conductor):
-    """Each element as a sparse {(x, y, exponent): int}, a preimage in
-    Z[x]/(x^N - 1) of all its coefficients at one common scale that
-    clears every denominator.  A `RootElement` over Q(zeta_M) is read from
-    its exponents, zeta_M^e becoming the monomial scale * x^(e * N / M).
-    Any other coefficient q * zeta_N^e (its numerators over their gcd are
-    the power-basis row of zeta_N^e or of its negative) becomes the
-    monomial q * scale * x^e, and a coefficient of no such form its
-    power-basis numerators.
-
-    x -> zeta_N is a ring homomorphism, so a product formed here and then
-    reduced (`_reduce`) is exactly scale^2 times the product of the
-    elements."""
+    """Each element as a sparse {(x, y, exponent): int}, its preimage in
+    Z[x]/(x^N - 1) at one common scale that clears every denominator
+    (module docstring, "Elements"): a coefficient q * zeta_N^e, whose
+    numerators over their gcd are the power-basis row of +-zeta_N^e,
+    becomes q * scale * x^e, one of no such form its power-basis
+    numerators.  A product formed here and reduced (`_reduce`) is exactly
+    scale^2 times the product of the elements."""
     exponent_of, _ = _root_exponents(conductor)
     lifted = [None if isinstance(elem, RootElement)
               else [(pair, c.lift(conductor)) for pair, c in elem.coeffs.items()]
@@ -286,29 +275,96 @@ class VerificationReport:
 
 
 class _Degrees:
-    """The basis degrees of one call, numbered by their coordinate tuples
-    in `ambient`: `ids[n]` numbers the degree of basis[n], `members[d]`
-    lists the basis indices of degree d, and `plus(a, b)` is the number of
-    degree a + degree b, or None when no basis element has it.  Each sum is
-    formed once, on the coordinates (`abelian._coordinate_sum`)."""
+    """The basis degrees, numbered by their coordinate tuples in `ambient`:
+    `ids[n]` numbers the degree of basis[n], and `plus(a, b)` is the number
+    of degree a + degree b, or None when no basis element has it.  Each sum
+    is formed once, on the coordinates (`abelian._coordinate_sum`)."""
 
     def __init__(self, basis, ambient):
         self.number = {}
         self.ids = [self.number.setdefault(b.degree.coords, len(self.number))
                     for b in basis]
         self.degrees = list(self.number)
-        self.members = [[] for _ in self.degrees]
-        for idx, d in enumerate(self.ids):
-            self.members[d].append(idx)
         self._add = _coordinate_sum(ambient)
         self._sums = {}
 
     def plus(self, a, b):
-        key = (a, b)
-        if key not in self._sums:
-            self._sums[key] = self.number.get(self._add(self.degrees[a],
-                                                        self.degrees[b]))
-        return self._sums[key]
+        if (a, b) not in self._sums:
+            self._sums[a, b] = self.number.get(self._add(self.degrees[a], self.degrees[b]))
+        return self._sums[a, b]
+
+
+class _Reading:
+    """An algebra as the checks read it (module docstring, "Reading")."""
+
+    def __init__(self, poset, basis, ambient):
+        self.poset, self.basis, self.ambient = poset, basis, ambient
+        self.pair_index = {p: n for n, p in enumerate(poset.comparable_pairs())}
+        self.elems = [b.element for b in basis]
+        # from_roots checks nothing; every other element was checked when built
+        self.incomparable = [n for n, elem in enumerate(self.elems) if isinstance(
+            elem, RootElement) and not elem.roots.keys() <= self.pair_index.keys()]
+        self.conductor = _conductor_of(self.elems)
+        self.degrees = _Degrees(basis, ambient)
+        self.shape = _components(self.elems, self.conductor)
+        self._preimages, self._names = {}, None
+
+    def preimages(self, conductor):
+        if conductor not in self._preimages:
+            self._preimages[conductor] = _ring_preimages(self.elems, conductor)
+        return self._preimages[conductor]
+
+    @cached_property
+    def blocks(self):
+        """(vertices, images, order, cross): per block, keyed by its first
+        vertex's index, its vertices and {h: psi_i(h)}; the pairs (i, j), i
+        below j; the cross members per (i, j)."""
+        diagonal, firsts, at, vertices, images = {}, [], {}, {}, {}
+        loops, index = {(x, x) for x in self.poset.elements}, self.poset.index
+        for m, elem in enumerate(self.elems):
+            pairs = elem.roots if isinstance(elem, RootElement) else elem.coeffs
+            first = next(iter(pairs), None)
+            if first in loops and (support := frozenset(pairs)) <= loops:
+                diagonal.setdefault(support, []).append(m)
+            elif first is not None:
+                firsts.append((m, first))
+        for support in sorted(diagonal, key=len, reverse=True):
+            held = {at.get(x) for x, _ in support}
+            n = held.pop() if len(held) == 1 else None
+            if n is None:  # a new block; a support inside one (a zero entry) joins it
+                vs = sorted((x for x, _ in support), key=index)
+                n = index(vs[0])
+                at.update(dict.fromkeys(vs, n))
+                vertices[n], images[n] = vs, {}
+            images[n].update((self.basis[m].degree.coords, m) for m in diagonal[support])
+        cross = {}
+        for m, (x, y) in firsts:
+            cross.setdefault((at.get(x), at.get(y)), []).append(m)
+        return vertices, images, {(at[x], at[y]) for x, y in self.pair_index
+                                  if x in at and y in at and at[x] != at[y]}, cross
+
+    @cached_property
+    def groups(self):
+        """H_i per block: the subgroup its diagonal members' degrees generate."""
+        return {n: canonicalize([self.basis[m].degree for m in image.values()], self.ambient)
+                for n, image in self.blocks[1].items()}
+
+    def named(self, r):
+        """{label: block}, read once through `r.block_of_vertex`."""
+        if self._names is None:
+            at = {x: n for n, vs in self.blocks[0].items() for x in vs}
+            pairs = {(r.block_of_vertex(x), at.get(x)) for x in self.poset.elements}
+            names = dict(pairs)
+            if len(pairs) != len(self.blocks[0]) or set(names.values()) != self.blocks[0].keys():
+                raise InvalidElement("the labels do not name the blocks one to one")
+            self._names = names
+        return self._names
+
+
+def _reading(r):
+    if r._reading is None:
+        object.__setattr__(r, "_reading", _Reading(r.poset, r.basis, r.ambient))
+    return r._reading
 
 
 def _shape_product(a, b_by_first, conductor):
@@ -326,25 +382,15 @@ def _shape_product(a, b_by_first, conductor):
 
 def _split(w, owner, shape, conductor):
     """The members whose nonzero multiples sum to w, a `_shape_product` (or
-    the identity, {(x, x): {0: 1}}), or None when that is not shown: w must
-    vanish off the supports of the members `owner` lists, and on each
-    support it touches be zero or one member's shape times one monomial
-    c * x^a.
-
-    owner maps each pair to the one member whose support holds it, and
-    shape[m] maps each pair of member m to its one exponent; every member
-    has one coefficient, so w is c * x^a times b_m on m's support when each
-    pair p holds the single term c * x^(e_p + a), as {e_p + a: c}.  A pair
-    that is missing or whose terms reduce to zero (`_reduced`) is zero, and
-    a member zero at every pair of its support is left out.  The
-    off-support part goes to `_reduced` only when there is one."""
-    members, off = set(), {}
-    for pair, terms in w.items():
-        m = owner.get(pair)
-        if m is None:
-            off[pair] = terms
-        else:
-            members.add(m)
+    the identity, {(x, x): {0: 1}}), or None when that is not shown (module
+    docstring, "Certificate"): w must vanish off the supports of the
+    members `owner` lists (per pair, the member whose support holds it),
+    and on each support it touches be zero or one member's shape times one
+    monomial c * x^a, each pair p the single term {e_p + a: c}.  A pair
+    whose terms reduce to zero (`_reduced`) is zero, and a member zero at
+    every pair is left out."""
+    members = {owner[pair] for pair in w if pair in owner}
+    off = {pair: terms for pair, terms in w.items() if pair not in owner}
     if off and _reduced({(x, y, e): c for (x, y), terms in off.items()
                          for e, c in terms.items()}, conductor):
         return None  # nonzero off the supports
@@ -415,9 +461,8 @@ def _components(elems, conductor):
 def _generators(rows, conductor):
     """The rows that started a new coset as the group of the distinct rows
     grew from zero one coset at a time, or None when it outgrew them: the
-    rows are no group mod N.  Tuples are built from lists: a tuple grown
-    from a generator is resized as it goes, which raised the peak RSS of
-    30 verify-corpus passes by 0.5 MB (2-vCPU Xeon, Python 3.11.7)."""
+    rows are no group mod N.  Tuples are built from lists, which kept 0.5 MB
+    off the peak RSS of 30 verify-corpus passes (2-vCPU Xeon, Python 3.11.7)."""
     zero = tuple([0] * len(rows[0]))
     group, known, started = [zero], {zero}, []
     for row in rows:
@@ -439,15 +484,12 @@ def _generators(rows, conductor):
 def _full_rank(shape, conductor):
     """The cells, when the members, one {pair: exponent} each
     (`_components`), are shown to be a basis by the character-table
-    argument of the module docstring; None proves nothing.  A cell is
-    (members, cols, rows, started): the members with one support, its
-    pairs in the first member's order, each member's row over cols as a
-    tuple (its translation row t_m when some t_m is zero, else t_m - t_0),
+    argument of the module docstring ("Full rank"); None proves nothing.  A
+    cell is (members, cols, rows, started): the members with one support,
+    its pairs in the first member's order, each member's row f_m over cols,
     and the rows that started a coset as `_generators` grew their group,
-    None when no translation row is zero; the certificate reads its seeds
-    and owners off the cells.  No members give no cells, the zero
-    algebra's basis.  The caller has checked that there are as many
-    members as pairs."""
+    None when no translation row is zero.  The zero algebra has no cells.
+    The caller has checked that there are as many members as pairs."""
     cell_of, cells = {}, []  # each pair's cell; each cell's members
     for m, exps in enumerate(shape):
         c = cell_of.get(next(iter(exps), None))
@@ -488,17 +530,13 @@ def _full_rank(shape, conductor):
 
 def _generating_set(shape, cells, conductor):
     """S for the certificate, read off the cells of `_full_rank`: per
-    diagonal cell (every pair (x, x)) the members whose translation rows
-    e_m(p) - e_m(p0) started a coset of the group of those rows as
-    `_full_rank` grew it, its one member for a trivial group and none when
-    no translation row is zero (the rows are then no group); per other
-    cell its first member.  shape and conductor are not read.  The verdict
-    does not depend on this choice, only whether it gets one.  s * m, s
-    and m in one diagonal cell, is a multiple of the member of row t_m +
-    t_s ("Certificate"), and a first member times the diagonal members at
-    its ends reaches the rest of a realized cell.  The cover cells alone
-    would not do: through a trivial middle block a product of cover
-    vectors is a sum over every character of the outer pair."""
+    diagonal cell the members whose translation rows started a coset as
+    `_full_rank` grew their group (its one member for a trivial group, none
+    when no translation row is zero); per other cell its first member.
+    shape and conductor are not read.  The verdict does not depend on this
+    choice, only whether it gets one.  The cover cells alone would not do:
+    through a trivial middle block a product of cover vectors is a sum
+    over every character of the outer pair."""
     seeds = []
     for members, cols, rows, started in cells:
         if any(x != y for x, y in cols):
@@ -554,12 +592,10 @@ def _translations(at, ds, cell, key, degrees, conductor):
 
 def _certified(r, shape, cells, degrees, conductor):
     """True when the certificate of the module docstring shows that the
-    basis (already known to be one) is graded; False proves nothing.
-    shape is `_components`' and cells `_full_rank`'s, which give the seeds
-    and owners.  A diagonal seed s times a member of a cell is a multiple
-    of the member its row translates to (`_translations`); another seed
-    times a member v of a cell whose first vertices it ends at is formed
-    from the shapes (`_shape_product`) and split (`_split`)."""
+    basis (already known to be one) is graded; False proves nothing.  A
+    diagonal seed's products are translations (`_translations`); another
+    seed's, with the members of the cells whose first vertices it ends
+    at, are formed from the shapes (`_shape_product`) and split (`_split`)."""
     ids = degrees.ids
     owners = {}  # per degree: {pair: its member of that degree}
     for members, cols, _, _ in cells:
@@ -630,23 +666,17 @@ def verify_grading(r):
     the certified products, len(basis)^2.
     """
     report = VerificationReport()
-    poset = r.poset
-    pairs = poset.comparable_pairs()
-    pair_index = {p: n for n, p in enumerate(pairs)}
-    dim = len(pairs)
-    report.dimension = dim
+    rd = _reading(r)
+    pair_index = rd.pair_index
+    report.dimension = dim = len(pair_index)
     report.basis_size = len(r.basis)
-
-    elems = [b.element for b in r.basis]
-    for idx in _incomparable(elems, pair_index.keys()):
+    for idx in rd.incomparable:
         report.flag("incomparable-support", f"basis[{idx}]",
                     "support pair that is not comparable in the poset")
     if report.violations:
         return report  # members outside I(X): nothing more is decided
-    conductor = _conductor_of(elems)
+    conductor, degrees, shape = rd.conductor, rd.degrees, rd.shape
     phi = euler_phi(conductor)
-    degrees = _Degrees(r.basis, r.ambient)
-    shape = _components(elems, conductor)
     cells = (_full_rank(shape, conductor)
              if len(r.basis) == dim and shape is not None else None)
     full_rank = cells is not None
@@ -654,7 +684,7 @@ def verify_grading(r):
         report.checked_products = dim * dim
         return report
 
-    preimages = _ring_preimages(elems, conductor)
+    preimages = rd.preimages(conductor)
     if len(r.basis) != dim:
         report.flag("basis-size", "basis",
                     f"{len(r.basis)} basis elements for dimension {dim}")
@@ -676,9 +706,8 @@ def verify_grading(r):
     def span_of_degree(d):
         # d numbers a degree, or is None for one no member has
         if d not in degree_spaces:
-            members = degrees.members[d] if d is not None else ()
             degree_spaces[d] = _zeta_closed_space(
-                [preimages[m] for m in members], pair_index, conductor)
+                [pre for pre, e in zip(preimages, ids) if e == d], pair_index, conductor)
         return degree_spaces[d]
 
     ids = degrees.ids
@@ -707,7 +736,7 @@ def verify_grading(r):
 
     # the identity's preimage is x^0 on every diagonal pair; a degree with
     # no members spans 0, the identity of the zero algebra
-    one = _reduce({(x, x, 0): 1 for x in poset.elements}, pair_index, conductor)
+    one = _reduce({(x, x, 0): 1 for x in r.poset.elements}, pair_index, conductor)
     if not span_of_degree(degrees.number.get(r.ambient.zero().coords)).contains(one):
         report.flag("identity-degree", "identity",
                     "identity element is not homogeneous of degree 0")
@@ -719,72 +748,43 @@ def verify_grading(r):
 
 
 def _isotypic_degrees(r, i, k):
-    """Per character chi of H_ik, the degrees of the two-step products
-    w = u * v of M_ij * M_jk between i and k whose pi_chi(w) is nonzero,
-    in (middle, u, v) order, as coordinate tuples of the ambient group:
-    deg u + deg v is summed once per nonzero product
-    (`abelian._coordinate_sum`).
-
-    psi_i(h) and psi_k(-h) are diagonal, so the conjugate
-    psi_i(h) w psi_k(-h) is w with each pair (x, y) multiplied by L_x(h)
-    R_y(h), the images' own entries at x and at y.  pi_chi(w) is then w
-    times one multiplier at each pair, the sum over h of chi(h)^{-1}
-    L_x(h) R_y(h) (the 1/|H_ik| scale dropped), formed once per pair in a
-    call; it is the same formula whether the entries are roots of unity or
-    not.  A product of two nonzero numbers of Q(zeta_N) is nonzero, so
-    pi_chi(w) is nonzero exactly when some pair of w's support has a
-    nonzero chi-multiplier: each product is reduced once, for its support,
-    and no projection is formed.
-    """
-    mids = r.datum.skeleton.strictly_between(i, k)
+    """Per character chi of H_ik, the degrees deg u + deg v of the nonzero
+    two-step products w = u * v of M_ij * M_jk that pi_chi keeps, in
+    (middle, u, v) order, as coordinate tuples.  The blocks, H_i, psi_i and
+    M_ij are the reading's (module docstring, "Reading"); no tag is read.
+    The chi-multiplier at a pair (x, y) is formed once per call; pi_chi
+    keeps w when it is nonzero at some pair of w's support."""
+    rd = _reading(r)
+    vertices, images, order, cross = rd.blocks
+    a, c = rd.named(r).get(i), rd.named(r).get(k)
+    if a is None or c is None or (a, c) not in order:
+        raise NoIntermediateBlock(f"blocks {i!r} and {k!r} are not comparable")
+    mids = [j for j in sorted(vertices) if (a, j) in order and (j, c) in order]
     if not mids:
         raise NoIntermediateBlock(f"no block strictly between {i!r} and {k!r}")
-    # one read of the basis: the diagonal images, and per middle block j
-    # the cross members of (i, j) and of (j, k); a tag that names no slot
-    # is skipped
-    diag, factors = {}, {j: ([], []) for j in mids}
-    for b in r.basis:
-        kind, ends = b.tag[:1], b.tag[1:3]
-        if kind == ("diag",):
-            diag[ends] = b.element
-        elif kind == ("cross",) and len(ends) == 2:
-            a, c = ends
-            if a == i and c in factors:
-                factors[c][0].append(b)
-            elif c == k and a in factors:
-                factors[a][1].append(b)
-
-    def image(block, h):
-        if (block, h) not in diag:
-            raise InvalidElement(f"no diagonal image of {h} in block {block!r}")
-        return diag[(block, h)]
-
-    h_ik = intersect(r.datum.blocks[i], r.datum.blocks[k])
+    h_ik = intersect(rd.groups[a], rd.groups[c])
     elements = list(h_ik.elements())
-    m = len(elements)
-    elems = ([image(i, h.coords) for h in elements]
-             + [image(k, (-h).coords) for h in elements]
-             + [b.element for us, vs in factors.values() for b in us + vs])
-    if _incomparable(elems, set(r.poset.comparable_pairs())):
+    wanted = [(a, i, h.coords) for h in elements] + [(c, k, (-h).coords) for h in elements]
+    for n, label, h in wanted:
+        if h not in images[n]:
+            raise InvalidElement(f"no diagonal image of {h} in block {label!r}")
+    if rd.incomparable:
         raise InvalidElement("a basis member has a support pair that is not "
                              "comparable in the poset")
-    conductor = lcm(_conductor_of(elems), h_ik.exponent())
-    pres = _ring_preimages(elems, conductor)
+    conductor = lcm(rd.conductor, h_ik.exponent())
+    pres = rd.preimages(conductor)
     entries = []  # per diagonal image, {vertex: [(exponent, coefficient)]}
-    for pre in pres[:2 * m]:
+    for n, _, h in wanted:
         at = {}
-        for (x, y, e), c in pre.items():
-            if x != y:
-                raise InvalidElement("a diagonal image has an off-diagonal entry")
-            at.setdefault(x, []).append((e, c))
+        for (x, _, e), coeff in pres[images[n][h]].items():
+            at.setdefault(x, []).append((e, coeff))
         entries.append(at)
-    lefts, rights = entries[:m], entries[m:]
+    lefts, rights = entries[:len(elements)], entries[len(elements):]
     rows = exponent_rows(h_ik, conductor)
 
     def kept_at(x, y):
-        # the characters whose multiplier at (x, y) is nonzero; one
-        # monomial is nonzero as it stands, a longer sum is reduced, which
-        # is its zero test
+        # the characters whose multiplier at (x, y) is nonzero; a longer
+        # sum than one monomial is reduced, which is its zero test
         rho = [[((el + er) % conductor, cl * cr)
                 for el, cl in left.get(x, ()) for er, cr in right.get(y, ())]
                for left, right in zip(lefts, rights)]
@@ -792,10 +792,10 @@ def _isotypic_degrees(r, i, k):
         for n, row in enumerate(rows):
             acc = {}
             for terms, e_chi in zip(rho, row):
-                for e, c in terms:
+                for e, coeff in terms:
                     key = (e - e_chi) % conductor
-                    acc[key] = acc.get(key, 0) + c
-            terms = {(x, y, e): c for e, c in acc.items() if c}
+                    acc[key] = acc.get(key, 0) + coeff
+            terms = {(x, y, e): coeff for e, coeff in acc.items() if coeff}
             if len(terms) == 1 or _reduced(terms, conductor):
                 found.append(n)
         return found
@@ -804,21 +804,22 @@ def _isotypic_degrees(r, i, k):
     chars = dual_group(h_ik)
     degrees = {chi: [] for chi in chars}
     add = _coordinate_sum(r.ambient)
-    rest = iter(pres[2 * m:])
-    for us, vs in factors.values():
-        u_pres = [next(rest) for _ in us]
-        v_pres = [_by_first(next(rest)) for _ in vs]
-        for u, u_pre in zip(us, u_pres):
-            for v, v_pre in zip(vs, v_pres):
-                w = _reduced(_ring_product(u_pre, v_pre, conductor), conductor)
-                if not w:
-                    continue
+    coords, ids = rd.degrees.degrees, rd.degrees.ids
+    for j in mids:
+        vs = [(v, _by_first(pres[v])) for v in cross.get((j, c), ())]
+        for u in cross.get((a, j), ()):
+            for v, v_pre in vs:
+                w = _ring_product(pres[u], v_pre, conductor)
+                support = {(x, y) for x, y, _ in w}
+                if len(support) < len(w) or 0 in w.values():
+                    # only a pair of one nonzero monomial is nonzero as it stands
+                    support = {(x, y) for x, y, _ in _reduced(w, conductor)}
                 found = set()
-                for pair in {(x, y) for x, y, _ in w}:
+                for pair in support:
                     if pair not in kept:
                         kept[pair] = kept_at(*pair)
                     found.update(kept[pair])
-                deg = add(u.degree.coords, v.degree.coords)
+                deg = add(coords[ids[u]], coords[ids[v]])
                 for n in found:
                     degrees[chars[n]].append(deg)
     return degrees
@@ -830,19 +831,17 @@ def radical_square_component(r, i, k):
     Each character chi whose projector keeps some product contributes
     (chi, degree), the degree read off the products it keeps
     (`_isotypic_degrees`), whose coordinates must share one coset key of
-    H_i + H_k; the first becomes the class's degree.  Requires at least
-    one intermediate block between i and k.  A malformed basis raises a
-    library error: NoIntermediateBlock for a label with no block,
-    InvalidElement for a missing diagonal image or one with an
-    off-diagonal entry, DegreeConflict for degrees in several cosets.
-    """
-    blocks = r.datum.blocks
-    if not (i in blocks and k in blocks and r.datum.skeleton.lt(i, k)):
-        raise NoIntermediateBlock(f"blocks {i!r} and {k!r} are not comparable")
-    h_i, h_k = blocks[i], blocks[k]
+    H_i + H_k; the first becomes the class's degree.  A malformed basis
+    raises a library error: NoIntermediateBlock when no block lies between
+    i and k, InvalidElement when the labels do not name the blocks or a
+    diagonal image or I(X) membership is missing, DegreeConflict for
+    degrees in several cosets."""
+    found = _isotypic_degrees(r, i, k)
+    rd = _reading(r)
+    h_i, h_k = (rd.groups[rd.named(r)[label]] for label in (i, k))
     coset = subgroup_sum(h_i, h_k)
     pairs = []
-    for chi, degs in _isotypic_degrees(r, i, k).items():
+    for chi, degs in found.items():
         if not degs:
             continue
         if len({coset.coset_key(deg) for deg in set(degs)}) > 1:
@@ -868,24 +867,25 @@ class LinkEquationReport:
 
 def check_link_equation(r):
     """l(dual H_i, dual H_j) = |H_i| l(eta_i, dual H_j) = |H_j| l(dual H_i, eta_j)
-    for every comparable block pair and every vertex choice."""
+    for every pair of blocks i below j and every vertex choice, on the
+    reading's blocks and order (module docstring, "Reading"); |H_i| is
+    |dual H_i|, the number of vertices of block i."""
     report = LinkEquationReport()
-    partition = {}
-    for v in r.poset.elements:
-        partition.setdefault(r.block_of_vertex(v), []).append(v)
-    if len(partition) < 2:
-        return report
-    counts = link_counts(r.poset, partition)
-    blocks = r.datum.blocks
-    for i, j in r.datum.comparable_block_pairs():
+    rd = _reading(r)
+    vertices, _, order, _ = rd.blocks
+    names = rd.named(r)
+    counts = link_counts(r.poset, {label: vertices[n] for label, n in names.items()})
+    label = {n: name for name, n in names.items()}
+    for a, b in sorted(order):
+        i, j = label[a], label[b]
         report.checked_pairs += 1
         total = counts.block_pairs[(i, j)]
-        for v in partition[i]:
-            if blocks[i].order * counts.element_to_block[(v, j)] != total:
+        for v in vertices[a]:
+            if len(vertices[a]) * counts.element_to_block[(v, j)] != total:
                 report.violations.append(
                     (i, j, v, "left link count breaks the identity"))
-        for v in partition[j]:
-            if blocks[j].order * counts.block_to_element[(i, v)] != total:
+        for v in vertices[b]:
+            if len(vertices[b]) * counts.block_to_element[(i, v)] != total:
                 report.violations.append(
                     (i, j, v, "right link count breaks the identity"))
     return report

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from incidence_gradings.abelian import (
     AbelianGroup,
+    _coordinate_sum,
     all_subgroups,
     canonicalize,
     full_subgroup,
@@ -21,6 +22,7 @@ from incidence_gradings.bimodules import BimoduleClass, bimodule_iso
 from incidence_gradings.characters import (
     _carried,
     dual_group,
+    exponent_rows,
     extension_fiber,
     restrict,
     trivial_character,
@@ -32,11 +34,24 @@ from incidence_gradings.datum import (
     RealizedGrading,
     vertex_label,
 )
-from incidence_gradings.errors import ChainInconsistency, DegreeConflict
-from incidence_gradings.incidence import IncidenceElement
+from incidence_gradings.errors import (
+    ChainInconsistency,
+    DegreeConflict,
+    InvalidElement,
+    NoIntermediateBlock,
+)
+from incidence_gradings.incidence import IncidenceElement, RootElement
 from incidence_gradings.jsonio import _expect, _expect_object, _fail, decode_cyclo
-from incidence_gradings.oracle import VerificationReport, _conductor_of
-from incidence_gradings.posets import chain_poset, poset_from_relation
+from incidence_gradings.oracle import (
+    LinkEquationReport,
+    VerificationReport,
+    _by_first,
+    _conductor_of,
+    _reduced,
+    _ring_preimages,
+    _ring_product,
+)
+from incidence_gradings.posets import chain_poset, link_counts, poset_from_relation
 from incidence_gradings.rowspan import RationalRowSpace
 
 
@@ -655,6 +670,178 @@ def isotypic_rank_table(r, i, k):
 
 
 # ---------------------------------------------------------------------------
+# reference radical-square and link checks: the tag- and datum-based forms
+# the oracle used before it read the blocks off the basis
+
+
+def _incomparable(elems, pairs):
+    """The indices of the `RootElement`s with a support pair outside pairs,
+    the comparable pairs: `IncidenceElement.from_roots` checks nothing, and
+    every other element was checked when it was built."""
+    return [n for n, elem in enumerate(elems)
+            if isinstance(elem, RootElement) and not elem.roots.keys() <= pairs]
+
+
+def reference_isotypic_degrees(r, i, k):
+    """Per character chi of H_ik, the degrees of the two-step products
+    w = u * v of M_ij * M_jk between i and k whose pi_chi(w) is nonzero,
+    in (middle, u, v) order, as coordinate tuples of the ambient group:
+    deg u + deg v is summed once per nonzero product
+    (`abelian._coordinate_sum`).
+
+    psi_i(h) and psi_k(-h) are diagonal, so the conjugate
+    psi_i(h) w psi_k(-h) is w with each pair (x, y) multiplied by L_x(h)
+    R_y(h), the images' own entries at x and at y.  pi_chi(w) is then w
+    times one multiplier at each pair, the sum over h of chi(h)^{-1}
+    L_x(h) R_y(h) (the 1/|H_ik| scale dropped), formed once per pair in a
+    call; it is the same formula whether the entries are roots of unity or
+    not.  A product of two nonzero numbers of Q(zeta_N) is nonzero, so
+    pi_chi(w) is nonzero exactly when some pair of w's support has a
+    nonzero chi-multiplier: each product is reduced once, for its support,
+    and no projection is formed.
+    """
+    mids = r.datum.skeleton.strictly_between(i, k)
+    if not mids:
+        raise NoIntermediateBlock(f"no block strictly between {i!r} and {k!r}")
+    # one read of the basis: the diagonal images, and per middle block j
+    # the cross members of (i, j) and of (j, k); a tag that names no slot
+    # is skipped
+    diag, factors = {}, {j: ([], []) for j in mids}
+    for b in r.basis:
+        kind, ends = b.tag[:1], b.tag[1:3]
+        if kind == ("diag",):
+            diag[ends] = b.element
+        elif kind == ("cross",) and len(ends) == 2:
+            a, c = ends
+            if a == i and c in factors:
+                factors[c][0].append(b)
+            elif c == k and a in factors:
+                factors[a][1].append(b)
+
+    def image(block, h):
+        if (block, h) not in diag:
+            raise InvalidElement(f"no diagonal image of {h} in block {block!r}")
+        return diag[(block, h)]
+
+    h_ik = intersect(r.datum.blocks[i], r.datum.blocks[k])
+    elements = list(h_ik.elements())
+    m = len(elements)
+    elems = ([image(i, h.coords) for h in elements]
+             + [image(k, (-h).coords) for h in elements]
+             + [b.element for us, vs in factors.values() for b in us + vs])
+    if _incomparable(elems, set(r.poset.comparable_pairs())):
+        raise InvalidElement("a basis member has a support pair that is not "
+                             "comparable in the poset")
+    conductor = lcm(_conductor_of(elems), h_ik.exponent())
+    pres = _ring_preimages(elems, conductor)
+    entries = []  # per diagonal image, {vertex: [(exponent, coefficient)]}
+    for pre in pres[:2 * m]:
+        at = {}
+        for (x, y, e), c in pre.items():
+            if x != y:
+                raise InvalidElement("a diagonal image has an off-diagonal entry")
+            at.setdefault(x, []).append((e, c))
+        entries.append(at)
+    lefts, rights = entries[:m], entries[m:]
+    rows = exponent_rows(h_ik, conductor)
+
+    def kept_at(x, y):
+        # the characters whose multiplier at (x, y) is nonzero; one
+        # monomial is nonzero as it stands, a longer sum is reduced, which
+        # is its zero test
+        rho = [[((el + er) % conductor, cl * cr)
+                for el, cl in left.get(x, ()) for er, cr in right.get(y, ())]
+               for left, right in zip(lefts, rights)]
+        found = []
+        for n, row in enumerate(rows):
+            acc = {}
+            for terms, e_chi in zip(rho, row):
+                for e, c in terms:
+                    key = (e - e_chi) % conductor
+                    acc[key] = acc.get(key, 0) + c
+            terms = {(x, y, e): c for e, c in acc.items() if c}
+            if len(terms) == 1 or _reduced(terms, conductor):
+                found.append(n)
+        return found
+
+    kept = {}  # per pair, formed once per call
+    chars = dual_group(h_ik)
+    degrees = {chi: [] for chi in chars}
+    add = _coordinate_sum(r.ambient)
+    rest = iter(pres[2 * m:])
+    for us, vs in factors.values():
+        u_pres = [next(rest) for _ in us]
+        v_pres = [_by_first(next(rest)) for _ in vs]
+        for u, u_pre in zip(us, u_pres):
+            for v, v_pre in zip(vs, v_pres):
+                w = _reduced(_ring_product(u_pre, v_pre, conductor), conductor)
+                if not w:
+                    continue
+                found = set()
+                for pair in {(x, y) for x, y, _ in w}:
+                    if pair not in kept:
+                        kept[pair] = kept_at(*pair)
+                    found.update(kept[pair])
+                deg = add(u.degree.coords, v.degree.coords)
+                for n in found:
+                    degrees[chars[n]].append(deg)
+    return degrees
+
+
+def reference_radical_square_component(r, i, k):
+    """Decompose the span of the two-step products M_ij * M_jk in I(X).
+
+    Each character chi whose projector keeps some product contributes
+    (chi, degree), the degree read off the products it keeps
+    (`_isotypic_degrees`), whose coordinates must share one coset key of
+    H_i + H_k; the first becomes the class's degree.  Requires at least
+    one intermediate block between i and k.  A malformed basis raises a
+    library error: NoIntermediateBlock for a label with no block,
+    InvalidElement for a missing diagonal image or one with an
+    off-diagonal entry, DegreeConflict for degrees in several cosets.
+    """
+    blocks = r.datum.blocks
+    if not (i in blocks and k in blocks and r.datum.skeleton.lt(i, k)):
+        raise NoIntermediateBlock(f"blocks {i!r} and {k!r} are not comparable")
+    h_i, h_k = blocks[i], blocks[k]
+    coset = subgroup_sum(h_i, h_k)
+    pairs = []
+    for chi, degs in reference_isotypic_degrees(r, i, k).items():
+        if not degs:
+            continue
+        if len({coset.coset_key(deg) for deg in set(degs)}) > 1:
+            raise DegreeConflict(f"character {chi!r} of the products between "
+                                 f"{i!r} and {k!r} has degrees in several cosets")
+        pairs.append((chi, r.ambient.element(degs[0])))
+    return BimoduleClass(h_i, h_k, pairs)
+
+
+def reference_check_link_equation(r):
+    """l(dual H_i, dual H_j) = |H_i| l(eta_i, dual H_j) = |H_j| l(dual H_i, eta_j)
+    for every comparable block pair and every vertex choice."""
+    report = LinkEquationReport()
+    partition = {}
+    for v in r.poset.elements:
+        partition.setdefault(r.block_of_vertex(v), []).append(v)
+    if len(partition) < 2:
+        return report
+    counts = link_counts(r.poset, partition)
+    blocks = r.datum.blocks
+    for i, j in r.datum.comparable_block_pairs():
+        report.checked_pairs += 1
+        total = counts.block_pairs[(i, j)]
+        for v in partition[i]:
+            if blocks[i].order * counts.element_to_block[(v, j)] != total:
+                report.violations.append(
+                    (i, j, v, "left link count breaks the identity"))
+        for v in partition[j]:
+            if blocks[j].order * counts.block_to_element[(i, v)] != total:
+                report.violations.append(
+                    (i, j, v, "right link count breaks the identity"))
+    return report
+
+
+# ---------------------------------------------------------------------------
 # reference characters: the Fraction formulas Character used before it
 # stored integer exponents
 
@@ -791,16 +978,20 @@ def plant_malformed_basis(r, case):
     member of the pair ("1", "2") tagged () ("empty-tag") or ("cross",)
     ("short-tag"), or with its degree shifted by the ambient's first
     generator ("shifted-degree"); or the first diagonal image of block "1"
-    dropped ("dropped-diagonal") or given that cross member's element
-    ("cross-on-diagonal")."""
+    dropped ("dropped-diagonal"), given that cross member's element
+    ("cross-on-diagonal"), or its tag swapped with the second one's
+    ("swapped-diagonal-tags", which leaves the algebra as it is)."""
     basis = list(r.basis)
     cross = next(n for n, b in enumerate(basis) if b.tag[:3] == ("cross", "1", "2"))
-    diag = next(n for n, b in enumerate(basis) if b.tag[:2] == ("diag", "1"))
+    diag, second = [n for n, b in enumerate(basis) if b.tag[:2] == ("diag", "1")][:2]
     member = basis[cross]
     if case == "dropped-diagonal":
         del basis[diag]
     elif case == "cross-on-diagonal":
         basis[diag] = replace(basis[diag], element=member.element)
+    elif case == "swapped-diagonal-tags":
+        basis[diag], basis[second] = (replace(basis[diag], tag=basis[second].tag),
+                                      replace(basis[second], tag=basis[diag].tag))
     else:
         step = r.ambient.element([1] + [0] * (r.ambient.rank - 1))
         basis[cross] = {"empty-tag": replace(member, tag=()),

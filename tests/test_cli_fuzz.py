@@ -6,6 +6,8 @@ tested apart from size.  Large integers have a test of their own: one
 integer of a datum, or the numerator or denominator of one of its
 rational strings, becomes a value from +-2^31 up to 10^300 (`LARGE`), and
 the size budgets or the input checks must answer it within the contract.
+So do wide blocks: elementary abelian blocks (Z/2)^r, r <= 16, most of
+them over the realized-support budget from r = 11 on.
 """
 
 import contextlib
@@ -130,4 +132,47 @@ def large_integer_data(draw):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(raw=large_integer_data(), command=COMMANDS)
 def test_large_integers_keep_the_contract(tmp_path_factory, raw, command):
+    _check_contract(tmp_path_factory, raw, command)
+
+
+ELEMENTARY = 16  # the ambient (Z/2)^16 and the largest block rank
+# Ranks 8 to 10 pass the support budget, but `realize` takes 1, 3 and 17 s
+# on one such block and 3 s on a 2-chain of rank 8 (2-vCPU Xeon, Python
+# 3.11.7), so they are not drawn
+RANKS = st.one_of(st.integers(0, 7), st.integers(11, ELEMENTARY))
+
+
+def _units(rank):
+    return [[int(i == j) for j in range(ELEMENTARY)] for i in range(rank)]
+
+
+@st.composite
+def elementary_data(draw):
+    """A datum over (Z/2)^16: one block, two unrelated blocks, or a 2-chain,
+    each block (Z/2)^r (r from `RANKS`) spanned by the first r unit vectors.  The cover of
+    the chain carries one character of the smaller block, the intersection,
+    with a drawn degree."""
+    shape = draw(st.sampled_from(["one", "antichain", "chain"]))
+    labels = ["1"] if shape == "one" else ["1", "2"]
+    ranks = {v: draw(RANKS) for v in labels}
+    doc = {"ambient": {"free_rank": 0, "torsion": [2] * ELEMENTARY},
+           "blocks": {v: {"generators": _units(r)} for v, r in ranks.items()},
+           "skeleton": {"elements": labels, "covers": []}, "bimodules": {}}
+    if shape == "chain":
+        meet = _units(min(ranks.values()))
+        values = draw(st.lists(st.sampled_from(["0", "1/2"]),
+                               min_size=len(meet), max_size=len(meet)))
+        degree = draw(st.lists(st.integers(0, 1), min_size=ELEMENTARY,
+                               max_size=ELEMENTARY))
+        doc["skeleton"]["covers"] = [["1", "2"]]
+        doc["bimodules"] = {"1,2": {
+            "left": doc["blocks"]["1"], "right": doc["blocks"]["2"],
+            "pairs": [{"char": {"domain": {"generators": meet}, "values": values},
+                       "deg": degree}]}}
+    return json.dumps(doc).encode("utf-8")
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(raw=elementary_data(), command=COMMANDS)
+def test_elementary_blocks_keep_the_contract(tmp_path_factory, raw, command):
     _check_contract(tmp_path_factory, raw, command)

@@ -28,8 +28,8 @@ from incidence_gradings.characters import (
     restrict,
     trivial_character,
 )
+from incidence_gradings import cli, jsonio, oracle
 from incidence_gradings import datum as datum_mod
-from incidence_gradings import jsonio, oracle
 from incidence_gradings.cyclo import euler_phi, root_of_unity
 from incidence_gradings.datum import (
     BasisVector,
@@ -38,7 +38,12 @@ from incidence_gradings.datum import (
     realize,
     validate_datum,
 )
-from incidence_gradings.errors import DegreeConflict, InvalidElement, NoIntermediateBlock
+from incidence_gradings.errors import (
+    DegreeConflict,
+    IncidenceGradingsError,
+    InvalidElement,
+    NoIntermediateBlock,
+)
 from incidence_gradings.incidence import IncidenceElement, RootElement
 from incidence_gradings.oracle import (
     _by_first,
@@ -76,7 +81,10 @@ from helpers import (
     honest_projections,
     isotypic_rank_table,
     plant_malformed_basis,
+    reference_check_link_equation,
     reference_derive_rows,
+    reference_isotypic_degrees,
+    reference_radical_square_component,
     reference_verify_grading,
     saturated_chains,
     two_block_datum,
@@ -238,17 +246,24 @@ def test_radical_square_refuses_an_unknown_label():
             radical_square_component(r, i, k)
 
 
-@pytest.mark.parametrize("case", ["empty-tag", "short-tag"])
-def test_radical_square_skips_a_tag_that_names_no_slot(case):
-    # the member is left out; the other (1, 2) members keep every product
+@pytest.mark.parametrize("case", ["empty-tag", "short-tag", "swapped-diagonal-tags"])
+def test_radical_square_reads_no_tag(case):
+    # the blocks, their images and the cross members are read off the
+    # elements and degrees, so a tag that names no slot, or two diagonal
+    # images with swapped tags, change nothing; the tag-based reference
+    # takes the swapped images for each other and finds another class
     r = realize(_golden("z16-chain3"))
-    got = radical_square_component(plant_malformed_basis(r, case), "1", "3")
-    assert got == radical_square_component(r, "1", "3")
+    planted = plant_malformed_basis(r, case)
+    want = radical_square_component(r, "1", "3")
+    assert radical_square_component(planted, "1", "3") == want
+    if case == "swapped-diagonal-tags":
+        assert reference_radical_square_component(planted, "1", "3") != want
 
 
 MALFORMED_BASES = [
     ("dropped-diagonal", InvalidElement, "no diagonal image of \\(0,\\) in block '1'"),
-    ("cross-on-diagonal", InvalidElement, "a diagonal image has an off-diagonal entry"),
+    # the planted member is no diagonal member, so block 1 lacks psi_1(0)
+    ("cross-on-diagonal", InvalidElement, "no diagonal image of \\(0,\\) in block '1'"),
     ("shifted-degree", DegreeConflict, "has degrees in several cosets"),
 ]
 
@@ -284,6 +299,80 @@ def test_radical_square_refuses_a_malformed_basis_under_python_O():
          str(tests), str(DATA / "z16-chain3.json")],
         capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (0, "InvalidElement\n", "")
+
+
+def _outcome(check, *args):
+    """check(*args), or the type and message of the library error it raised."""
+    try:
+        return check(*args)
+    except IncidenceGradingsError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_reading_matches_the_tags(d):
+    """The reading-based radical-square check on every non-cover pair of d,
+    and the link check, give what the tag-based references give; returns
+    the number of pairs."""
+    r = realize(d)
+    pairs = [(i, k) for i, k in d.comparable_block_pairs()
+             if (i, k) not in d.cover_bimodules]
+    for i, k in pairs:
+        assert (_outcome(_isotypic_degrees, r, i, k)
+                == _outcome(reference_isotypic_degrees, r, i, k)), (i, k)
+        assert (_outcome(radical_square_component, r, i, k)
+                == _outcome(reference_radical_square_component, r, i, k)), (i, k)
+    assert check_link_equation(r) == reference_check_link_equation(r)
+    return len(pairs)
+
+
+def test_reading_checks_match_the_tag_based_references():
+    # every golden datum and 450 derandomized sweep draws, of which at
+    # least 300 are valid
+    assert sum(_assert_reading_matches_the_tags(d) for _, d in _golden_data()) == 39
+    tally = Counter()
+
+    @settings(max_examples=450, derandomize=True, database=None,
+              deadline=None, suppress_health_check=list(HealthCheck))
+    @given(grading_data([(labels, covers) for _, labels, covers in ACCEPTANCE_SHAPES],
+                        SWEEP_GROUPS))
+    def check(d):
+        if validate_datum(d).valid:
+            tally["valid"] += 1
+            tally["pairs"] += _assert_reading_matches_the_tags(d)
+
+    check()
+    assert tally["valid"] >= 300 and tally["pairs"] >= 100
+
+
+def test_link_check_matches_the_reference_without_two_covers():
+    # one cover dropped below block 2 and one above it: both block pairs
+    # break the identity, and the violations come in the reference's order
+    r = realize(_golden("z16-chain3"))
+    covers = r.poset.covers()
+    dropped = {next(p for p in covers if r.block_of_vertex(p[0]) == "1"),
+               next(p for p in covers if r.block_of_vertex(p[0]) == "2")}
+    elements = r.poset.elements
+    up = [{n for n, y in enumerate(elements)
+           if r.poset.leq(x, y) and (x, y) not in dropped} for x in elements]
+    planted = RealizedGrading(r.datum, Poset(elements, up), r.vertex_data, r.basis,
+                              r.full_raw)
+    report = check_link_equation(planted)
+    assert {(i, j) for i, j, _, _ in report.violations} == {("1", "2"), ("2", "3")}
+    assert report == reference_check_link_equation(planted)
+
+
+@pytest.mark.parametrize("case", ["dropped-diagonal", "shifted-degree", "cross-on-diagonal"])
+def test_malformed_bases_raise_what_the_tag_based_reference_raises(case):
+    # the same error and message, but for the cross member planted on a
+    # diagonal image: the reading files it as a cross member and misses
+    # psi_1(0), where the reference found an off-diagonal entry
+    planted = plant_malformed_basis(realize(_golden("z16-chain3")), case)
+    got, want = (_outcome(check, planted, "1", "3") for check in
+                 (radical_square_component, reference_radical_square_component))
+    if case == "cross-on-diagonal":
+        assert got[0] is want[0] is InvalidElement
+    else:
+        assert got == want
 
 
 def test_projector_algebra():
@@ -1534,18 +1623,64 @@ def _assert_reads_the_cells_alone(r, verdicts, rng, reference=True):
     return verdict
 
 
+class _GuardedVertexData:
+    """Vertex data that answers only inside `block_of_vertex`."""
+
+    def __init__(self, data):
+        self.data, self.open = data, False
+
+    def __getitem__(self, v):
+        assert self.open, "vertex data read outside block_of_vertex"
+        return self.data[v]
+
+
+def _assert_checks_read_the_algebra_alone(monkeypatch, r):
+    """The three checks on r with members that have no tag, a datum that
+    carries only the ambient group, and vertex data that answers only
+    through block_of_vertex, give r's reports and classes: the link check
+    and the radical-square check on every non-cover pair."""
+    block_of_vertex = RealizedGrading.block_of_vertex
+
+    def spy(self, v):
+        self.vertex_data.open = True
+        try:
+            return block_of_vertex(self, v)
+        finally:
+            self.vertex_data.open = False
+
+    d = r.datum
+    pairs = [(i, k) for i, k in d.comparable_block_pairs()
+             if (i, k) not in d.cover_bimodules]
+    want = ([radical_square_component(r, i, k) for i, k in pairs],
+            check_link_equation(r), _report_form(verify_grading(r)))
+    with monkeypatch.context() as patched:
+        patched.setattr(RealizedGrading, "block_of_vertex", spy)
+        bare = RealizedGrading(
+            SimpleNamespace(ambient=r.ambient), r.poset, _GuardedVertexData(r.vertex_data),
+            [SimpleNamespace(element=b.element, degree=b.degree) for b in r.basis], None)
+        got = ([radical_square_component(bare, i, k) for i, k in pairs],
+               check_link_equation(bare), _report_form(verify_grading(bare)))
+    assert got == want
+    return len(pairs)
+
+
 def test_verify_grading_reads_no_tags_and_no_datum(monkeypatch):
     # verify_grading reads the poset, each member's element and degree, and
     # the ambient group: every golden datum and 300 derandomized sweep data
     # keep their report and verdict with the tags and the datum stripped,
     # and with the basis shuffled too.  The golden reports are pinned by
     # the CLI goldens; the reference oracle's zeta-closed rank over
-    # Q(zeta_64) would take minutes on the Z/64 probes
+    # Q(zeta_64) would take minutes on the Z/64 probes.  On every golden,
+    # the link check and the radical-square check on every non-cover pair
+    # read no more, but for naming the blocks through block_of_vertex
     verdicts = _spy_certificate(monkeypatch)
     rng = random.Random("stripped")
+    pairs = 0
     for name, d in _golden_data():
         assert _assert_reads_the_cells_alone(realize(d), verdicts, rng,
                                              reference=False) == [True], name
+        pairs += _assert_checks_read_the_algebra_alone(monkeypatch, realize(d))
+    assert pairs == 39
     tally = Counter()
 
     @settings(max_examples=450, derandomize=True, database=None,
@@ -1559,3 +1694,21 @@ def test_verify_grading_reads_no_tags_and_no_datum(monkeypatch):
 
     check()
     assert tally["valid"] >= 300 and tally[(True,)] >= 300
+
+
+def test_cli_verify_builds_one_reading(monkeypatch, capsys):
+    # verify_grading, the link check and every radical-square pair of one
+    # CLI verify share one reading of the realized algebra
+    built = []
+
+    class Counted(oracle._Reading):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(oracle, "_Reading", Counted)
+    for name, _ in _golden_data():
+        n = len(built)
+        cli.main(["verify", str(DATA / f"{name}.json")])
+        capsys.readouterr()
+        assert len(built) == n + 1, name
